@@ -14,10 +14,10 @@ plus one extra West transition to ``u + 1``.  Total outgoing weight is
 next state is ``1 + Binomial(u, 1/2)``.
 
 Summing trajectory weights gives exact cardinalities and exact corner
-probabilities for sizes far beyond enumeration reach.  The forward
-tables (prefix weights by position, state and last step kind) and the
-suffix tables (completion weights by remaining step count) do not depend
-on the target size, so they are cached per family and grown on demand.
+probabilities for sizes far beyond enumeration reach.  Prefix weights
+are forward rows grown one at a time from :meth:`ChainSpec.transitions`
+and kept per family; counts are always their sums.  Completion weights
+use the closed form ``m! (m + 1)**u`` (times ``2**m`` for type B).
 
 Tree-like and symmetric values ride on these two chains: dropping the
 final West step of a tree-like shape is a corner-faithful bijection onto
@@ -106,68 +106,51 @@ class ChainSpec:
         return law
 
 
-class _FamilyTables:
-    """Forward and suffix weight tables up to a position cap.
-
-    ``fwd_s[k][u]`` / ``fwd_w[k][u]``: total weight of k-step prefixes
-    ending in state ``u`` whose last step is South / West.
-    ``g[m][u]``: total weight of all m-step continuations from ``u``
-    (valid for ``u <= cap + 1 - m``).
-    ``wtf[m][u]``: like ``g[m][u]`` but with the first of the m steps
-    forced to be West.
-    """
-
-    __slots__ = ("spec", "cap", "fwd_s", "fwd_w", "g", "wtf")
-
-    def __init__(self, spec: ChainSpec, cap: int):
-        self.spec = spec
-        self.cap = cap
-        type_b = spec.family is Family.TYPE_B
-        doubling = 2 if type_b else 1
-
-        fwd_s = [[0] * (cap + 2) for _ in range(cap + 1)]
-        fwd_w = [[0] * (cap + 2) for _ in range(cap + 1)]
-        total_prev = [0] * (cap + 2)
-        total_prev[0] = 1
-        for k in range(1, cap + 1):
-            row_s, row_w = fwd_s[k], fwd_w[k]
-            for u in range(k):
-                w = total_prev[u]
-                if not w:
-                    continue
-                row_s[u + 1] += w
-                for j in range(1, u + 1):
-                    row_w[j] += w * doubling * comb(u, j - 1)
-                if type_b:
-                    row_w[u + 1] += w
-            total_prev = [row_s[u] + row_w[u] for u in range(cap + 2)]
-
-        g: list[list[int]] = [[1] * (cap + 2)]
-        wtf: list[list[int] | None] = [None]
-        for m in range(1, cap + 1):
-            prev = g[m - 1]
-            g_row = [0] * (cap + 2 - m)
-            w_row = [0] * (cap + 2 - m)
-            for u in range(cap + 2 - m):
-                west = sum(doubling * comb(u, j - 1) * prev[j] for j in range(1, u + 1))
-                if type_b:
-                    west += prev[u + 1]
-                w_row[u] = west
-                g_row[u] = prev[u + 1] + west
-            g.append(g_row)
-            wtf.append(w_row)
-        self.fwd_s, self.fwd_w, self.g, self.wtf = fwd_s, fwd_w, g, wtf
+def _suffix_weight(family: Family, m: int, u: int) -> int:
+    """Total weight of all ``m``-step continuations from state ``u``:
+    ``m! (m + 1)**u``, times ``2**m`` for type B."""
+    return (factorial(m) << m if family is Family.TYPE_B else factorial(m)) * (m + 1) ** u
 
 
-_tables_cache: dict[Family, _FamilyTables] = {}
+#: Per family: the forward rows grown so far, their totals, and the
+#: transitions out of every state the rows reach, each built once.  An
+#: entry is appended only when complete and growth is keyed on the list
+#: lengths, so a growth cut short (say by ``KeyboardInterrupt``) leaves
+#: the lists consistent.
+_forward: dict[Family, tuple[list[list[int]], list[int], list[tuple[Transition, ...]]]] = {
+    family: ([[1]], [1], []) for family in _CHAIN_FAMILIES
+}
 
 
-def _tables(family: Family, cap: int) -> _FamilyTables:
-    cached = _tables_cache.get(family)
-    if cached is None or cached.cap < cap:
-        cached = _FamilyTables(ChainSpec(family), max(cap, 2 * (cached.cap if cached else 8)))
-        _tables_cache[family] = cached
-    return cached
+def _rows(family: Family, n: int) -> tuple[list[list[int]], list[int]]:
+    """Forward rows of ``family`` up to at least position ``n`` and their
+    sums: ``rows[k][u]`` weighs the k-step prefixes ending in state ``u``,
+    and since South steps ``u - 1 -> u`` with weight 1, those ending
+    South weigh ``rows[k - 1][u - 1]``."""
+    rows, totals, moves = _forward[family]
+    if len(totals) <= n:
+        spec = ChainSpec(family)
+        while len(rows) <= n:
+            prev = rows[-1]
+            while len(moves) < len(prev):
+                moves.append(spec.transitions(len(moves)))
+            row = [0] * (len(prev) + 1)
+            for w, out in zip(prev, moves):
+                if w:
+                    for t in out:
+                        row[t.target] += w * t.weight
+            rows.append(row)
+        while len(totals) < len(rows):
+            totals.append(sum(rows[len(totals)]))
+    return rows, totals
+
+
+def _horner(coefficients: list[int], x: int) -> int:
+    """``sum(c * x**i for i, c in enumerate(coefficients))``."""
+    acc = 0
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
 
 
 class ChainWeightTable:
@@ -179,28 +162,29 @@ class ChainWeightTable:
         self.n = n
         self.family = family
         self.spec = ChainSpec(family)
-        self._t = _tables(family, n)
+        self._rows, self._totals = _rows(family, n)
 
     def forward(self, k: int, u: int, last_step: str) -> int:
         if not 1 <= k <= self.n:
             raise IndexOutOfRangeError(f"position {k} outside 1..{self.n}")
-        row = self._t.fwd_s[k] if last_step == SOUTH else self._t.fwd_w[k]
-        return row[u] if 0 <= u < len(row) else 0
+        south = self._rows[k - 1][u - 1] if 1 <= u <= k else 0
+        if last_step == SOUTH:
+            return south
+        return self._rows[k][u] - south if 0 <= u <= k else 0
 
     def forward_total(self, k: int, u: int) -> int:
-        if k == 0:
-            return 1 if u == 0 else 0
-        return self.forward(k, u, SOUTH) + self.forward(k, u, WEST)
+        if not 0 <= k <= self.n:
+            raise IndexOutOfRangeError(f"position {k} outside 0..{self.n}")
+        return self._rows[k][u] if 0 <= u <= k else 0
 
     def backward(self, k: int, u: int) -> int:
         """Weight of completing the path from position ``k``, state ``u``."""
         if not 0 <= k <= self.n:
             raise IndexOutOfRangeError(f"position {k} outside 0..{self.n}")
-        row = self._t.g[self.n - k]
-        return row[u] if 0 <= u < len(row) else 0
+        return _suffix_weight(self.family, self.n - k, u) if u >= 0 else 0
 
     def count(self) -> int:
-        return self._t.g[self.n][0]
+        return self._totals[self.n]
 
 
 def _chain_family_and_position(n: int, k: int, family: Family) -> tuple[Family, int]:
@@ -237,7 +221,7 @@ def count_tableaux(n: int, family: Family) -> int:
     if n < 0:
         raise DomainError(f"size must be non-negative, got {n}")
     if family in _CHAIN_FAMILIES:
-        return _tables(family, n).g[n][0]
+        return _rows(family, n)[1][n]
     if family is Family.TREE_LIKE:
         return factorial(n)
     return (1 << n) * factorial(n)
@@ -249,14 +233,8 @@ def u_distribution(n: int, family: Family) -> dict[int, Fraction]:
         raise DomainError(f"no unrestricted-row chain for {family.value}")
     if n < 1:
         raise DomainError(f"size must be at least 1, got {n}")
-    t = _tables(family, n)
-    total = t.g[n][0]
-    out: dict[int, Fraction] = {}
-    for u in range(1, n + 1):
-        w = t.fwd_s[n][u] + t.fwd_w[n][u]
-        if w:
-            out[u] = Fraction(w, total)
-    return out
+    rows, totals = _rows(family, n)
+    return {u: Fraction(w, totals[n]) for u, w in enumerate(rows[n]) if w}
 
 
 def u_pgf(n: int, family: Family, z: Union[int, Fraction]) -> Fraction:
@@ -281,7 +259,7 @@ def rising_factorial_pgf(z: Union[int, Fraction], m: int) -> Fraction:
 
 def corner_event_probability_dp(n: int, k: int, family: Family) -> Fraction:
     """Exact probability that border steps ``k`` and ``k + 1`` form a
-    corner, computed from the chain weight tables.
+    corner, computed from the chain weights.
 
     For the symmetric family ``n`` is the index (size ``2n + 1``) and
     ``k`` runs over ``1..2n+1``; for tree-like tableaux of size ``n``
@@ -290,18 +268,19 @@ def corner_event_probability_dp(n: int, k: int, family: Family) -> Fraction:
     if n < 1:
         raise DomainError(f"size must be at least 1, got {n}")
     chain, pos = _chain_family_and_position(n, k, family)
-    t = _tables(chain, n)
-    total = t.g[n][0]
-    if pos == 0:  # last step South
-        return Fraction(sum(t.fwd_s[n][u] for u in range(n + 1)), total)
-    if pos == -1:  # first step West; only type-B paths may start with West
-        if chain is Family.PERMUTATION:
-            return Fraction(0)
-        return Fraction(t.g[n - 1][1], total)
-    fwd_s, suffix = t.fwd_s[pos], t.wtf[n - pos]
-    assert suffix is not None
-    weight = sum(fwd_s[u] * suffix[u] for u in range(1, min(pos, len(suffix) - 1) + 1))
-    return Fraction(weight, total)
+    if pos == 0:
+        return last_step_south_probability(n, chain)
+    if pos == -1:
+        return first_step_west_probability(n, chain)
+    # Step pos is South from v; the m steps left start West, weighing
+    # g[m][v + 1] - g[m - 1][v + 2] = g[m][1] (m + 1)**v - g[m - 1][2] m**v
+    # with g = _suffix_weight, so the sum over v is two polynomials.
+    rows, totals = _rows(chain, n)
+    prefix, m = rows[pos - 1], n - pos
+    weight = _suffix_weight(chain, m, 1) * _horner(prefix, m + 1) - _suffix_weight(
+        chain, m - 1, 2
+    ) * _horner(prefix, m)
+    return Fraction(weight, totals[n])
 
 
 def corner_event_probability_formula(n: int, k: int, family: Family) -> Fraction:
@@ -351,10 +330,14 @@ def corner_distribution(n: int, family: Family, *, method: str = "dp") -> dict[i
     """Per-position corner probabilities over the family's full range."""
     if method == "dp":
         prob: Callable[[int], Fraction] = lambda k: corner_event_probability_dp(n, k, family)
+        least = 1
     elif method == "formula":
         prob = lambda k: corner_event_probability_formula(n, k, family)
+        least = 2
     else:
         raise ValueError(f"unknown method {method!r}")
+    if n < least:
+        raise DomainError(f"the {method} corner law needs n >= {least}, got {n}")
     return {k: prob(k) for k in _corner_position_range(n, family)}
 
 
@@ -385,8 +368,8 @@ def last_step_south_probability(n: int, family: Family) -> Fraction:
         raise DomainError(f"no growth chain for {family.value}")
     if n < 1:
         raise DomainError(f"size must be at least 1, got {n}")
-    t = _tables(family, n)
-    return Fraction(sum(t.fwd_s[n][u] for u in range(n + 1)), t.g[n][0])
+    totals = _rows(family, n)[1]
+    return Fraction(totals[n - 1], totals[n])
 
 
 def first_step_west_probability(n: int, family: Family) -> Fraction:
@@ -397,8 +380,8 @@ def first_step_west_probability(n: int, family: Family) -> Fraction:
         raise DomainError(f"size must be at least 1, got {n}")
     if family is Family.PERMUTATION:
         return Fraction(0)
-    t = _tables(family, n)
-    return Fraction(t.g[n - 1][1], t.g[n][0])
+    # the one West step out of state 0 reaches state 1 with weight 1
+    return Fraction(_suffix_weight(family, n - 1, 1), _rows(family, n)[1][n])
 
 
 @dataclass(frozen=True)

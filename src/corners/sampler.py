@@ -29,12 +29,14 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .chain import (
+    _CHAIN_FAMILIES,
     ChainSpec,
     Transition,
-    _tables,
+    _suffix_weight,
     corner_event_probability_formula,
     count_tableaux,
     expected_corners,
@@ -58,8 +60,6 @@ __all__ = [
 ]
 
 GENERATOR_ID = "sha256-stream/mt19937/v1"
-
-_CHAIN_FAMILIES = (Family.PERMUTATION, Family.TYPE_B)
 
 
 def substream(seed: int, index: int) -> random.Random:
@@ -109,8 +109,8 @@ class _StepSampler:
     """Per-position cumulative transition weights for one (n, family).
 
     At position ``k`` (steps taken so far) in state ``u``, transition
-    ``t`` is chosen with weight ``t.weight * g[n-k-1][t.target]``; the
-    lists are built lazily per state and reused across samples.
+    ``t`` is chosen with weight ``t.weight`` times its completion weight;
+    the lists are built lazily per state and reused across samples.
     """
 
     def __init__(self, n: int, family: Family):
@@ -121,23 +121,19 @@ class _StepSampler:
         self.n = n
         self.family = family
         self.spec = ChainSpec(family)
-        self._g = _tables(family, n).g
         self._cache: dict[tuple[int, int], tuple[tuple[Transition, ...], list[int]]] = {}
 
     def options(self, k: int, u: int) -> tuple[tuple[Transition, ...], list[int]]:
         key = (k, u)
         hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        suffix = self._g[self.n - k - 1]
-        transitions = self.spec.transitions(u)
-        cumulative: list[int] = []
-        acc = 0
-        for t in transitions:
-            acc += t.weight * suffix[t.target]
-            cumulative.append(acc)
-        self._cache[key] = (transitions, cumulative)
-        return transitions, cumulative
+        if hit is None:
+            m = self.n - k - 1
+            transitions = self.spec.transitions(u)
+            cumulative = list(
+                accumulate(t.weight * _suffix_weight(self.family, m, t.target) for t in transitions)
+            )
+            hit = self._cache[key] = (transitions, cumulative)
+        return hit
 
     def draw(self, rng: random.Random) -> Trajectory:
         u = 0
@@ -168,6 +164,8 @@ def sample_trajectory(n: int, family: Family, seed: int, index: int = 0) -> Traj
 
 
 def sample_trajectories(n: int, family: Family, seed: int, count: int) -> Iterator[Trajectory]:
+    if count < 0:
+        raise DomainError(f"count must be non-negative, got {count}")
     sampler = _step_sampler(n, family)
     for index in range(count):
         yield sampler.draw(substream(seed, index))
@@ -228,6 +226,8 @@ def sample_permutation_tableau(n: int, seed: int, index: int = 0) -> Permutation
 def sample_permutation_tableaux(n: int, seed: int, count: int) -> Iterator[PermutationTableau]:
     if n < 1:
         raise DomainError(f"size must be at least 1, got {n}")
+    if count < 0:
+        raise DomainError(f"count must be non-negative, got {count}")
     for index in range(count):
         yield _grow_tableau(substream(seed, index), n)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cached_census, cached_tableaux
+from corners import chain
 from corners.chain import (
     ChainSpec,
     ChainWeightTable,
@@ -80,6 +81,110 @@ def test_weight_table_forward_backward_identity(family):
     assert table.forward(3, 2, "S") + table.forward(3, 2, "W") == table.forward_total(3, 2)
     with pytest.raises(IndexOutOfRangeError):
         table.backward(n + 1, 0)
+
+
+def _closed_form_suffix(family, m, u):
+    return factorial(m) * (m + 1) ** u * (2**m if family is Family.TYPE_B else 1)
+
+
+@pytest.mark.parametrize("family", CHAIN)
+def test_backward_does_not_depend_on_earlier_queries(family):
+    table = ChainWeightTable(20, family)
+    cells = [(k, u) for k in range(21) for u in (0, 1, 5, 21, 300)]
+    before = [table.backward(k, u) for k, u in cells]
+    count_tableaux(40, family)
+    after = [ChainWeightTable(20, family).backward(k, u) for k, u in cells]
+    assert before == after == [_closed_form_suffix(family, 20 - k, u) for k, u in cells]
+
+
+@pytest.mark.parametrize("family", CHAIN)
+@pytest.mark.parametrize("m", range(13))
+def test_suffix_weight_solves_the_transition_recursion(family, m):
+    spec = ChainSpec(family)
+    for u in range(13):
+        expected = 1 if m == 0 else sum(
+            t.weight * chain._suffix_weight(family, m - 1, t.target) for t in spec.transitions(u)
+        )
+        assert chain._suffix_weight(family, m, u) == expected
+
+
+def _fresh_rows(monkeypatch):
+    monkeypatch.setattr(chain, "_forward", {f: ([[1]], [1], []) for f in CHAIN})
+
+
+def _copy_rows(family, n):
+    rows, totals = chain._rows(family, n)
+    return [list(row) for row in rows], list(totals)
+
+
+@pytest.mark.parametrize("family", CHAIN)
+def test_rows_grown_in_steps_match_a_cold_build(family, monkeypatch):
+    _fresh_rows(monkeypatch)
+    chain._rows(family, 10)
+    grown = _copy_rows(family, 25)
+    _fresh_rows(monkeypatch)
+    cold_rows, cold_totals = chain._rows(family, 25)
+    assert grown == (cold_rows, cold_totals) and len(cold_rows) == 26
+    assert cold_totals == [sum(row) for row in cold_rows] == [
+        factorial(k) * (2**k if family is Family.TYPE_B else 1) for k in range(26)
+    ]
+
+
+class _Interrupted(BaseException):
+    """Stands in for KeyboardInterrupt without stopping the test run."""
+
+
+class _TrippingTransition:
+    """A transition whose weight raises the first time it is read."""
+
+    def __init__(self, transition):
+        self.target = transition.target
+        self._weight = transition.weight
+        self._armed = True
+
+    @property
+    def weight(self):
+        if self._armed:
+            self._armed = False
+            raise _Interrupted
+        return self._weight
+
+
+@pytest.mark.parametrize("family", CHAIN)
+def test_rows_survive_an_interrupted_growth(family, monkeypatch):
+    _fresh_rows(monkeypatch)
+    cold = _copy_rows(family, 12)
+    _fresh_rows(monkeypatch)
+    transitions, tripped = ChainSpec.transitions, []
+
+    def tripping(self, u):
+        out = transitions(self, u)
+        if u == 5 and not tripped:
+            tripped.append(u)
+            return (_TrippingTransition(out[0]),) + out[1:]
+        return out
+
+    monkeypatch.setattr(ChainSpec, "transitions", tripping)
+    with pytest.raises(_Interrupted):
+        chain._rows(family, 12)
+    assert tripped and _copy_rows(family, 12) == cold
+
+
+@pytest.mark.parametrize("family", CHAIN)
+def test_weight_table_bounds_ignore_longer_shared_rows(family):
+    count_tableaux(30, family)
+    table = ChainWeightTable(5, family)
+    for call in (
+        lambda: table.forward(6, 1, "S"),
+        lambda: table.forward(0, 0, "S"),
+        lambda: table.forward_total(6, 1),
+        lambda: table.forward_total(-1, 0),
+        lambda: table.backward(6, 0),
+        lambda: table.backward(-1, 0),
+    ):
+        with pytest.raises(IndexOutOfRangeError):
+            call()
+    assert table.count() == count_tableaux(5, family)
 
 
 @pytest.mark.parametrize("family", CHAIN)

@@ -47,6 +47,23 @@ def test_formula_domain_error_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "family,n,method",
+    [
+        ("type-b", "-5", "dp"),
+        ("permutation", "0", "dp"),
+        ("symmetric", "-1", "dp"),
+        ("type-b", "1", "formula"),
+        ("permutation", "-5", "formula"),
+    ],
+)
+def test_formula_corners_rejects_sizes_with_empty_range(capsys, family, n, method):
+    code, out, err = run(capsys, "formula", "corners", "--family", family, "--n", n,
+                         "--method", method, "--format", "json")
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
 def test_formula_corners_json(capsys):
     code, out, _ = run(
         capsys, "formula", "corners", "--family", "symmetric", "-n", "2", "--format", "json"
@@ -170,6 +187,13 @@ def test_sample_tableaux_and_trajectories(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("kind", ("tableaux", "trajectories"))
+def test_sample_rejects_negative_count(capsys, kind):
+    code, out, err = run(capsys, "sample", "--kind", kind, "--n", "5", "--count", "-3")
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
 def test_sample_usage_errors(capsys):
     code, _, err = run(capsys, "sample", "--size", "5", "--count", "10", "--seed", "1")
     assert code == 2  # report needs at least 100 samples
@@ -185,6 +209,15 @@ def test_enumerate_matches_cardinality(capsys):
     lines = out.splitlines()
     assert lines[0] == "index,path,rows"
     assert len(lines) == 7
+
+
+def _src_env():
+    """The environment with this checkout's ``src`` first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 def _assert_help(proc):
@@ -209,13 +242,17 @@ def test_console_script_is_installed():
         scripts = tomllib.load(fh)["project"]["scripts"]
     module, _, func = scripts["corners"].partition(":")
     wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [sys.executable, "-c", wrapper, "--help"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    _assert_help(proc)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "corners", "--help"],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
     )
     _assert_help(proc)
 

@@ -1,5 +1,6 @@
 """Seeded sampling: exactness of the law, determinism, MC reports."""
 
+import hashlib
 import json
 import math
 
@@ -20,7 +21,7 @@ from corners.sampler import (
     substream,
 )
 from corners.enumerator import parent_permutation
-from corners.tableaux import canonical_key, validate
+from corners.tableaux import canonical_key, to_record, validate
 
 P, B = Family.PERMUTATION, Family.TYPE_B
 ALPHA = 1e-3
@@ -148,6 +149,33 @@ def test_report_preconditions():
         sample_trajectory(0, P, seed=1)
     with pytest.raises(DomainError):
         sample_permutation_tableau(0, seed=1)
+    with pytest.raises(DomainError):
+        list(sample_trajectories(5, P, seed=1, count=-1))
+    with pytest.raises(DomainError):
+        list(sample_permutation_tableaux(5, seed=1, count=-1))
+
+
+# sha256 of fixed-seed streams of ``sha256-stream/mt19937/v1``, recorded
+# when the sampler still read tabulated completion weights.  Different
+# digests mean a different sample stream, which needs a new GENERATOR_ID.
+PINNED_STREAMS = {
+    "trajectories/permutation": "38cbf0ac0286ff957d0f4b8dd5bd204ec2f928ed26d0aed9abe53068d59aff05",
+    "trajectories/type-b": "ee70f6fffd3acf2a5bb20430885d3780d9425d0fd6267aee078dbd4731698bee",
+    "tableaux/permutation": "70ecfeb428fe9926242a2e7e7b448c72e6c2b81b5a999151bdaaf03312e4eace",
+}
+
+
+def test_sample_stream_is_pinned():
+    assert GENERATOR_ID == "sha256-stream/mt19937/v1"
+    for family in (P, B):
+        digest = hashlib.sha256()
+        for tr in sample_trajectories(40, family, seed=20150, count=64):
+            digest.update(f"{tr.steps} {' '.join(map(str, tr.u_sequence))}\n".encode())
+        assert digest.hexdigest() == PINNED_STREAMS[f"trajectories/{family.value}"]
+    digest = hashlib.sha256()
+    for t in sample_permutation_tableaux(30, seed=20150, count=32):
+        digest.update((json.dumps(to_record(t), sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == PINNED_STREAMS["tableaux/permutation"]
 
 
 def test_chi_square_survival_reference_values():
