@@ -14,7 +14,6 @@ from .bijections import (
 from .chain import (
     ChainSpec,
     ChainWeightTable,
-    PushforwardReport,
     RationalProbability,
     Transition,
     corner_distribution,
@@ -24,7 +23,6 @@ from .chain import (
     expected_corners,
     first_step_west_probability,
     last_step_south_probability,
-    pushforward_check,
     rising_factorial_pgf,
     total_corners,
     u_distribution,
@@ -81,6 +79,12 @@ from .tableaux import (
     unrestricted_rows,
     validate,
 )
-from .verification import VerificationReport, VerificationRow, run_suite
+from .verification import (
+    PushforwardReport,
+    VerificationReport,
+    VerificationRow,
+    pushforward_check,
+    run_suite,
+)
 
 __version__ = "1.0.0"

@@ -24,6 +24,9 @@ final West step of a tree-like shape is a corner-faithful bijection onto
 permutation shapes, and the symmetric border path of size ``2n + 1``
 decomposes as ``S + mirror(q) + q + W`` where ``q`` is the type-B path.
 
+The closed forms live here too (counts, corner laws and totals, corner
+position ranges); :mod:`corners.verification` checks them by enumeration.
+
 All arithmetic is exact: integers are unbounded and probabilities are
 :class:`fractions.Fraction` values.  No floating point exists here.
 """
@@ -35,10 +38,9 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Union
 
-from .errors import DomainError, IndexOutOfRangeError
+from .errors import CornersError, DomainError, IndexOutOfRangeError
 from .families import Family
 from .shapes import SOUTH, WEST
-from .tableaux import PermutationTableau, unrestricted_row_count
 
 __all__ = [
     "RationalProbability",
@@ -56,14 +58,26 @@ __all__ = [
     "total_corners",
     "last_step_south_probability",
     "first_step_west_probability",
-    "PushforwardReport",
-    "pushforward_check",
 ]
 
 #: Exact probability; every public value lies in [0, 1].
 RationalProbability = Fraction
 
 _CHAIN_FAMILIES = (Family.PERMUTATION, Family.TYPE_B)
+
+
+def _require_chain(family: Family) -> None:
+    if family not in _CHAIN_FAMILIES:
+        raise DomainError(
+            f"the growth chain is defined for {Family.PERMUTATION.value} and "
+            f"{Family.TYPE_B.value}, not {family.value}"
+        )
+
+
+def _fraction_text(value: Union[int, Fraction]) -> str:
+    """``p/q`` in lowest terms, also for integers (``3`` is ``3/1``)."""
+    q = Fraction(value)
+    return f"{q.numerator}/{q.denominator}"
 
 
 @dataclass(frozen=True)
@@ -77,11 +91,7 @@ class ChainSpec:
     """Transition weights out of state ``u`` for one chain family."""
 
     def __init__(self, family: Family):
-        if family not in _CHAIN_FAMILIES:
-            raise DomainError(
-                f"the growth chain is defined for {Family.PERMUTATION.value} and "
-                f"{Family.TYPE_B.value}, not {family.value}"
-            )
+        _require_chain(family)
         self.family = family
 
     def transitions(self, u: int) -> tuple[Transition, ...]:
@@ -167,6 +177,8 @@ class ChainWeightTable:
     def forward(self, k: int, u: int, last_step: str) -> int:
         if not 1 <= k <= self.n:
             raise IndexOutOfRangeError(f"position {k} outside 1..{self.n}")
+        if last_step not in (SOUTH, WEST):
+            raise DomainError(f"last step must be {SOUTH!r} or {WEST!r}, got {last_step!r}")
         south = self._rows[k - 1][u - 1] if 1 <= u <= k else 0
         if last_step == SOUTH:
             return south
@@ -187,6 +199,28 @@ class ChainWeightTable:
         return self._totals[self.n]
 
 
+def _corner_position_range(n: int, family: Family) -> range:
+    """Positions ``k`` where steps ``k`` and ``k + 1`` can form a corner.
+
+    The border path has ``n`` steps in the 0/1 families, ``n + 1`` for a
+    tree-like tableau of size ``n`` and ``2n + 2`` at symmetric index ``n``.
+    """
+    if family in _CHAIN_FAMILIES:
+        return range(1, n)
+    if family is Family.TREE_LIKE:
+        return range(1, n + 1)
+    return range(1, 2 * n + 2)
+
+
+def _require_position(n: int, k: int, family: Family, error: type[CornersError]) -> None:
+    positions = _corner_position_range(n, family)
+    if k not in positions:
+        raise error(
+            f"corner position {k} outside {positions.start}..{positions.stop - 1} "
+            f"for {family.value} at n={n}"
+        )
+
+
 def _chain_family_and_position(n: int, k: int, family: Family) -> tuple[Family, int]:
     """Map a (size, position) corner query of any family onto a chain query.
 
@@ -194,19 +228,12 @@ def _chain_family_and_position(n: int, k: int, family: Family) -> tuple[Family, 
     the last-step-South event and -1 the first-step-West event of the
     chain at size ``n`` (resp. index ``n`` for the symmetric family).
     """
-    if family is Family.PERMUTATION or family is Family.TYPE_B:
-        if not 1 <= k <= n - 1:
-            raise IndexOutOfRangeError(
-                f"corner position {k} outside 1..{n - 1} for size {n}"
-            )
+    _require_position(n, k, family, IndexOutOfRangeError)
+    if family in _CHAIN_FAMILIES:
         return family, k
     if family is Family.TREE_LIKE:
-        if not 1 <= k <= n:
-            raise IndexOutOfRangeError(f"corner position {k} outside 1..{n} for size {n}")
         return Family.PERMUTATION, (k if k <= n - 1 else 0)
-    # symmetric: index n, path length 2n + 2, corner positions 1..2n+1
-    if not 1 <= k <= 2 * n + 1:
-        raise IndexOutOfRangeError(f"corner position {k} outside 1..{2 * n + 1} for index {n}")
+    # symmetric: index n, path length 2n + 2
     if k == 1 or k == 2 * n + 1:
         return Family.TYPE_B, 0
     if k == n + 1:
@@ -222,15 +249,20 @@ def count_tableaux(n: int, family: Family) -> int:
         raise DomainError(f"size must be non-negative, got {n}")
     if family in _CHAIN_FAMILIES:
         return _rows(family, n)[1][n]
-    if family is Family.TREE_LIKE:
+    return _closed_form_count(n, family)
+
+
+def _closed_form_count(n: int, family: Family) -> int:
+    """``n!`` tableaux for the permutation and tree-like families, ``2**n n!``
+    for type B and symmetric (at index ``n``)."""
+    if family is Family.PERMUTATION or family is Family.TREE_LIKE:
         return factorial(n)
-    return (1 << n) * factorial(n)
+    return factorial(n) << n
 
 
 def u_distribution(n: int, family: Family) -> dict[int, Fraction]:
     """Exact law of the unrestricted-row count at size ``n``."""
-    if family not in _CHAIN_FAMILIES:
-        raise DomainError(f"no unrestricted-row chain for {family.value}")
+    _require_chain(family)
     if n < 1:
         raise DomainError(f"size must be at least 1, got {n}")
     rows, totals = _rows(family, n)
@@ -295,20 +327,13 @@ def corner_event_probability_formula(n: int, k: int, family: Family) -> Fraction
     def type_b(pos: int) -> Fraction:
         return Fraction(n - pos + 1, 2 * n) - Fraction((n - pos) ** 2, 4 * n * (n - 1))
 
+    _require_position(n, k, family, DomainError)
     if family is Family.PERMUTATION:
-        if not 1 <= k <= n - 1:
-            raise DomainError(f"position {k} outside 1..{n - 1}")
         return type_a(k)
     if family is Family.TREE_LIKE:
-        if not 1 <= k <= n:
-            raise DomainError(f"position {k} outside 1..{n}")
         return Fraction(1, n) if k == n else type_a(k)
     if family is Family.TYPE_B:
-        if not 1 <= k <= n - 1:
-            raise DomainError(f"position {k} outside 1..{n - 1}")
         return type_b(k)
-    if not 1 <= k <= 2 * n + 1:
-        raise DomainError(f"position {k} outside 1..{2 * n + 1}")
     if k == 1 or k == 2 * n + 1:
         return Fraction(1, 2 * n)
     if k == n + 1:
@@ -316,14 +341,6 @@ def corner_event_probability_formula(n: int, k: int, family: Family) -> Fraction
     if k <= n:
         return Fraction(k, 2 * n) - Fraction((k - 1) ** 2, 4 * n * (n - 1))
     return Fraction(2 * n - k + 2, 2 * n) - Fraction((2 * n - k + 1) ** 2, 4 * n * (n - 1))
-
-
-def _corner_position_range(n: int, family: Family) -> range:
-    if family in _CHAIN_FAMILIES:
-        return range(1, n)
-    if family is Family.TREE_LIKE:
-        return range(1, n + 1)
-    return range(1, 2 * n + 2)
 
 
 def corner_distribution(n: int, family: Family, *, method: str = "dp") -> dict[int, Fraction]:
@@ -356,7 +373,7 @@ def expected_corners(n: int, family: Family) -> Fraction:
 
 def total_corners(n: int, family: Family) -> int:
     """Corner count summed over the whole family; always an integer."""
-    total = expected_corners(n, family) * count_tableaux(n, family)
+    total = expected_corners(n, family) * _closed_form_count(n, family)
     if total.denominator != 1:
         raise DomainError(f"non-integer corner total {total} at n={n}")  # pragma: no cover
     return total.numerator
@@ -364,8 +381,7 @@ def total_corners(n: int, family: Family) -> int:
 
 def last_step_south_probability(n: int, family: Family) -> Fraction:
     """Probability that the final border step is South (chain families)."""
-    if family not in _CHAIN_FAMILIES:
-        raise DomainError(f"no growth chain for {family.value}")
+    _require_chain(family)
     if n < 1:
         raise DomainError(f"size must be at least 1, got {n}")
     totals = _rows(family, n)[1]
@@ -374,53 +390,10 @@ def last_step_south_probability(n: int, family: Family) -> Fraction:
 
 def first_step_west_probability(n: int, family: Family) -> Fraction:
     """Probability that the first border step is West (chain families)."""
-    if family not in _CHAIN_FAMILIES:
-        raise DomainError(f"no growth chain for {family.value}")
+    _require_chain(family)
     if n < 1:
         raise DomainError(f"size must be at least 1, got {n}")
     if family is Family.PERMUTATION:
         return Fraction(0)
     # the one West step out of state 0 reaches state 1 with weight 1
     return Fraction(_suffix_weight(family, n - 1, 1), _rows(family, n)[1][n])
-
-
-@dataclass(frozen=True)
-class PushforwardReport:
-    """Both sides of the parent-measure identity, exactly."""
-
-    n: int
-    left: Fraction
-    right: Fraction
-
-    @property
-    def equal(self) -> bool:
-        return self.left == self.right
-
-
-def pushforward_check(
-    n: int,
-    statistic: Callable[[PermutationTableau], Union[int, Fraction]],
-    family: Family = Family.PERMUTATION,
-) -> PushforwardReport:
-    """Check ``E_n[X(parent)] = (1/n) E_{n-1}[2**U X]`` by enumeration.
-
-    ``statistic`` is evaluated on size ``n - 1`` tableaux; both sides are
-    exact rationals.
-    """
-    from .enumerator import enumerate_tableaux, parent_permutation
-
-    if family is not Family.PERMUTATION:
-        raise DomainError("the push-forward identity concerns permutation tableaux")
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    left_sum = sum(
-        Fraction(statistic(parent_permutation(t)))
-        for t in enumerate_tableaux(n, family)
-    )
-    left = left_sum / factorial(n)
-    right_sum = sum(
-        Fraction(statistic(s)) * (1 << unrestricted_row_count(s))
-        for s in enumerate_tableaux(n - 1, family)
-    )
-    right = right_sum / (n * factorial(n - 1))
-    return PushforwardReport(n, left, right)

@@ -18,20 +18,19 @@ import io
 import json
 import sys
 import time
-from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bijections import (
     symmetric_corner_decomposition,
     symmetric_to_type_b,
     type_b_to_symmetric,
 )
-from .chain import corner_distribution, expected_corners, total_corners
+from .chain import _fraction_text, corner_distribution, expected_corners, total_corners
 from .enumerator import census, enumerate_tableaux
 from .errors import BijectionError, CornersError
 from .families import Family
 from .sampler import monte_carlo_corner_report, sample_permutation_tableaux, sample_trajectories
-from .tableaux import SymmetricTreeLikeTableau, TypeBTableau, from_record, to_record, validate
+from .tableaux import SymmetricTreeLikeTableau, Tableau, TypeBTableau, from_record, to_record, validate
 from .verification import SUITES, run_suite
 
 __all__ = ["main", "run_command"]
@@ -87,10 +86,6 @@ def _render(fmt: str, payload: dict, header: Sequence[str], rows: Sequence[Seque
     return _table_text(header, rows)
 
 
-def _frac(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _census_pairs(data: dict) -> list[tuple[str, str]]:
     pairs = [
         ("family", data["family"]),
@@ -116,18 +111,24 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
-    records = [to_record(t) for t in enumerate_tableaux(args.size, args.family)]
+def _emit_tableaux(args: argparse.Namespace, tableaux: Iterable[Tableau], **extra: object) -> int:
+    """Emit a ``tableau-list/v1`` payload; ``extra`` keys go between ``n`` and ``count``."""
+    records = [to_record(t) for t in tableaux]
     payload = {
         "schema": "tableau-list/v1",
         "family": args.family.value,
         "n": args.size,
+        **extra,
         "count": str(len(records)),
         "tableaux": records,
     }
     rows = [(i, r["path"], "|".join(r["rows"])) for i, r in enumerate(records)]
     _emit(_render(args.format, payload, ("index", "path", "rows"), rows), args.out)
     return 0
+
+
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    return _emit_tableaux(args, enumerate_tableaux(args.size, args.family))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -154,13 +155,13 @@ def _cmd_formula(args: argparse.Namespace) -> int:
             "kind": "corners",
             "family": family.value,
             "n": n,
-            "values": {str(k): _frac(v) for k, v in sorted(values.items())},
+            "values": {str(k): _fraction_text(v) for k, v in sorted(values.items())},
         }
-        rows = [(k, _frac(v)) for k, v in sorted(values.items())]
+        rows = [(k, _fraction_text(v)) for k, v in sorted(values.items())]
         _emit(_render(args.format, payload, ("k", "probability"), rows), args.out)
         return 0
     if args.kind == "expected":
-        value = _frac(expected_corners(n, family))
+        value = _fraction_text(expected_corners(n, family))
     else:  # total
         value = str(total_corners(n, family))
     payload = {
@@ -247,18 +248,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.kind == "tableaux":
         if args.family is not Family.PERMUTATION:
             raise CornersError("tableau sampling is implemented for the permutation family")
-        records = [to_record(t) for t in sample_permutation_tableaux(args.size, args.seed, args.count)]
-        payload = {
-            "schema": "tableau-list/v1",
-            "family": args.family.value,
-            "n": args.size,
-            "seed": args.seed,
-            "count": str(len(records)),
-            "tableaux": records,
-        }
-        rows = [(i, r["path"], "|".join(r["rows"])) for i, r in enumerate(records)]
-        _emit(_render(args.format, payload, ("index", "path", "rows"), rows), args.out)
-        return 0
+        tableaux = sample_permutation_tableaux(args.size, args.seed, args.count)
+        return _emit_tableaux(args, tableaux, seed=args.seed)
     trajectories = list(sample_trajectories(args.size, args.family, args.seed, args.count))
     payload = {
         "schema": "trajectory-list/v1",

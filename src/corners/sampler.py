@@ -23,6 +23,7 @@ point touches the sampling path.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
@@ -33,12 +34,13 @@ from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .chain import (
-    _CHAIN_FAMILIES,
     ChainSpec,
     Transition,
+    _corner_position_range,
+    _fraction_text,
+    _require_chain,
     _suffix_weight,
     corner_event_probability_formula,
-    count_tableaux,
     expected_corners,
 )
 from .errors import DomainError
@@ -114,8 +116,7 @@ class _StepSampler:
     """
 
     def __init__(self, n: int, family: Family):
-        if family not in _CHAIN_FAMILIES:
-            raise DomainError(f"sampling is defined on the chain families, not {family.value}")
+        _require_chain(family)
         if n < 1:
             raise DomainError(f"size must be at least 1, got {n}")
         self.n = n
@@ -148,14 +149,9 @@ class _StepSampler:
         return Trajectory(self.family, tuple(states), "".join(steps))
 
 
-_step_samplers: dict[tuple[int, Family], _StepSampler] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _step_sampler(n: int, family: Family) -> _StepSampler:
-    key = (n, family)
-    if key not in _step_samplers:
-        _step_samplers[key] = _StepSampler(n, family)
-    return _step_samplers[key]
+    return _StepSampler(n, family)
 
 
 def sample_trajectory(n: int, family: Family, seed: int, index: int = 0) -> Trajectory:
@@ -247,7 +243,7 @@ class McStatistic:
             "name": self.name,
             "estimate": _sig12(self.estimate),
             "standardError": _sig12(self.standard_error),
-            "reference": f"{self.reference.numerator}/{self.reference.denominator}",
+            "reference": _fraction_text(self.reference),
             "zScore": _sig12(self.z_score),
         }
 
@@ -294,8 +290,7 @@ def monte_carlo_corner_report(
 ) -> McReport:
     """Estimate corner statistics from seeded trajectories and compare
     them with the exact closed forms."""
-    if family not in _CHAIN_FAMILIES:
-        raise DomainError(f"sampling is defined on the chain families, not {family.value}")
+    _require_chain(family)
     if n < 2:
         raise DomainError(f"Monte Carlo reports need n >= 2, got {n}")
     if sample_count < 100:
@@ -323,7 +318,7 @@ def monte_carlo_corner_report(
             sample_count,
             corner_event_probability_formula(n, k, family),
         )
-        for k in range(1, n)
+        for k in _corner_position_range(n, family)
     )
     return McReport(family, n, sample_count, seed, GENERATOR_ID, mean, per_position)
 

@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Union
 
-from .errors import NotSymmetricError, ShapeFillingMismatchError
+from .errors import InvalidTableauError, NotSymmetricError, ShapeFillingMismatchError
 from .families import Family
-from .shapes import SOUTH, WEST, BorderPath, Cell, ShiftedShape
+from .shapes import BorderPath, Cell, ShiftedShape
 
 __all__ = [
     "POINT_CHAR",
@@ -500,9 +500,15 @@ def to_record(t: Tableau) -> dict:
 
 def from_record(record: dict) -> Tableau:
     """Rebuild a tableau from :func:`to_record` output."""
+    if not isinstance(record, dict):
+        raise InvalidTableauError(f"a tableau record is a JSON object, got {type(record).__name__}")
     family = Family.parse(record["family"])
-    path = BorderPath(record["path"])
+    if not isinstance(record["path"], str):
+        raise InvalidTableauError("a tableau record's path must be a string")
     rows = record["rows"]
+    if not isinstance(rows, list) or not all(isinstance(row, str) for row in rows):
+        raise InvalidTableauError("a tableau record's rows must be a list of strings")
+    path = BorderPath(record["path"])
     if family is Family.PERMUTATION:
         return PermutationTableau.from_strings(path, rows)
     if family is Family.TYPE_B:

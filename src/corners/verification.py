@@ -1,10 +1,11 @@
-"""Identity suites behind the ``verify`` subcommand.
+"""Identity suites behind the ``verify`` subcommand, and the
+enumeration-level push-forward check.
 
 Each suite compares an enumerated or DP-computed quantity with its
-closed form and reports one row per checked instance.  Rows carry both
-sides pre-rendered as strings (decimal integers, ``p/q`` rationals, or
-``k:p/q`` position laws), so a failing row is its own witness and the
-serialized report is byte-stable.
+closed form from :mod:`corners.chain` and reports one row per checked
+instance.  Rows carry both sides pre-rendered as strings (decimal
+integers, ``p/q`` rationals, or ``k:p/q`` position laws), so a failing
+row is its own witness and the serialized report is byte-stable.
 
 Enumeration-backed checks honor ``max_size`` and the per-family brute
 budgets; chain-level checks run over fixed cheap ranges so the default
@@ -27,23 +28,27 @@ from .bijections import (
 )
 from .chain import (
     ChainSpec,
+    _closed_form_count,
+    _corner_position_range,
+    _fraction_text,
     corner_distribution,
     count_tableaux,
     expected_corners,
     first_step_west_probability,
     last_step_south_probability,
-    pushforward_check,
     rising_factorial_pgf,
     total_corners,
     u_distribution,
     u_pgf,
 )
-from .enumerator import census, enumerate_shapes, enumerate_tableaux, extend_permutation, parent_permutation
+from .enumerator import census, enumerate_tableaux, extend_permutation, parent_permutation
 from .errors import DomainError
 from .families import Family
-from .tableaux import canonical_key, corner_stats, unrestricted_row_count
+from .tableaux import PermutationTableau, canonical_key, corner_stats, unrestricted_row_count
 
 __all__ = [
+    "PushforwardReport",
+    "pushforward_check",
     "VerificationRow",
     "VerificationReport",
     "SUITES",
@@ -121,13 +126,8 @@ class VerificationReport:
         return cls(data["suite"], rows)
 
 
-def _frac(q: Union[int, Fraction]) -> str:
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _law(values: dict[int, Fraction]) -> str:
-    return " ".join(f"{k}:{_frac(v)}" for k, v in sorted(values.items()))
+    return " ".join(f"{k}:{_fraction_text(v)}" for k, v in sorted(values.items()))
 
 
 def _sizes(family: Family, max_size: int) -> range:
@@ -137,21 +137,9 @@ def _sizes(family: Family, max_size: int) -> range:
     return range(1, cap + 1)
 
 
-def _closed_form_count(family: Family, size: int) -> int:
-    if family is Family.TYPE_B:
-        return (1 << size) * factorial(size)
-    if family is Family.SYMMETRIC:
-        index = (size - 1) // 2
-        return (1 << index) * factorial(index)
-    return factorial(size)
-
-
-def _closed_form_total(family: Family, size: int) -> Fraction:
-    """Cardinality times expected corners, as an exact rational."""
-    if family is Family.SYMMETRIC:
-        index = (size - 1) // 2
-        return expected_corners(index, family) * _closed_form_count(family, size)
-    return expected_corners(size, family) * _closed_form_count(family, size)
+def _index(family: Family, size: int) -> int:
+    """The ``n`` of the closed forms: the index for symmetric sizes ``2n + 1``."""
+    return (size - 1) // 2 if family is Family.SYMMETRIC else size
 
 
 def suite_counts(max_size: int) -> list[VerificationRow]:
@@ -163,7 +151,7 @@ def suite_counts(max_size: int) -> list[VerificationRow]:
                     f"cardinality/{family.value}",
                     f"size={size}",
                     _census(size, family).cardinality,
-                    _closed_form_count(family, size),
+                    _closed_form_count(_index(family, size), family),
                 )
             )
     for family in (Family.PERMUTATION, Family.TYPE_B):
@@ -173,7 +161,7 @@ def suite_counts(max_size: int) -> list[VerificationRow]:
                     f"chain-count/{family.value}",
                     f"n={n}",
                     count_tableaux(n, family),
-                    _closed_form_count(family, n),
+                    _closed_form_count(n, family),
                 )
             )
     return rows
@@ -181,8 +169,7 @@ def suite_counts(max_size: int) -> list[VerificationRow]:
 
 def _census_corner_law(family: Family, size: int) -> dict[int, Fraction]:
     c = _census(size, family)
-    index = (size - 1) // 2 if family is Family.SYMMETRIC else size
-    support = corner_distribution(index, family, method="formula")
+    support = _corner_position_range(_index(family, size), family)
     return {k: Fraction(c.corner_counts_by_k.get(k, 0), c.cardinality) for k in support}
 
 
@@ -190,15 +177,14 @@ def suite_corner_law(max_size: int) -> list[VerificationRow]:
     rows = []
     for family in _FAMILIES:
         for size in _sizes(family, max_size):
-            if size < (5 if family is Family.SYMMETRIC else 2):
+            if _index(family, size) < 2:
                 continue  # closed forms start at index 2
-            index = (size - 1) // 2 if family is Family.SYMMETRIC else size
             rows.append(
                 _row(
                     f"corner-law-census/{family.value}",
                     f"size={size}",
                     _law(_census_corner_law(family, size)),
-                    _law(corner_distribution(index, family, method="formula")),
+                    _law(corner_distribution(_index(family, size), family, method="formula")),
                 )
             )
         for n in _CHAIN_RANGE:
@@ -217,14 +203,14 @@ def suite_corner_totals(max_size: int) -> list[VerificationRow]:
     rows = []
     for family in _FAMILIES:
         for size in _sizes(family, max_size):
-            if size < (5 if family is Family.SYMMETRIC else 2):
+            if _index(family, size) < 2:
                 continue
             rows.append(
                 _row(
                     f"corner-total/{family.value}",
                     f"size={size}",
                     _census(size, family).total_corners,
-                    _closed_form_total(family, size),
+                    total_corners(_index(family, size), family),
                 )
             )
         for n in _CHAIN_RANGE:
@@ -232,8 +218,8 @@ def suite_corner_totals(max_size: int) -> list[VerificationRow]:
                 _row(
                     f"expected-corners/{family.value}",
                     f"n={n}",
-                    _frac(sum(corner_distribution(n, family, method="dp").values())),
-                    _frac(expected_corners(n, family)),
+                    _fraction_text(sum(corner_distribution(n, family, method="dp").values())),
+                    _fraction_text(expected_corners(n, family)),
                 )
             )
     cap = min(max_size, _CENSUS_CAP[Family.TREE_LIKE])
@@ -269,7 +255,7 @@ def suite_boundary(max_size: int) -> list[VerificationRow]:
                 "south-end-count/permutation",
                 f"size={size}",
                 _census(size, Family.PERMUTATION).last_step_south_count,
-                factorial(size - 1),
+                _closed_form_count(size - 1, Family.PERMUTATION),
             )
         )
     for size in _sizes(Family.TYPE_B, max_size):
@@ -279,7 +265,7 @@ def suite_boundary(max_size: int) -> list[VerificationRow]:
                 "south-end-count/type-b",
                 f"size={size}",
                 c.last_step_south_count,
-                (1 << (size - 1)) * factorial(size - 1),
+                _closed_form_count(size - 1, Family.TYPE_B),
             )
         )
         rows.append(
@@ -295,23 +281,23 @@ def suite_boundary(max_size: int) -> list[VerificationRow]:
             _row(
                 "south-end-probability/permutation",
                 f"n={n}",
-                _frac(last_step_south_probability(n, Family.PERMUTATION)),
-                _frac(Fraction(1, n)),
+                _fraction_text(last_step_south_probability(n, Family.PERMUTATION)),
+                _fraction_text(Fraction(1, n)),
             )
         )
         rows.append(
             _row(
                 "south-end-probability/type-b",
                 f"n={n}",
-                _frac(last_step_south_probability(n, Family.TYPE_B)),
-                _frac(Fraction(1, 2 * n)),
+                _fraction_text(last_step_south_probability(n, Family.TYPE_B)),
+                _fraction_text(Fraction(1, 2 * n)),
             )
         )
         rows.append(
             _row(
                 "west-start-probability/type-b",
                 f"n={n}",
-                _frac(first_step_west_probability(n, Family.TYPE_B)),
+                _fraction_text(first_step_west_probability(n, Family.TYPE_B)),
                 "1/2",
             )
         )
@@ -359,7 +345,8 @@ def suite_extension(max_size: int) -> list[VerificationRow]:
         for name, stat in statistics:
             report = pushforward_check(n, stat)
             rows.append(
-                _row(f"pushforward/{name}", f"n={n}", _frac(report.left), _frac(report.right))
+                _row(f"pushforward/{name}", f"n={n}",
+                     _fraction_text(report.left), _fraction_text(report.right))
             )
     return rows
 
@@ -372,16 +359,16 @@ def suite_pgf(max_size: int) -> list[VerificationRow]:
                 _row(
                     "u-pgf-rising-factorial",
                     f"m={m},z={z}",
-                    _frac(u_pgf(m, Family.PERMUTATION, z)),
-                    _frac(rising_factorial_pgf(z, m)),
+                    _fraction_text(u_pgf(m, Family.PERMUTATION, z)),
+                    _fraction_text(rising_factorial_pgf(z, m)),
                 )
             )
         rows.append(
             _row(
                 "u-pgf-doubling",
                 f"m={m}",
-                _frac(u_pgf(m, Family.PERMUTATION, 2)),
-                _frac(Fraction(m + 1)),
+                _fraction_text(u_pgf(m, Family.PERMUTATION, 2)),
+                _fraction_text(Fraction(m + 1)),
             )
         )
     for family in (Family.PERMUTATION, Family.TYPE_B):
@@ -438,7 +425,7 @@ def suite_bijections(max_size: int) -> list[VerificationRow]:
                 "fold-bijectivity/symmetric",
                 f"size={size}",
                 len(images),
-                _closed_form_count(Family.SYMMETRIC, size),
+                _closed_form_count(_index(Family.SYMMETRIC, size), Family.SYMMETRIC),
             )
         )
     for n in range(2, min(max_size, 7) + 1):
@@ -472,6 +459,46 @@ def suite_bijections(max_size: int) -> list[VerificationRow]:
             )
         )
     return rows
+
+
+@dataclass(frozen=True)
+class PushforwardReport:
+    """Both sides of the parent-measure identity, exactly."""
+
+    n: int
+    left: Fraction
+    right: Fraction
+
+    @property
+    def equal(self) -> bool:
+        return self.left == self.right
+
+
+def pushforward_check(
+    n: int,
+    statistic: Callable[[PermutationTableau], Union[int, Fraction]],
+    family: Family = Family.PERMUTATION,
+) -> PushforwardReport:
+    """Check ``E_n[X(parent)] = (1/n) E_{n-1}[2**U X]`` by enumeration.
+
+    ``statistic`` is evaluated on size ``n - 1`` tableaux; both sides are
+    exact rationals.
+    """
+    if family is not Family.PERMUTATION:
+        raise DomainError("the push-forward identity concerns permutation tableaux")
+    if n < 2:
+        raise DomainError(f"need n >= 2, got {n}")
+    left_sum = sum(
+        Fraction(statistic(parent_permutation(t)))
+        for t in enumerate_tableaux(n, family)
+    )
+    left = left_sum / factorial(n)
+    right_sum = sum(
+        Fraction(statistic(s)) * (1 << unrestricted_row_count(s))
+        for s in enumerate_tableaux(n - 1, family)
+    )
+    right = right_sum / (n * factorial(n - 1))
+    return PushforwardReport(n, left, right)
 
 
 SUITES: dict[str, Callable[[int], list[VerificationRow]]] = {

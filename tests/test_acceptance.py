@@ -26,7 +26,6 @@ from corners.chain import (
     corner_distribution,
     corner_event_probability_formula,
     expected_corners,
-    pushforward_check,
     rising_factorial_pgf,
     total_corners,
     u_distribution,
@@ -40,6 +39,7 @@ from corners.sampler import (
     sample_permutation_tableaux,
 )
 from corners.tableaux import canonical_key, unrestricted_row_count
+from corners.verification import pushforward_check
 from test_bijections import SYMMETRIC_11, TYPE_B_5
 
 P = Family.PERMUTATION

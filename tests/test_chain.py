@@ -18,7 +18,6 @@ from corners.chain import (
     expected_corners,
     first_step_west_probability,
     last_step_south_probability,
-    pushforward_check,
     rising_factorial_pgf,
     total_corners,
     u_distribution,
@@ -27,6 +26,7 @@ from corners.chain import (
 from corners.errors import DomainError, IndexOutOfRangeError
 from corners.families import Family
 from corners.tableaux import corner_stats, unrestricted_row_count
+from corners.verification import pushforward_check
 
 CHAIN = (Family.PERMUTATION, Family.TYPE_B)
 ALL = (Family.TREE_LIKE, Family.PERMUTATION, Family.TYPE_B, Family.SYMMETRIC)
@@ -185,6 +185,15 @@ def test_weight_table_bounds_ignore_longer_shared_rows(family):
         with pytest.raises(IndexOutOfRangeError):
             call()
     assert table.count() == count_tableaux(5, family)
+
+
+@pytest.mark.parametrize("family", CHAIN)
+@pytest.mark.parametrize("last_step", ("X", "", "SW", "s", None))
+def test_forward_rejects_unknown_last_step(family, last_step):
+    table = ChainWeightTable(5, family)
+    with pytest.raises(DomainError):
+        table.forward(3, 2, last_step)
+    assert table.forward(3, 2, "S") + table.forward(3, 2, "W") == table.forward_total(3, 2)
 
 
 @pytest.mark.parametrize("family", CHAIN)

@@ -1,5 +1,8 @@
 """CLI surface: output formats, exit codes, determinism."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import re
@@ -7,8 +10,10 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corners.cli import run_command
 
@@ -132,6 +137,50 @@ def test_bijection_fold_wrong_family_is_domain_error(capsys, tmp_path):
     assert "error:" in err
 
 
+MALFORMED_RECORDS = (
+    '"x"',
+    "[1,2]",
+    '{"family":"type-b","path":5,"rows":[]}',
+    '{"family":"type-b","path":"SW","rows":[1]}',
+    '{"schema":"tableau/v1","family":"symmetric","path":"SW","rows":5}',
+)
+
+
+@pytest.mark.parametrize("text", MALFORMED_RECORDS)
+@pytest.mark.parametrize("direction", ("fold", "unfold"))
+def test_bijection_rejects_malformed_records(capsys, monkeypatch, direction, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, "bijection", direction)
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
+def _run_quietly(argv, stdin_text):
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin_text)), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run_command(argv)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+_record_like = st.fixed_dictionaries(
+    {
+        "family": st.sampled_from(["tree-like", "permutation", "type-b", "symmetric"]) | _json_values,
+        "path": st.text("SW", max_size=6) | _json_values,
+        "rows": st.lists(st.text("01\u25cf.", max_size=4), max_size=4) | _json_values,
+    }
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_record_like | _json_values, direction=st.sampled_from(("fold", "unfold")))
+def test_bijection_exit_code_for_any_json(value, direction):
+    assert _run_quietly(["bijection", direction], json.dumps(value)) in (0, 2)
+
+
 def test_bijection_roundtrip_and_decompose(capsys):
     code, out, _ = run(
         capsys, "bijection", "roundtrip", "--family", "type-b", "--size", "3", "--format", "json"
@@ -209,6 +258,75 @@ def test_enumerate_matches_cardinality(capsys):
     lines = out.splitlines()
     assert lines[0] == "index,path,rows"
     assert len(lines) == 7
+
+
+# (argv, format) -> (exit code, sha256 of stdout) for every subcommand in
+# every format: a refactor must leave each output byte for byte as it was.
+PINNED_OUTPUTS = {
+    ("census --family permutation --size 4", "table"): (0, "b81f1a3945d931c63c4314db1c7ec0cd3a6e8a26f8d2202a15057b0d14f210ba"),
+    ("census --family permutation --size 4", "json"): (0, "dd1e257ea68ce63a2158c4faeb1bc742bc00c8dafd128b2ce73e6e0d82d615e2"),
+    ("census --family permutation --size 4", "csv"): (0, "43c85742fa8a964c8cc53e404e378170df14a9b8b028543445cf1f3030937a32"),
+    ("census --family tree-like --size 4", "table"): (0, "452130ec955b199fab9a6fae24202298cf49acad018d7744024ea9fd522110d1"),
+    ("census --family tree-like --size 4", "json"): (0, "acb1a455340916b210f97cbc16ab8f7a5e129ff8f5774cf5e9a1d48d6739a889"),
+    ("census --family tree-like --size 4", "csv"): (0, "dad977bded2a884127e1248e084e3205cae37afa4ed68f4ff69cbe81de0309a7"),
+    ("census --family type-b --size 3", "table"): (0, "bbcb3803039c018989fcf0fff055815cb41a4b5401ec7a26f94492b99715e6f9"),
+    ("census --family type-b --size 3", "json"): (0, "f77f40eb522d951c47b281bc4c517abe6122f27dc076f6c89d899a4b7aa5f21a"),
+    ("census --family type-b --size 3", "csv"): (0, "c052f6df35eeae9fc785246fe055ed7b76ff745907402142bd424cf2afc88c0f"),
+    ("census --family symmetric --size 7", "table"): (0, "c836e75f6bce566a17a626a13e5d25b3566f2a85388f9e8a8975d5988c6d476a"),
+    ("census --family symmetric --size 7", "json"): (0, "b222f843974fbb10fcc2ad6aa1f2302079fe36114efddd0821494c151728444e"),
+    ("census --family symmetric --size 7", "csv"): (0, "c51082a814e18c15eaf79009bce2f2bc810fa62ac255ac8f0ca6d9887ba1a039"),
+    ("census --family permutation --size 4 --method brute", "table"): (0, "b81f1a3945d931c63c4314db1c7ec0cd3a6e8a26f8d2202a15057b0d14f210ba"),
+    ("census --family permutation --size 4 --method brute", "json"): (0, "dd1e257ea68ce63a2158c4faeb1bc742bc00c8dafd128b2ce73e6e0d82d615e2"),
+    ("census --family permutation --size 4 --method brute", "csv"): (0, "43c85742fa8a964c8cc53e404e378170df14a9b8b028543445cf1f3030937a32"),
+    ("enumerate --family tree-like --size 3", "table"): (0, "70552fa2db51b02e7be17baf5393de8fd06ca8e2d9ed550fd885787b7489016f"),
+    ("enumerate --family tree-like --size 3", "json"): (0, "cdbe40b9a14c4d7cb3e8708beb061d7bcd704adca37fb1e4df3b6d624b2f6985"),
+    ("enumerate --family tree-like --size 3", "csv"): (0, "69fcba8b47763d4a66d197513b3ca761f2fe4d59cfb7c9798827d98a0efcaa9a"),
+    ("verify --max-size 3", "table"): (0, "da90994f759cd8038cab727bab5fb399f989de8107c5fa7e27b883050c60d16e"),
+    ("verify --max-size 3", "json"): (0, "0ee1801ddf5a1875ab17ae5bd94ecd4cc233b9e8a31c647ad3cabc9a38c412e7"),
+    ("verify --max-size 3", "csv"): (0, "ab9473d40e5d587fc7be5cd20750f14a6538ef7107436a2f7827e0ccecc29674"),
+    ("formula corners --family symmetric --n 6", "table"): (0, "4341e3505b67e9c7e0d4c731136cd5bbbee8eeb0535d2ecda44cec28b70cc16b"),
+    ("formula corners --family symmetric --n 6", "json"): (0, "8ee0a2eac7f8496968ae95d12a96a89c529373d4ff3cce9af119361d2ed15244"),
+    ("formula corners --family symmetric --n 6", "csv"): (0, "9c15a05da4885993b86645e01347fa666d6154aea1e4b5ad98385632e613ef45"),
+    ("formula corners --family type-b --n 9 --method dp", "table"): (0, "9ce570d6487cbb2b53d0a1ce1f65473ab72895ba3f095309c70a181f990ad8e3"),
+    ("formula corners --family type-b --n 9 --method dp", "json"): (0, "1b88c3d8aaa8d5d5a78077e3fb42a27f794f0eb36ebef3d35b05fe7c002be52a"),
+    ("formula corners --family type-b --n 9 --method dp", "csv"): (0, "35f3095af2413ceb8855cfc6c96fab898c64a5c3f2bb9df761abf8022f03370b"),
+    ("formula expected --family permutation --n 7", "table"): (0, "575aa960f0b0e327220f72841fa15d373bdcbf2104be537fe1d9ce72242f4df6"),
+    ("formula expected --family permutation --n 7", "json"): (0, "811e7c0067dd149a530bfdef586fcf453546d6873bec3e270339b1b16d9295f2"),
+    ("formula expected --family permutation --n 7", "csv"): (0, "4889fe2086785a954d9447c86456fe397145c61d2c2a3de0e6ce94ccd7d8f19f"),
+    ("formula total --family symmetric --n 5", "table"): (0, "12488f25b308fb70c4a3c89d1efc3b6872ec36ee499a06ec5f6474e7bbed1548"),
+    ("formula total --family symmetric --n 5", "json"): (0, "2408156370327f77ad7169eb132ecebbab4eddaaf38ac56630f47b8d904eac97"),
+    ("formula total --family symmetric --n 5", "csv"): (0, "beb79564e6c1cf67cc63a98cf238ab7a336c6dd6c501b6bdc3675b7532e7474d"),
+    ("formula total --family permutation --n 30", "table"): (0, "0799d6e59469a77c2c68713f861a1428c772db52e0bb52d05d6702e01861bc00"),
+    ("formula total --family permutation --n 30", "json"): (0, "1203756ed8e7862207a65cb6842f42df0bb11b62afde41f471792fd4dce15ef8"),
+    ("formula total --family permutation --n 30", "csv"): (0, "c5a98f1c64a9f2e74f986db41cda9eb4521b3de47534e332daa20845ad328daa"),
+    ("formula total --family type-b --n 12", "table"): (0, "62448ca4a49e64b14ca6485df89e2ee014e250dacaa7d6405b7b63cb09ad1980"),
+    ("formula total --family type-b --n 12", "json"): (0, "1e71e228ccdc958aec82f3347696ef8422a214d3b9d32e5ad7411c9597187905"),
+    ("formula total --family type-b --n 12", "csv"): (0, "2279611bd1a812d24e1903bb8220d8bb94a461c2a56d9b203d04d64274f0fb54"),
+    ("formula corners --family tree-like --n 1", "table"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("formula corners --family tree-like --n 1", "json"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("formula corners --family tree-like --n 1", "csv"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("bijection roundtrip --family type-b --size 2", "table"): (0, "aa8e4fc022a2d8706f39a5cd68ffd691985446d5cc1f5a50032b04c92c2095f2"),
+    ("bijection roundtrip --family type-b --size 2", "json"): (0, "8ed0588aa0ac61d47340de3e24d7f3d24ef1b946f08067b03723e91dc4a981eb"),
+    ("bijection roundtrip --family type-b --size 2", "csv"): (0, "661167b34a2e06f6e8372fc575665cd27c7452d3d60ec914c733709034075199"),
+    ("bijection decompose --size 4", "table"): (0, "b6f9bdbfbd35a18989ed2d2d38b61443712cc73ba85a3e315c52f4eec1cbd9ed"),
+    ("bijection decompose --size 4", "json"): (0, "45ba93ece4af4606c6306ffad66947f160a7290f9edd3deeae58bc9885081d8c"),
+    ("bijection decompose --size 4", "csv"): (0, "a6fe30cd79a1f102c3f823cba9df994739771002644503987f3dca1b1d64be66"),
+    ("sample --family type-b --size 9 --count 150 --seed 3", "table"): (0, "be8e869b360528d0a9b28e300f1d345e259e18381d3d33ebb9f408455749a93a"),
+    ("sample --family type-b --size 9 --count 150 --seed 3", "json"): (0, "d0e86f551b5d3a4c4cf04ba52754d74f91983059f95f1b74d69ade8e65ad4bc6"),
+    ("sample --family type-b --size 9 --count 150 --seed 3", "csv"): (0, "9c01d85777ed44b56a5d54e3fa8dc5245c0c469f5404d3fa582781264286e034"),
+    ("sample --kind tableaux --size 6 --count 4 --seed 5", "table"): (0, "fe247257e08d3130b9e29a86ad0263a60614724ef6c6ad1538c946ad13fa430f"),
+    ("sample --kind tableaux --size 6 --count 4 --seed 5", "json"): (0, "38c309e0eff02ecc1518839a23f26bdf590c2c01cca7f29a792dd0fa42a575f6"),
+    ("sample --kind tableaux --size 6 --count 4 --seed 5", "csv"): (0, "cbb8f0050ddff8d157607d0d9c1795a1392a288e8a8b389d07af00d44e36b0ee"),
+    ("sample --kind trajectories --family type-b --size 7 --count 5 --seed 6", "table"): (0, "427f85986e5dd02c9df0a96a704f2c0f426bf4ba4db6dd5a249ce4988c7bf75b"),
+    ("sample --kind trajectories --family type-b --size 7 --count 5 --seed 6", "json"): (0, "3bd3931ebfa6dffc49ac9988db44dead52d83477df2e3ab7faf4b0bc8899c8ba"),
+    ("sample --kind trajectories --family type-b --size 7 --count 5 --seed 6", "csv"): (0, "0e7a6bc4b282a0f03d430bad5016017b87c855506a470f3d990208abb1a936aa"),
+}
+
+
+@pytest.mark.parametrize("argv,fmt", sorted(PINNED_OUTPUTS))
+def test_outputs_are_pinned(capsys, argv, fmt):
+    code, out, _ = run(capsys, *argv.split(), "--format", fmt)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_OUTPUTS[argv, fmt]
 
 
 def _src_env():

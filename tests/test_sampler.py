@@ -19,6 +19,7 @@ from corners.sampler import (
     sample_trajectories,
     sample_trajectory,
     substream,
+    _step_sampler,
 )
 from corners.enumerator import parent_permutation
 from corners.tableaux import canonical_key, to_record, validate
@@ -176,6 +177,13 @@ def test_sample_stream_is_pinned():
     for t in sample_permutation_tableaux(30, seed=20150, count=32):
         digest.update((json.dumps(to_record(t), sort_keys=True) + "\n").encode())
     assert digest.hexdigest() == PINNED_STREAMS["tableaux/permutation"]
+
+
+def test_step_sampler_cache_is_bounded():
+    for n in range(1, 41):
+        sample_trajectory(n, B, seed=7)
+    assert _step_sampler.cache_info().currsize <= 16
+    test_sample_stream_is_pinned()
 
 
 def test_chi_square_survival_reference_values():
