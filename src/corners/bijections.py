@@ -28,9 +28,9 @@ non-empty), so both directions start at size 3 / size 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 from .chain import (
+    _fold_boundary_terms,
     corner_event_probability_dp,
     count_tableaux,
     first_step_west_probability,
@@ -267,10 +267,6 @@ def symmetric_corner_decomposition(n: int) -> CornerDecomposition:
         _exact_count(corner_event_probability_dp(n, k, Family.SYMMETRIC), b_count)
         for k in range(1, 2 * n + 2)
     )
-    if (
-        deco.south_term != (1 << n) * factorial(n - 1)
-        or deco.west_term != (1 << (n - 1)) * factorial(n)
-        or deco.total != sym_total
-    ):
+    if (deco.south_term, deco.west_term) != _fold_boundary_terms(n) or deco.total != sym_total:
         raise BijectionError(f"corner decomposition mismatch at n={n}: {deco}")
     return deco

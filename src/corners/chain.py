@@ -260,6 +260,14 @@ def _closed_form_count(n: int, family: Family) -> int:
     return factorial(n) << n
 
 
+def _fold_boundary_terms(n: int) -> tuple[int, int]:
+    """Closed forms of the boundary terms of the symmetric corner split at
+    index ``n >= 1``: the south term ``2**n (n-1)!`` (twice the type-B
+    tableaux of size ``n`` whose path ends South) and the west term
+    ``2**(n-1) n!`` (those whose path starts West)."""
+    return factorial(n - 1) << n, factorial(n) << (n - 1)
+
+
 def u_distribution(n: int, family: Family) -> dict[int, Fraction]:
     """Exact law of the unrestricted-row count at size ``n``."""
     _require_chain(family)

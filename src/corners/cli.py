@@ -176,7 +176,11 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 
 
 def _read_record(path: str | None):
-    text = sys.stdin.read() if path in (None, "-") else open(path, encoding="utf-8").read()
+    if path in (None, "-"):
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     t = from_record(json.loads(text))
     result = validate(t)
     if not result.ok:

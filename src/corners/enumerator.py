@@ -12,13 +12,22 @@ that underlies the weighted chain: a tableau of size ``n - 1`` with ``u``
 unrestricted rows has exactly ``2**u`` extensions of size ``n`` (one new
 bottom row, or a new full-height leftmost column holding 1s on a
 non-empty subset of the unrestricted rows).
+
+Censuses of the permutation and type-B families count fillings without
+building them: a row-by-row transfer over the columns that already hold
+a 1 tallies, per shape, how many fillings have each number of
+unrestricted rows.  Building every tableau (``method="brute"``) or
+growing the extension tree (``method="extension"``) stays available as
+the reference.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -239,8 +248,12 @@ def _symmetric_point_sets(profile: Sequence[int]) -> Iterator[frozenset[tuple[in
     yield from do_row(1)
 
 
-def _budget_of(family: Family, budget: int | None) -> int:
-    return BRUTE_FORCE_BUDGET[family] if budget is None else budget
+def _require_size(n: int, family: Family, budget: int | None) -> None:
+    if n < 1:
+        raise DomainError(f"size must be at least 1, got {n}")
+    limit = BRUTE_FORCE_BUDGET[family] if budget is None else budget
+    if n > limit:
+        raise BudgetExceededError(n, family, limit)
 
 
 def enumerate_tableaux(
@@ -251,11 +264,7 @@ def enumerate_tableaux(
     ``n`` is the tableau size; for the symmetric family that is the (odd)
     size ``2m + 1``.
     """
-    if n < 1:
-        raise DomainError(f"size must be at least 1, got {n}")
-    limit = _budget_of(family, budget)
-    if n > limit:
-        raise BudgetExceededError(n, family, limit)
+    _require_size(n, family, budget)
     if family is Family.SYMMETRIC and n % 2 == 0:
         raise DomainError(f"symmetric tableaux have odd size, got {n}")
 
@@ -364,7 +373,15 @@ class Census:
         return out
 
 
-def _census_of(family: Family, n: int, tableaux: Iterator[Tableau]) -> Census:
+def _census_of(
+    family: Family, n: int, shapes: Iterable[tuple[BorderPath, Counter[int]]]
+) -> Census:
+    """Fold per-shape tallies into a census.
+
+    A tally maps the per-tableau statistic (unrestricted rows for the 0/1
+    families, occupied corners for the pointed ones) to the number of
+    tableaux of that shape carrying it.  A shape may come more than once.
+    """
     pointed = family in (Family.TREE_LIKE, Family.SYMMETRIC)
     cardinality = 0
     total_corners = 0
@@ -373,17 +390,18 @@ def _census_of(family: Family, n: int, tableaux: Iterator[Tableau]) -> Census:
     u_hist: Counter[int] = Counter()
     south = 0
     west = 0
-    for t in tableaux:
-        cardinality += 1
-        stats = corner_stats(t)
-        total_corners += stats.corner_count
+    for path, tally in shapes:
+        count = sum(tally.values())
+        cardinality += count
+        total_corners += count * path.corner_count()
+        for k in path.corner_positions():
+            by_k[k] += count
+        south += count * path.last_step_south
+        west += count * path.first_step_west
         if pointed:
-            occupied += stats.occupied_corner_count or 0
+            occupied += sum(value * c for value, c in tally.items())
         else:
-            u_hist[unrestricted_row_count(t)] += 1
-        by_k.update(t.path.corner_positions())
-        south += t.path.last_step_south
-        west += t.path.first_step_west
+            u_hist.update(tally)
     return Census(
         family=family,
         n=n,
@@ -395,6 +413,88 @@ def _census_of(family: Family, n: int, tableaux: Iterator[Tableau]) -> Census:
         u_histogram=None if pointed else dict(sorted(u_hist.items())),
         total_occupied_corners=occupied if pointed else None,
     )
+
+
+def _tableau_tallies(
+    family: Family, tableaux: Iterable[Tableau]
+) -> Iterator[tuple[BorderPath, Counter[int]]]:
+    """Per-shape tallies of built tableaux, one per run of equal paths."""
+    pointed = family in (Family.TREE_LIKE, Family.SYMMETRIC)
+    for path, group in groupby(tableaux, key=attrgetter("path")):
+        yield path, Counter(
+            corner_stats(t).occupied_corner_count if pointed else unrestricted_row_count(t)
+            for t in group
+        )
+
+
+_LegalRows = tuple[tuple[int, bool], ...]
+
+
+def _legal_rows(length: int, above: int, diagonal: bool) -> _LegalRows:
+    """Every legal bit row of one row, with whether it is restricted.
+
+    Bit ``c - 1`` stands for column ``c``; ``above`` holds the columns of
+    the row with a 1 above.  No 0 may have both a 1 above and a 1 to its
+    left, and in a staircase row (``diagonal``) a 0 in the last, diagonal
+    cell forces the whole row to 0.  A row is restricted when it holds a
+    0 under a 1, or a diagonal 0.
+    """
+    out = []
+    for bits in range(1 << length):
+        under = above & ~bits  # 0s with a 1 above
+        lowest_one = bits & -bits
+        if lowest_one and under > lowest_one:
+            continue  # a 0 under a 1 with a 1 to its left
+        diagonal_zero = diagonal and not bits >> (length - 1)
+        if diagonal_zero and bits:
+            continue
+        out.append((bits, bool(under) or diagonal_zero))
+    return tuple(out)
+
+
+def _transfer_tally(
+    lengths: Sequence[int],
+    staircase: int,
+    required: int,
+    legal: dict[tuple[int, int, bool], _LegalRows],
+) -> Counter[int]:
+    """Fillings of one (possibly shifted) profile, counted by unrestricted rows.
+
+    Rows are filled top to bottom; the state is the set of columns holding
+    a 1 so far, each carrying a tally ``u -> partial fillings``.  The first
+    ``staircase`` rows end on a diagonal cell.  Only states covering
+    columns ``1..required`` count; ``legal`` caches the rows per key.
+    """
+    states: dict[tuple[int, int], int] = {(0, 0): 1}
+    for r, length in enumerate(lengths, start=1):
+        diagonal = r <= staircase
+        visible = (1 << length) - 1
+        grown: defaultdict[tuple[int, int], int] = defaultdict(int)
+        for (above, u), count in states.items():
+            key = (length, above & visible, diagonal)
+            if key not in legal:
+                legal[key] = _legal_rows(*key)
+            for bits, restricted in legal[key]:
+                grown[above | bits, u if restricted else u + 1] += count
+        states = grown
+    need = (1 << required) - 1
+    tally: Counter[int] = Counter()
+    for (above, u), count in states.items():
+        if above & need == need:
+            tally[u] += count
+    return tally
+
+
+def _transfer_tallies(n: int, family: Family) -> Iterator[tuple[BorderPath, Counter[int]]]:
+    """Per-shape tallies of the permutation or type-B family, by transfer."""
+    legal: dict[tuple[int, int, bool], _LegalRows] = {}
+    for path in enumerate_shapes(n, family):
+        if family is Family.TYPE_B:
+            shifted = path.shifted_shape()
+            staircase = shifted.staircase_count
+            yield path, _transfer_tally(shifted.row_lengths, staircase, staircase, legal)
+        else:
+            yield path, _transfer_tally(path.row_lengths, 0, path.column_count, legal)
 
 
 def _extension_levels(n: int) -> Iterator[list[PermutationTableau]]:
@@ -409,21 +509,22 @@ def _extension_levels(n: int) -> Iterator[list[PermutationTableau]]:
 def census(n: int, family: Family, *, method: str = "auto", budget: int | None = None) -> Census:
     """Aggregate statistics at size ``n``.
 
-    ``method`` applies to the permutation family: ``"brute"`` fills shapes
-    directly, ``"extension"`` grows all tableaux through the extension
-    step, ``"auto"`` picks the extension construction.  Both routes must
-    agree; tests hold them to that.
+    ``"auto"`` counts permutation and type-B fillings shape by shape
+    without building them, and builds the tableaux of the pointed
+    families.  ``"brute"`` builds every tableau by filling shapes, and
+    ``"extension"`` (permutation only) grows them through the extension
+    step.  All routes must agree; tests hold them to that.
     """
-    if family is Family.PERMUTATION and method in ("auto", "extension"):
-        if n < 1:
-            raise DomainError(f"size must be at least 1, got {n}")
-        limit = _budget_of(family, budget)
-        if n > limit:
-            raise BudgetExceededError(n, family, limit)
-        *_, last = _extension_levels(n)
-        return _census_of(family, n, iter(last))
     if method not in ("auto", "brute", "extension"):
         raise DomainError(f"unknown census method {method!r}")
-    if method == "extension" and family is not Family.PERMUTATION:
-        raise DomainError("extension construction applies to permutation tableaux only")
-    return _census_of(family, n, enumerate_tableaux(n, family, budget=budget))
+    if method == "extension":
+        if family is not Family.PERMUTATION:
+            raise DomainError("extension construction applies to permutation tableaux only")
+        _require_size(n, family, budget)
+        *_, last = _extension_levels(n)
+        return _census_of(family, n, _tableau_tallies(family, last))
+    if method == "auto" and family in (Family.PERMUTATION, Family.TYPE_B):
+        _require_size(n, family, budget)
+        return _census_of(family, n, _transfer_tallies(n, family))
+    tableaux = enumerate_tableaux(n, family, budget=budget)
+    return _census_of(family, n, _tableau_tallies(family, tableaux))

@@ -502,6 +502,8 @@ def from_record(record: dict) -> Tableau:
     """Rebuild a tableau from :func:`to_record` output."""
     if not isinstance(record, dict):
         raise InvalidTableauError(f"a tableau record is a JSON object, got {type(record).__name__}")
+    if record.get("schema", "tableau/v1") != "tableau/v1":
+        raise InvalidTableauError(f"a tableau record's schema must be 'tableau/v1', got {record['schema']!r}")
     family = Family.parse(record["family"])
     if not isinstance(record["path"], str):
         raise InvalidTableauError("a tableau record's path must be a string")

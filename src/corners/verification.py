@@ -30,6 +30,7 @@ from .chain import (
     ChainSpec,
     _closed_form_count,
     _corner_position_range,
+    _fold_boundary_terms,
     _fraction_text,
     corner_distribution,
     count_tableaux,
@@ -239,7 +240,7 @@ def suite_corner_totals(max_size: int) -> list[VerificationRow]:
                 "symmetric-corner-split",
                 f"n={n}",
                 d.total,
-                d.twice_type_b + (1 << n) * factorial(n - 1) + (1 << (n - 1)) * factorial(n),
+                d.twice_type_b + sum(_fold_boundary_terms(n)),
             )
         )
     return rows
@@ -273,7 +274,7 @@ def suite_boundary(max_size: int) -> list[VerificationRow]:
                 "west-start-count/type-b",
                 f"size={size}",
                 c.first_step_west_count,
-                (1 << (size - 1)) * factorial(size),
+                _fold_boundary_terms(size)[1],
             )
         )
     for n in _CHAIN_RANGE:
@@ -449,13 +450,13 @@ def suite_bijections(max_size: int) -> list[VerificationRow]:
         rows.append(_row("shape-projection-extra-corners", f"n={n}", extra, factorial(n - 1)))
     for n in range(1, 9):
         d = symmetric_corner_decomposition(n)
+        south, west = _fold_boundary_terms(n)
         rows.append(
             _row(
                 "corner-decomposition",
                 f"n={n}",
                 f"{d.twice_type_b}+{d.south_term}+{d.west_term}",
-                f"{2 * total_corners(n, Family.TYPE_B) if n >= 2 else 0}"
-                f"+{(1 << n) * factorial(n - 1)}+{(1 << (n - 1)) * factorial(n)}",
+                f"{2 * total_corners(n, Family.TYPE_B) if n >= 2 else 0}+{south}+{west}",
             )
         )
     return rows

@@ -9,8 +9,8 @@ from corners.families import Family
 
 
 @lru_cache(maxsize=None)
-def cached_census(n: int, family: Family):
-    return census(n, family)
+def cached_census(n: int, family: Family, method: str = "auto"):
+    return census(n, family, method=method)
 
 
 @lru_cache(maxsize=None)

@@ -62,7 +62,7 @@ def test_criterion_01_cardinalities():
     for n in range(1, 8):
         assert cached_census(n, T).cardinality == factorial(n)
     for n in range(1, 7):
-        assert cached_census(n, B).cardinality == 2**n * factorial(n)
+        assert cached_census(n, B, "brute").cardinality == 2**n * factorial(n)
     for n in range(1, 6):
         assert cached_census(2 * n + 1, SYM).cardinality == 2**n * factorial(n)
     _line(1, "cardinalities n!, n!, 2^n n!, 2^n n! by brute force and extension")

@@ -143,6 +143,7 @@ MALFORMED_RECORDS = (
     '{"family":"type-b","path":5,"rows":[]}',
     '{"family":"type-b","path":"SW","rows":[1]}',
     '{"schema":"tableau/v1","family":"symmetric","path":"SW","rows":5}',
+    '{"schema":"census/v1","family":"type-b","path":"SW","rows":["0","1"]}',
 )
 
 
@@ -329,6 +330,23 @@ def test_outputs_are_pinned(capsys, argv, fmt):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_OUTPUTS[argv, fmt]
 
 
+# argv -> (exit code, sha256 of stdout) for censuses past the reach of the
+# tests' brute-force cross-check, recorded with ``--method brute``; the sizes
+# one past the budget must still be refused
+PINNED_CENSUSES = {
+    "census --family type-b --size 7 --format json": (0, "ce6bdee793f45fdf115d0dc3ad7b20c9c7e511070a8ab88d274eda0c97385e84"),
+    "census --family permutation --size 8 --format json": (0, "d1f481b817e0a4de98e120fa7b1be226bee4fc27bf38239e655d411b4278a25f"),
+    "census --family type-b --size 8 --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "census --family permutation --size 9 --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_CENSUSES))
+def test_census_at_budget_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_CENSUSES[argv]
+
+
 def _src_env():
     """The environment with this checkout's ``src`` first on the path."""
     env = dict(os.environ)
@@ -382,3 +400,15 @@ def test_python_dash_m_runs_the_cli():
 def test_console_script_on_path():
     proc = subprocess.run(["corners", "--help"], capture_output=True, text=True, timeout=60)
     _assert_help(proc)
+
+
+def test_bijection_closes_its_input_file(tmp_path):
+    infile = tmp_path / "b.json"
+    infile.write_text('{"schema":"tableau/v1","family":"type-b","path":"SW","rows":["0","1"]}')
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "corners", "bijection", "unfold", "--in", str(infile)],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["family"] == "symmetric"
+    assert "ResourceWarning" not in proc.stderr

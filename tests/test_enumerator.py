@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cached_census, cached_tableaux
+from corners.chain import _closed_form_count, corner_distribution, total_corners, u_distribution
 from corners.enumerator import (
     census,
     enumerate_shapes,
@@ -15,7 +16,7 @@ from corners.enumerator import (
     parent_permutation,
 )
 from corners.errors import BudgetExceededError, DomainError
-from corners.families import Family
+from corners.families import BRUTE_FORCE_BUDGET, Family
 from corners.tableaux import canonical_key, family_of, unrestricted_row_count, validate
 
 
@@ -108,11 +109,34 @@ def test_brute_and_extension_methods_agree():
         assert brute == ext
 
 
+@pytest.mark.parametrize(
+    "family,n",
+    [(Family.PERMUTATION, n) for n in range(1, 9)] + [(Family.TYPE_B, n) for n in range(1, 7)],
+)
+def test_transfer_census_matches_brute_force(family, n):
+    assert cached_census(n, family) == cached_census(n, family, "brute")
+
+
+def test_transfer_census_at_type_b_budget():
+    n = BRUTE_FORCE_BUDGET[Family.TYPE_B]
+    c = cached_census(n, Family.TYPE_B)
+    assert c.cardinality == _closed_form_count(n, Family.TYPE_B)
+    assert c.total_corners == total_corners(n, Family.TYPE_B)
+    corner_law = {k: Fraction(v, c.cardinality) for k, v in c.corner_counts_by_k.items()}
+    assert corner_law == corner_distribution(n, Family.TYPE_B, method="formula")
+    u_law = {u: Fraction(v, c.cardinality) for u, v in c.u_histogram.items()}
+    assert u_law == u_distribution(n, Family.TYPE_B)
+
+
 def test_census_rejects_unknown_method_and_budget():
     with pytest.raises(DomainError):
         census(3, Family.PERMUTATION, method="magic")
     with pytest.raises(BudgetExceededError):
         census(99, Family.TYPE_B)
+    with pytest.raises(BudgetExceededError):
+        census(BRUTE_FORCE_BUDGET[Family.PERMUTATION] + 1, Family.PERMUTATION)
+    with pytest.raises(DomainError):
+        census(0, Family.TYPE_B)
     with pytest.raises(BudgetExceededError):
         list(enumerate_tableaux(99, Family.TREE_LIKE))
 
