@@ -46,7 +46,7 @@ from .errors import (
     NotATreeLikeShapeError,
     NotSymmetricError,
 )
-from .families import BRUTE_FORCE_BUDGET, Family
+from .families import BRUTE_FORCE_BUDGET, CHAIN_BUDGET, ChainBudget, Family
 from .sampler import (
     GENERATOR_ID,
     McReport,

@@ -14,10 +14,15 @@ plus one extra West transition to ``u + 1``.  Total outgoing weight is
 next state is ``1 + Binomial(u, 1/2)``.
 
 Summing trajectory weights gives exact cardinalities and exact corner
-probabilities for sizes far beyond enumeration reach.  Prefix weights
-are forward rows grown one at a time from :meth:`ChainSpec.transitions`
-and kept per family; counts are always their sums.  Completion weights
-use the closed form ``m! (m + 1)**u`` (times ``2**m`` for type B).
+probabilities for sizes far beyond enumeration reach.  Write the forward
+row of k-step prefix weights as a polynomial ``P_k(x) = sum_u w_k(u) x**u``.
+The transitions give ``P_k(x) = d x P_{k-1}(x + 1)`` (``d`` = 1, resp. 2
+for type B), which never leaves an anti-diagonal ``k + x = s``; counts and
+the corner DP read only values ``P_k(s - k)`` from two such diagonals, in
+O(n) steps each.  The coefficient rows themselves, grown one at a time
+from :meth:`ChainSpec.transitions`, serve only the law of ``u``.
+Completion weights use the closed form ``m! (m + 1)**u`` (times ``2**m``
+for type B).
 
 Tree-like and symmetric values ride on these two chains: dropping the
 final West step of a tree-like shape is a corner-faithful bijection onto
@@ -33,13 +38,14 @@ All arithmetic is exact: integers are unbounded and probabilities are
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Union
 
-from .errors import CornersError, DomainError, IndexOutOfRangeError
-from .families import Family
+from .errors import BudgetExceededError, CornersError, DomainError, IndexOutOfRangeError
+from .families import CHAIN_BUDGET, Family
 from .shapes import SOUTH, WEST
 
 __all__ = [
@@ -155,12 +161,21 @@ def _rows(family: Family, n: int) -> tuple[list[list[int]], list[int]]:
     return rows, totals
 
 
-def _horner(coefficients: list[int], x: int) -> int:
-    """``sum(c * x**i for i, c in enumerate(coefficients))``."""
-    acc = 0
-    for c in reversed(coefficients):
-        acc = acc * x + c
-    return acc
+@functools.lru_cache(maxsize=4)  # one DP query reads three; at n = 4000 each holds about 12 MB
+def _diagonal(family: Family, s: int) -> tuple[int, ...]:
+    """``P_k(s - k)`` for ``k = 0..s``, where ``P_k`` is the polynomial of
+    the forward row ``k`` (see :func:`_rows`).
+
+    ``P_0 = 1`` and ``P_k(x) = d x P_{k-1}(x + 1)``: the South step adds
+    ``x P(x)``, the binomial West steps ``x (P(x + 1) - P(x))`` and the
+    extra type-B West step another ``x P(x)``.  So each value is the one
+    before times ``d (s - k)``.
+    """
+    d = 2 if family is Family.TYPE_B else 1
+    values = [1]
+    for k in range(1, s + 1):
+        values.append(values[-1] * d * (s - k))
+    return tuple(values)
 
 
 class ChainWeightTable:
@@ -248,7 +263,7 @@ def count_tableaux(n: int, family: Family) -> int:
     if n < 0:
         raise DomainError(f"size must be non-negative, got {n}")
     if family in _CHAIN_FAMILIES:
-        return _rows(family, n)[1][n]
+        return _diagonal(family, n + 1)[n]
     return _closed_form_count(n, family)
 
 
@@ -314,13 +329,13 @@ def corner_event_probability_dp(n: int, k: int, family: Family) -> Fraction:
         return first_step_west_probability(n, chain)
     # Step pos is South from v; the m steps left start West, weighing
     # g[m][v + 1] - g[m - 1][v + 2] = g[m][1] (m + 1)**v - g[m - 1][2] m**v
-    # with g = _suffix_weight, so the sum over v is two polynomials.
-    rows, totals = _rows(chain, n)
-    prefix, m = rows[pos - 1], n - pos
-    weight = _suffix_weight(chain, m, 1) * _horner(prefix, m + 1) - _suffix_weight(
+    # with g = _suffix_weight, so the sum over v is P_{pos-1}(m + 1) and
+    # P_{pos-1}(m), read off the diagonals n and n - 1.
+    m = n - pos
+    weight = _suffix_weight(chain, m, 1) * _diagonal(chain, n)[pos - 1] - _suffix_weight(
         chain, m - 1, 2
-    ) * _horner(prefix, m)
-    return Fraction(weight, totals[n])
+    ) * _diagonal(chain, n - 1)[pos - 1]
+    return Fraction(weight, _diagonal(chain, n + 1)[n])
 
 
 def corner_event_probability_formula(n: int, k: int, family: Family) -> Fraction:
@@ -363,6 +378,10 @@ def corner_distribution(n: int, family: Family, *, method: str = "dp") -> dict[i
         raise ValueError(f"unknown method {method!r}")
     if n < least:
         raise DomainError(f"the {method} corner law needs n >= {least}, got {n}")
+    if method == "dp" and n > CHAIN_BUDGET.dp_size:
+        raise BudgetExceededError(
+            n, family, CHAIN_BUDGET.dp_size, f"the DP corner law of {family.value} at n={n}"
+        )
     return {k: prob(k) for k in _corner_position_range(n, family)}
 
 
@@ -392,8 +411,7 @@ def last_step_south_probability(n: int, family: Family) -> Fraction:
     _require_chain(family)
     if n < 1:
         raise DomainError(f"size must be at least 1, got {n}")
-    totals = _rows(family, n)[1]
-    return Fraction(totals[n - 1], totals[n])
+    return Fraction(_diagonal(family, n)[n - 1], _diagonal(family, n + 1)[n])
 
 
 def first_step_west_probability(n: int, family: Family) -> Fraction:
@@ -404,4 +422,4 @@ def first_step_west_probability(n: int, family: Family) -> Fraction:
     if family is Family.PERMUTATION:
         return Fraction(0)
     # the one West step out of state 0 reaches state 1 with weight 1
-    return Fraction(_suffix_weight(family, n - 1, 1), _rows(family, n)[1][n])
+    return Fraction(_suffix_weight(family, n - 1, 1), _diagonal(family, n + 1)[n])

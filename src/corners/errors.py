@@ -44,15 +44,18 @@ class InvalidTableauError(CornersError, ValueError):
 
 
 class BudgetExceededError(CornersError, ValueError):
-    """Exhaustive enumeration was requested beyond the configured budget."""
+    """Enumeration or chain work was requested beyond its configured budget.
 
-    def __init__(self, n: int, family: object, budget: int) -> None:
+    ``what`` names the request in the message; it defaults to the
+    enumeration of ``family`` at size ``n``.
+    """
+
+    def __init__(self, n: int, family: object, budget: int, what: str | None = None) -> None:
         self.n = n
         self.family = family
         self.budget = budget
-        super().__init__(
-            f"enumeration of {family} at size {n} exceeds the budget of {budget}"
-        )
+        what = what or f"enumeration of {family} at size {n}"
+        super().__init__(f"{what} exceeds the budget of {budget}")
 
 
 class DomainError(CornersError, ValueError):

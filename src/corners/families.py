@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 
-__all__ = ["Family", "BRUTE_FORCE_BUDGET"]
+__all__ = ["Family", "BRUTE_FORCE_BUDGET", "ChainBudget", "CHAIN_BUDGET"]
 
 
 class Family(str, enum.Enum):
@@ -42,3 +43,25 @@ BRUTE_FORCE_BUDGET: dict[Family, int] = {
     Family.TYPE_B: 7,
     Family.SYMMETRIC: 13,
 }
+
+
+@dataclass(frozen=True)
+class ChainBudget:
+    """Caps on the weighted-chain work one call may ask for.
+
+    ``dp_size`` bounds ``n`` of the DP corner law (the symmetric index for
+    that family), ``sample_size`` the size of sampled trajectories and
+    tableaux, and ``sample_count`` the number of samples in one run.
+    """
+
+    dp_size: int
+    sample_size: int
+    sample_count: int
+
+
+# Set from runs on a 2-CPU host with Python 3.11: the DP law at n = 4000
+# takes about 5 s (11 s for the symmetric family, with its 2n + 1
+# positions); a cold 100-draw report at n = 300 about 2 s and 150 MB, as
+# the step table grows with n (n = 400: 4 s and 335 MB); 100 000 draws of
+# the smallest report about 1.7 s.
+CHAIN_BUDGET = ChainBudget(dp_size=4000, sample_size=300, sample_count=100_000)

@@ -9,6 +9,13 @@ filling-level (the chosen column subsets are drawn uniformly among those
 reaching the chosen next state); type-B sampling stays at the path
 level, which determines every corner statistic.
 
+One step table per (n, family) holds, for each visited position and
+state, the cumulative weights with their rejection bound and the step
+and target of each transition.  A draw is one loop over it with the
+rejection draw and the bisection inlined.  Tableau growth reads the same
+table and tracks the unrestricted rows as it goes, so it builds and
+validates one tableau at the end instead of one per step.
+
 Randomness contract (generator id ``sha256-stream/mt19937/v1``): sample
 ``i`` of a run seeded with ``seed`` uses a ``random.Random`` (Mersenne
 Twister) seeded with the integer digest of ``SHA-256("<seed>|<i>")``.
@@ -35,7 +42,6 @@ from typing import Iterator, Sequence
 
 from .chain import (
     ChainSpec,
-    Transition,
     _corner_position_range,
     _fraction_text,
     _require_chain,
@@ -43,10 +49,10 @@ from .chain import (
     corner_event_probability_formula,
     expected_corners,
 )
-from .errors import DomainError
-from .families import Family
+from .errors import BudgetExceededError, DomainError
+from .families import CHAIN_BUDGET, Family
 from .shapes import SOUTH, WEST, BorderPath
-from .tableaux import PermutationTableau, unrestricted_rows
+from .tableaux import PermutationTableau
 
 __all__ = [
     "GENERATOR_ID",
@@ -79,11 +85,6 @@ def _int_below(rng: random.Random, bound: int) -> int:
             return x
 
 
-def _choose_index(rng: random.Random, cumulative: Sequence[int]) -> int:
-    """Index i with probability (cum[i] - cum[i-1]) / cum[-1]."""
-    return bisect_right(cumulative, _int_below(rng, cumulative[-1]))
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """One realization of the growth chain: states and steps in order.
@@ -107,44 +108,70 @@ class Trajectory:
         return self.steps.count(SOUTH + WEST)
 
 
+#: One row of a step table: the cumulative weights of the transitions out
+#: of one ``(k, u)``, their total (the rejection bound) and its bit length,
+#: and each transition's step and target state.
+_StepRow = tuple[list[int], int, int, str, tuple[int, ...]]
+
+
 class _StepSampler:
-    """Per-position cumulative transition weights for one (n, family).
+    """The step table of one (n, family).
 
     At position ``k`` (steps taken so far) in state ``u``, transition
-    ``t`` is chosen with weight ``t.weight`` times its completion weight;
-    the lists are built lazily per state and reused across samples.
+    ``t`` is chosen with weight ``t.weight`` times its completion weight.
+    The table holds one :data:`_StepRow` per ``(k, u)``, built on first
+    visit and reused across samples; trajectories and tableau growth both
+    read it.
     """
 
     def __init__(self, n: int, family: Family):
         _require_chain(family)
         if n < 1:
             raise DomainError(f"size must be at least 1, got {n}")
+        if n > CHAIN_BUDGET.sample_size:
+            raise BudgetExceededError(
+                n, family, CHAIN_BUDGET.sample_size, f"sampling {family.value} at n={n}"
+            )
         self.n = n
         self.family = family
         self.spec = ChainSpec(family)
-        self._cache: dict[tuple[int, int], tuple[tuple[Transition, ...], list[int]]] = {}
+        #: ``table[k][u]``; a list per position, a dict per state.
+        self.table: list[dict[int, _StepRow]] = [{} for _ in range(n)]
 
-    def options(self, k: int, u: int) -> tuple[tuple[Transition, ...], list[int]]:
-        key = (k, u)
-        hit = self._cache.get(key)
+    def row(self, k: int, u: int) -> _StepRow:
+        """The table row of ``(k, u)``, built if missing."""
+        hit = self.table[k].get(u)
         if hit is None:
-            m = self.n - k - 1
             transitions = self.spec.transitions(u)
-            cumulative = list(
-                accumulate(t.weight * _suffix_weight(self.family, m, t.target) for t in transitions)
+            # completion weights m! (m + 1)**j (times 2**m): one power per target
+            m = self.n - k - 1
+            suffix = [_suffix_weight(self.family, m, 0)]
+            for _ in range(u + 1):
+                suffix.append(suffix[-1] * (m + 1))
+            cumulative = list(accumulate(t.weight * suffix[t.target] for t in transitions))
+            hit = self.table[k][u] = (
+                cumulative,
+                cumulative[-1],
+                cumulative[-1].bit_length(),
+                "".join(t.step for t in transitions),
+                tuple(t.target for t in transitions),
             )
-            hit = self._cache[key] = (transitions, cumulative)
         return hit
 
     def draw(self, rng: random.Random) -> Trajectory:
+        getrandbits = rng.getrandbits
+        table = self.table
         u = 0
         states = [0]
         steps: list[str] = []
         for k in range(self.n):
-            transitions, cumulative = self.options(k, u)
-            t = transitions[_choose_index(rng, cumulative)]
-            steps.append(t.step)
-            u = t.target
+            cumulative, bound, bits, step_of, target_of = table[k].get(u) or self.row(k, u)
+            x = getrandbits(bits)
+            while x >= bound:
+                x = getrandbits(bits)
+            i = bisect_right(cumulative, x)
+            steps.append(step_of[i])
+            u = target_of[i]
             states.append(u)
         return Trajectory(self.family, tuple(states), "".join(steps))
 
@@ -159,9 +186,17 @@ def sample_trajectory(n: int, family: Family, seed: int, index: int = 0) -> Traj
     return _step_sampler(n, family).draw(substream(seed, index))
 
 
-def sample_trajectories(n: int, family: Family, seed: int, count: int) -> Iterator[Trajectory]:
+def _require_count(count: int, family: Family) -> None:
     if count < 0:
         raise DomainError(f"count must be non-negative, got {count}")
+    if count > CHAIN_BUDGET.sample_count:
+        raise BudgetExceededError(
+            count, family, CHAIN_BUDGET.sample_count, f"a run of {count} samples"
+        )
+
+
+def sample_trajectories(n: int, family: Family, seed: int, count: int) -> Iterator[Trajectory]:
+    _require_count(count, family)
     sampler = _step_sampler(n, family)
     for index in range(count):
         yield sampler.draw(substream(seed, index))
@@ -176,12 +211,8 @@ def _draw_column_subset(rng: random.Random, unrest: Sequence[int], j: int) -> se
     members are uniform among the rows below ``i``.
     """
     u = len(unrest)
-    cumulative: list[int] = []
-    acc = 0
-    for i in range(1, j + 1):
-        acc += math.comb(u - i, j - i)
-        cumulative.append(acc)
-    i = 1 + _choose_index(rng, cumulative)
+    cumulative = list(accumulate(math.comb(u - i, j - i) for i in range(1, j + 1)))
+    i = 1 + bisect_right(cumulative, _int_below(rng, cumulative[-1]))
     chosen = {unrest[i - 1]}
     needed = j - i
     for offset, row in enumerate(unrest[i:]):
@@ -192,40 +223,53 @@ def _draw_column_subset(rng: random.Random, unrest: Sequence[int], j: int) -> se
     return chosen
 
 
-def _grow_tableau(rng: random.Random, n: int) -> PermutationTableau:
-    sampler = _step_sampler(n, Family.PERMUTATION)
-    path = SOUTH
-    rows: tuple[tuple[int, ...], ...] = ((),)
+def _grow_tableau(rng: random.Random, sampler: _StepSampler) -> PermutationTableau:
+    """Grow one tableau along a trajectory drawn from the step table.
+
+    The first step is always South.  The unrestricted rows are tracked as
+    the tableau grows: a South step adds an empty, unrestricted bottom
+    row; a West step with 1s in rows ``A`` puts a restricted 0 in every
+    row below ``min(A)`` outside ``A``.  Columns are kept as ``(height,
+    A)``, leftmost last, and the tableau is built once at the end.
+    """
+    steps = [SOUTH]
+    height = 1
+    unrest = [1]
+    columns: list[tuple[int, set[int]]] = []
     u = 1
-    for k in range(1, n):
-        transitions, cumulative = sampler.options(k, u)
-        t = transitions[_choose_index(rng, cumulative)]
-        if t.step == SOUTH:
-            path += SOUTH
-            rows = rows + ((),)
+    for k in range(1, sampler.n):
+        cumulative, bound, bits, step_of, target_of = sampler.row(k, u)
+        x = rng.getrandbits(bits)
+        while x >= bound:
+            x = rng.getrandbits(bits)
+        i = bisect_right(cumulative, x)
+        step, u = step_of[i], target_of[i]
+        steps.append(step)
+        if step == SOUTH:
+            height += 1
+            unrest.append(height)
         else:
-            unrest = unrestricted_rows(PermutationTableau(BorderPath(path), rows))
-            chosen = _draw_column_subset(rng, unrest, t.target)
-            path += WEST
-            rows = tuple((1 if r in chosen else 0,) + row for r, row in enumerate(rows, start=1))
-        u = t.target
-    return PermutationTableau(BorderPath(path), rows)
+            chosen = _draw_column_subset(rng, unrest, u)
+            columns.append((height, chosen))
+            top = min(chosen)
+            unrest = [r for r in unrest if r < top or r in chosen]
+    rows: list[list[int]] = [[] for _ in range(height)]
+    for column_height, chosen in reversed(columns):
+        for r in range(column_height):
+            rows[r].append(1 if r + 1 in chosen else 0)
+    return PermutationTableau(BorderPath("".join(steps)), rows)
 
 
 def sample_permutation_tableau(n: int, seed: int, index: int = 0) -> PermutationTableau:
     """Exactly uniform element of the size-``n`` permutation family."""
-    if n < 1:
-        raise DomainError(f"size must be at least 1, got {n}")
-    return _grow_tableau(substream(seed, index), n)
+    return _grow_tableau(substream(seed, index), _step_sampler(n, Family.PERMUTATION))
 
 
 def sample_permutation_tableaux(n: int, seed: int, count: int) -> Iterator[PermutationTableau]:
-    if n < 1:
-        raise DomainError(f"size must be at least 1, got {n}")
-    if count < 0:
-        raise DomainError(f"count must be non-negative, got {count}")
+    sampler = _step_sampler(n, Family.PERMUTATION)
+    _require_count(count, Family.PERMUTATION)
     for index in range(count):
-        yield _grow_tableau(substream(seed, index), n)
+        yield _grow_tableau(substream(seed, index), sampler)
 
 
 @dataclass(frozen=True)
@@ -295,6 +339,7 @@ def monte_carlo_corner_report(
         raise DomainError(f"Monte Carlo reports need n >= 2, got {n}")
     if sample_count < 100:
         raise DomainError(f"sample count must be at least 100, got {sample_count}")
+    _require_count(sample_count, family)
     total = 0
     total_sq = 0
     position_hits = [0] * n  # index k-1 counts corners at position k

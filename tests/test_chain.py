@@ -108,6 +108,34 @@ def test_suffix_weight_solves_the_transition_recursion(family, m):
         assert chain._suffix_weight(family, m, u) == expected
 
 
+def _polynomial(row, x):
+    return sum(c * x**u for u, c in enumerate(row))
+
+
+@pytest.mark.parametrize("family", CHAIN)
+def test_rows_satisfy_the_functional_equation(family):
+    # the rows are grown from ChainSpec.transitions, the independent side
+    rows, _ = chain._rows(family, 40)
+    d = 2 if family is Family.TYPE_B else 1
+    for k in range(1, 41):
+        for x in range(-3, 12):
+            assert _polynomial(rows[k], x) == d * x * _polynomial(rows[k - 1], x + 1), (k, x)
+
+
+@pytest.mark.parametrize("family", CHAIN)
+def test_diagonals_are_row_values(family):
+    rows, _ = chain._rows(family, 40)
+    for s in range(41):
+        assert chain._diagonal(family, s) == tuple(
+            _polynomial(rows[k], s - k) for k in range(s + 1)
+        ), s
+
+
+@pytest.mark.parametrize("family", ALL)
+def test_dp_equals_formula_at_1000(family):
+    assert corner_distribution(1000, family) == corner_distribution(1000, family, method="formula")
+
+
 def _fresh_rows(monkeypatch):
     monkeypatch.setattr(chain, "_forward", {f: ([[1]], [1], []) for f in CHAIN})
 

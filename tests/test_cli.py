@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corners.cli import run_command
+from corners.families import CHAIN_BUDGET
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SUBCOMMANDS = ("census", "enumerate", "verify", "formula", "bijection", "sample")
@@ -345,6 +346,52 @@ PINNED_CENSUSES = {
 def test_census_at_budget_is_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv.split())
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_CENSUSES[argv]
+
+
+# argv -> sha256 of stdout for DP laws far past enumeration, recorded when
+# the DP still Horner-evaluated coefficient rows
+PINNED_DP_LAWS = {
+    "formula corners --method dp --family permutation --n 400 --format json": "ef3304a076e8b9fb205778ad785c4d25fbb520c31b7ac5d93a1bef14fc7afb9f",
+    "formula corners --method dp --family symmetric --n 300 --format json": "071231690ed5514bfa55d76450d6097d5a4bec45bde36b5fed69799c5b0e5224",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_DP_LAWS))
+def test_large_dp_laws_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, PINNED_DP_LAWS[argv])
+
+
+_DP_CAP = CHAIN_BUDGET.dp_size
+_SIZE_CAP = CHAIN_BUDGET.sample_size
+_COUNT_CAP = CHAIN_BUDGET.sample_count
+
+# argv at a chain budget (accepted) and one past it (exit 2, empty stdout)
+CHAIN_BUDGET_RUNS = [
+    (f"formula corners --method dp --family permutation --n {_DP_CAP}", 0),
+    (f"formula corners --method dp --family permutation --n {_DP_CAP + 1}", 2),
+    (f"formula corners --method dp --family symmetric --n {_DP_CAP + 1}", 2),
+    (f"formula corners --family symmetric --n {_DP_CAP + 1}", 0),  # closed forms have no cap
+    (f"sample --kind trajectories --family type-b --n {_SIZE_CAP} --count 1", 0),
+    (f"sample --kind tableaux --n {_SIZE_CAP} --count 1", 0),
+    (f"sample --kind trajectories --family type-b --n {_SIZE_CAP + 1} --count 1", 2),
+    (f"sample --kind tableaux --n {_SIZE_CAP + 1} --count 1", 2),
+    (f"sample --kind report --n {_SIZE_CAP + 1} --count 100", 2),
+    (f"sample --kind report --n 2 --count {_COUNT_CAP}", 0),
+    (f"sample --kind report --n 2 --count {_COUNT_CAP + 1}", 2),
+    (f"sample --kind trajectories --n 2 --count {_COUNT_CAP + 1}", 2),
+    (f"sample --kind tableaux --n 2 --count {_COUNT_CAP + 1}", 2),
+]
+
+
+@pytest.mark.parametrize("argv,expected", CHAIN_BUDGET_RUNS)
+def test_chain_budget_at_cap_and_one_past(capsys, argv, expected):
+    code, out, err = run(capsys, *argv.split(), "--format", "json")
+    assert code == expected
+    if expected == 0:
+        assert json.loads(out)
+    else:
+        assert out == "" and "exceeds the budget" in err
 
 
 def _src_env():

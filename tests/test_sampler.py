@@ -3,15 +3,19 @@
 import hashlib
 import json
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
 
 from conftest import cached_tableaux
+from corners import chain
 from corners.chain import ChainSpec, count_tableaux
-from corners.errors import DomainError
-from corners.families import Family
+from corners.errors import BudgetExceededError, DomainError
+from corners.families import CHAIN_BUDGET, Family
 from corners.sampler import (
     GENERATOR_ID,
+    Trajectory,
     chi_square_survival,
     monte_carlo_corner_report,
     sample_permutation_tableau,
@@ -22,7 +26,14 @@ from corners.sampler import (
     _step_sampler,
 )
 from corners.enumerator import parent_permutation
-from corners.tableaux import canonical_key, to_record, validate
+from corners.shapes import BorderPath
+from corners.tableaux import (
+    PermutationTableau,
+    canonical_key,
+    to_record,
+    unrestricted_rows,
+    validate,
+)
 
 P, B = Family.PERMUTATION, Family.TYPE_B
 ALPHA = 1e-3
@@ -193,3 +204,113 @@ def test_chi_square_survival_reference_values():
     assert math.isclose(chi_square_survival(2.0, 2), math.exp(-1.0), rel_tol=1e-12)
     with pytest.raises(DomainError):
         chi_square_survival(1.0, 0)
+
+
+# Reference sampler: the straightforward per-step version the step table
+# replaced.  Each step builds (or looks up) the transitions and their
+# cumulative weights, draws an index with one call, and tableau growth
+# rebuilds the tableau to find its unrestricted rows.
+
+
+def _ref_int_below(rng, bound):
+    bits = bound.bit_length()
+    while True:
+        x = rng.getrandbits(bits)
+        if x < bound:
+            return x
+
+
+def _ref_choose_index(rng, cumulative):
+    return bisect_right(cumulative, _ref_int_below(rng, cumulative[-1]))
+
+
+def _ref_options(n, family, k, u, cache):
+    if (k, u) not in cache:
+        transitions = ChainSpec(family).transitions(u)
+        m = n - k - 1
+        cache[k, u] = (
+            transitions,
+            list(accumulate(t.weight * chain._suffix_weight(family, m, t.target) for t in transitions)),
+        )
+    return cache[k, u]
+
+
+def _ref_draw(n, family, rng, cache):
+    u = 0
+    states = [0]
+    steps = []
+    for k in range(n):
+        transitions, cumulative = _ref_options(n, family, k, u, cache)
+        t = transitions[_ref_choose_index(rng, cumulative)]
+        steps.append(t.step)
+        u = t.target
+        states.append(u)
+    return Trajectory(family, tuple(states), "".join(steps))
+
+
+def _ref_draw_column_subset(rng, unrest, j):
+    u = len(unrest)
+    cumulative = []
+    acc = 0
+    for i in range(1, j + 1):
+        acc += math.comb(u - i, j - i)
+        cumulative.append(acc)
+    i = 1 + _ref_choose_index(rng, cumulative)
+    chosen = {unrest[i - 1]}
+    needed = j - i
+    for offset, row in enumerate(unrest[i:]):
+        remaining = u - i - offset
+        if needed and _ref_int_below(rng, remaining) < needed:
+            chosen.add(row)
+            needed -= 1
+    return chosen
+
+
+def _ref_grow_tableau(rng, n, cache):
+    path = "S"
+    rows = ((),)
+    u = 1
+    for k in range(1, n):
+        transitions, cumulative = _ref_options(n, P, k, u, cache)
+        t = transitions[_ref_choose_index(rng, cumulative)]
+        if t.step == "S":
+            path += "S"
+            rows = rows + ((),)
+        else:
+            unrest = unrestricted_rows(PermutationTableau(BorderPath(path), rows))
+            chosen = _ref_draw_column_subset(rng, unrest, t.target)
+            path += "W"
+            rows = tuple((1 if r in chosen else 0,) + row for r, row in enumerate(rows, start=1))
+        u = t.target
+    return PermutationTableau(BorderPath(path), rows)
+
+
+@pytest.mark.parametrize("family", (P, B))
+def test_step_table_draws_match_the_reference(family):
+    for n in range(1, 31):
+        cache = {}
+        drawn = list(sample_trajectories(n, family, seed=n, count=20))
+        assert drawn == [_ref_draw(n, family, substream(n, i), cache) for i in range(20)], n
+
+
+def test_incremental_growth_matches_the_reference():
+    for n in range(1, 31):
+        cache = {}
+        grown = list(sample_permutation_tableaux(n, seed=n, count=20))
+        assert grown == [_ref_grow_tableau(substream(n, i), n, cache) for i in range(20)], n
+
+
+def test_sampling_beyond_the_chain_budget_is_refused():
+    too_big = CHAIN_BUDGET.sample_size + 1
+    for call in (
+        lambda: sample_trajectory(too_big, B, seed=1),
+        lambda: sample_permutation_tableau(too_big, seed=1),
+        lambda: list(sample_permutation_tableaux(too_big, seed=1, count=0)),
+        lambda: monte_carlo_corner_report(too_big, P, 100, seed=1),
+        lambda: list(sample_trajectories(5, P, seed=1, count=CHAIN_BUDGET.sample_count + 1)),
+        lambda: list(sample_permutation_tableaux(5, seed=1, count=CHAIN_BUDGET.sample_count + 1)),
+        lambda: monte_carlo_corner_report(5, B, CHAIN_BUDGET.sample_count + 1, seed=1),
+    ):
+        with pytest.raises(BudgetExceededError):
+            call()
+    assert sample_trajectory(CHAIN_BUDGET.sample_size, B, seed=1).n == CHAIN_BUDGET.sample_size
