@@ -13,8 +13,6 @@ from .bijections import (
 )
 from .chain import (
     ChainSpec,
-    ChainWeightTable,
-    RationalProbability,
     Transition,
     corner_distribution,
     corner_event_probability_dp,
@@ -52,7 +50,6 @@ from .sampler import (
     McReport,
     McStatistic,
     Trajectory,
-    chi_square_survival,
     monte_carlo_corner_report,
     sample_permutation_tableau,
     sample_permutation_tableaux,

@@ -19,8 +19,8 @@ row of k-step prefix weights as a polynomial ``P_k(x) = sum_u w_k(u) x**u``.
 The transitions give ``P_k(x) = d x P_{k-1}(x + 1)`` (``d`` = 1, resp. 2
 for type B), which never leaves an anti-diagonal ``k + x = s``; counts and
 the corner DP read only values ``P_k(s - k)`` from two such diagonals, in
-O(n) steps each.  The coefficient rows themselves, grown one at a time
-from :meth:`ChainSpec.transitions`, serve only the law of ``u``.
+O(n) steps each.  The coefficient rows themselves, grown from
+:meth:`ChainSpec.transitions`, serve only the law of ``u``.
 Completion weights use the closed form ``m! (m + 1)**u`` (times ``2**m``
 for type B).
 
@@ -49,10 +49,8 @@ from .families import CHAIN_BUDGET, Family
 from .shapes import SOUTH, WEST
 
 __all__ = [
-    "RationalProbability",
     "Transition",
     "ChainSpec",
-    "ChainWeightTable",
     "count_tableaux",
     "u_distribution",
     "u_pgf",
@@ -65,9 +63,6 @@ __all__ = [
     "last_step_south_probability",
     "first_step_west_probability",
 ]
-
-#: Exact probability; every public value lies in [0, 1].
-RationalProbability = Fraction
 
 _CHAIN_FAMILIES = (Family.PERMUTATION, Family.TYPE_B)
 
@@ -110,17 +105,6 @@ class ChainSpec:
             out.append(Transition(WEST, u + 1, 1))
         return tuple(out)
 
-    def total_weight(self, u: int) -> int:
-        return 1 << (u + 1) if self.family is Family.TYPE_B else 1 << u
-
-    def normalized_law(self, u: int) -> dict[int, Fraction]:
-        """Exact law of the next state; equals 1 + Binomial(u, 1/2)."""
-        law: dict[int, Fraction] = {}
-        total = self.total_weight(u)
-        for t in self.transitions(u):
-            law[t.target] = law.get(t.target, Fraction(0)) + Fraction(t.weight, total)
-        return law
-
 
 def _suffix_weight(family: Family, m: int, u: int) -> int:
     """Total weight of all ``m``-step continuations from state ``u``:
@@ -128,37 +112,19 @@ def _suffix_weight(family: Family, m: int, u: int) -> int:
     return (factorial(m) << m if family is Family.TYPE_B else factorial(m)) * (m + 1) ** u
 
 
-#: Per family: the forward rows grown so far, their totals, and the
-#: transitions out of every state the rows reach, each built once.  An
-#: entry is appended only when complete and growth is keyed on the list
-#: lengths, so a growth cut short (say by ``KeyboardInterrupt``) leaves
-#: the lists consistent.
-_forward: dict[Family, tuple[list[list[int]], list[int], list[tuple[Transition, ...]]]] = {
-    family: ([[1]], [1], []) for family in _CHAIN_FAMILIES
-}
-
-
-def _rows(family: Family, n: int) -> tuple[list[list[int]], list[int]]:
-    """Forward rows of ``family`` up to at least position ``n`` and their
-    sums: ``rows[k][u]`` weighs the k-step prefixes ending in state ``u``,
-    and since South steps ``u - 1 -> u`` with weight 1, those ending
-    South weigh ``rows[k - 1][u - 1]``."""
-    rows, totals, moves = _forward[family]
-    if len(totals) <= n:
-        spec = ChainSpec(family)
-        while len(rows) <= n:
-            prev = rows[-1]
-            while len(moves) < len(prev):
-                moves.append(spec.transitions(len(moves)))
-            row = [0] * (len(prev) + 1)
-            for w, out in zip(prev, moves):
-                if w:
-                    for t in out:
-                        row[t.target] += w * t.weight
-            rows.append(row)
-        while len(totals) < len(rows):
-            totals.append(sum(rows[len(totals)]))
-    return rows, totals
+def _rows(family: Family, n: int) -> list[list[int]]:
+    """Forward rows ``0..n`` of ``family``: ``rows[k][u]`` weighs the
+    k-step prefixes ending in state ``u``."""
+    spec = ChainSpec(family)
+    rows = [[1]]
+    for k in range(1, n + 1):
+        row = [0] * (k + 1)
+        for u, w in enumerate(rows[-1]):
+            if w:
+                for t in spec.transitions(u):
+                    row[t.target] += w * t.weight
+        rows.append(row)
+    return rows
 
 
 @functools.lru_cache(maxsize=4)  # one DP query reads three; at n = 4000 each holds about 12 MB
@@ -176,42 +142,6 @@ def _diagonal(family: Family, s: int) -> tuple[int, ...]:
     for k in range(1, s + 1):
         values.append(values[-1] * d * (s - k))
     return tuple(values)
-
-
-class ChainWeightTable:
-    """Forward/backward weight view of one chain at one target size."""
-
-    def __init__(self, n: int, family: Family):
-        if n < 0:
-            raise DomainError(f"size must be non-negative, got {n}")
-        self.n = n
-        self.family = family
-        self.spec = ChainSpec(family)
-        self._rows, self._totals = _rows(family, n)
-
-    def forward(self, k: int, u: int, last_step: str) -> int:
-        if not 1 <= k <= self.n:
-            raise IndexOutOfRangeError(f"position {k} outside 1..{self.n}")
-        if last_step not in (SOUTH, WEST):
-            raise DomainError(f"last step must be {SOUTH!r} or {WEST!r}, got {last_step!r}")
-        south = self._rows[k - 1][u - 1] if 1 <= u <= k else 0
-        if last_step == SOUTH:
-            return south
-        return self._rows[k][u] - south if 0 <= u <= k else 0
-
-    def forward_total(self, k: int, u: int) -> int:
-        if not 0 <= k <= self.n:
-            raise IndexOutOfRangeError(f"position {k} outside 0..{self.n}")
-        return self._rows[k][u] if 0 <= u <= k else 0
-
-    def backward(self, k: int, u: int) -> int:
-        """Weight of completing the path from position ``k``, state ``u``."""
-        if not 0 <= k <= self.n:
-            raise IndexOutOfRangeError(f"position {k} outside 0..{self.n}")
-        return _suffix_weight(self.family, self.n - k, u) if u >= 0 else 0
-
-    def count(self) -> int:
-        return self._totals[self.n]
 
 
 def _corner_position_range(n: int, family: Family) -> range:
@@ -288,8 +218,9 @@ def u_distribution(n: int, family: Family) -> dict[int, Fraction]:
     _require_chain(family)
     if n < 1:
         raise DomainError(f"size must be at least 1, got {n}")
-    rows, totals = _rows(family, n)
-    return {u: Fraction(w, totals[n]) for u, w in enumerate(rows[n]) if w}
+    row = _rows(family, n)[n]
+    total = sum(row)
+    return {u: Fraction(w, total) for u, w in enumerate(row) if w}
 
 
 def u_pgf(n: int, family: Family, z: Union[int, Fraction]) -> Fraction:
@@ -330,11 +261,15 @@ def corner_event_probability_dp(n: int, k: int, family: Family) -> Fraction:
     # Step pos is South from v; the m steps left start West, weighing
     # g[m][v + 1] - g[m - 1][v + 2] = g[m][1] (m + 1)**v - g[m - 1][2] m**v
     # with g = _suffix_weight, so the sum over v is P_{pos-1}(m + 1) and
-    # P_{pos-1}(m), read off the diagonals n and n - 1.
+    # P_{pos-1}(m), read off the diagonals n and n - 1.  The two weights
+    # share d**(m - 1) m!: g[m][1] is that times d (m + 1), g[m - 1][2]
+    # that times m.
     m = n - pos
-    weight = _suffix_weight(chain, m, 1) * _diagonal(chain, n)[pos - 1] - _suffix_weight(
-        chain, m - 1, 2
-    ) * _diagonal(chain, n - 1)[pos - 1]
+    d = 2 if chain is Family.TYPE_B else 1
+    shared = factorial(m) << (m - 1) if d == 2 else factorial(m)
+    weight = shared * (
+        d * (m + 1) * _diagonal(chain, n)[pos - 1] - m * _diagonal(chain, n - 1)[pos - 1]
+    )
     return Fraction(weight, _diagonal(chain, n + 1)[n])
 
 

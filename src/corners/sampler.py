@@ -64,7 +64,6 @@ __all__ = [
     "McStatistic",
     "McReport",
     "monte_carlo_corner_report",
-    "chi_square_survival",
 ]
 
 GENERATOR_ID = "sha256-stream/mt19937/v1"
@@ -366,54 +365,3 @@ def monte_carlo_corner_report(
         for k in _corner_position_range(n, family)
     )
     return McReport(family, n, sample_count, seed, GENERATOR_ID, mean, per_position)
-
-
-def _upper_gamma_regularized(a: float, x: float) -> float:
-    """Q(a, x), the normalized upper incomplete gamma function.
-
-    Series for the lower part when ``x < a + 1``, Lentz continued
-    fraction otherwise; accurate to ~1e-12, ample for test thresholds.
-    """
-    if x < 0 or a <= 0:
-        raise DomainError("gamma arguments out of range")
-    if x == 0:
-        return 1.0
-    log_prefix = a * math.log(x) - x - math.lgamma(a)
-    if x < a + 1:
-        term = 1.0 / a
-        total = term
-        denom = a
-        for _ in range(1000):
-            denom += 1
-            term *= x / denom
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        return 1.0 - total * math.exp(log_prefix)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return math.exp(log_prefix) * h
-
-
-def chi_square_survival(statistic: float, dof: int) -> float:
-    """P(X >= statistic) for a chi-square variable with ``dof`` degrees."""
-    if dof < 1:
-        raise DomainError(f"degrees of freedom must be positive, got {dof}")
-    return _upper_gamma_regularized(dof / 2.0, statistic / 2.0)

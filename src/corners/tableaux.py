@@ -19,14 +19,8 @@ Families
   transpose.  Sizes are odd, ``2n + 1``, and there are ``2**n * n!``.
 
 Constructors check only structure (the filling must cover the shape);
-family rules are checked by :func:`validate` so that counterexamples to
-rejected rule readings can still be represented.
-
-Two historical misreadings of the rules stay available as diagnostics:
-``point_rule="at-least-one"`` (tree-like) accepts point sets that break
-the ``n!`` count, and ``blocked_side="right"`` (type-B) rejects reference
-fillings and breaks the ``2**n * n!`` count.  All public operations use
-the validated readings.
+family rules are checked by :func:`validate` so that fillings that break
+them can still be represented.
 """
 
 from __future__ import annotations
@@ -263,7 +257,6 @@ def _column_has_one(rows: Bits, c: int) -> bool:
 def _validate_bit_tableau(
     rows: Bits,
     column_count: int,
-    blocked_side: str,
     diagonal_limit: int,
 ) -> list[RuleViolation]:
     """Shared rule checks for permutation and type-B fillings.
@@ -271,8 +264,6 @@ def _validate_bit_tableau(
     ``diagonal_limit`` is the number of staircase rows (0 for permutation);
     row ``i <= diagonal_limit`` has its diagonal cell at ``(i, i)``.
     """
-    if blocked_side not in ("left", "right"):
-        raise ValueError(f"blocked_side must be 'left' or 'right', got {blocked_side!r}")
     violations: list[RuleViolation] = []
     heights = [0] * (column_count + 1)
     for row in rows:
@@ -292,19 +283,14 @@ def _validate_bit_tableau(
     one_above = [False] * (column_count + 1)
     for r, row in enumerate(rows, start=1):
         for c, bit in enumerate(row, start=1):
-            if bit == 0 and one_above[c]:
-                if blocked_side == "left":
-                    span = row[: c - 1]
-                else:
-                    span = row[c:]
-                if 1 in span:
-                    violations.append(
-                        RuleViolation(
-                            "restricted-zero-blocked",
-                            (r, c),
-                            f"0 at {(r, c)} has a 1 above and a 1 to the {blocked_side}",
-                        )
+            if bit == 0 and one_above[c] and 1 in row[: c - 1]:
+                violations.append(
+                    RuleViolation(
+                        "restricted-zero-blocked",
+                        (r, c),
+                        f"0 at {(r, c)} has a 1 above and a 1 to the left",
                     )
+                )
         if r <= diagonal_limit and row and row[r - 1] == 0 and 1 in row:
             violations.append(
                 RuleViolation(
@@ -319,11 +305,7 @@ def _validate_bit_tableau(
     return violations
 
 
-def _validate_tree_like(t: TreeLikeTableau, point_rule: str) -> list[RuleViolation]:
-    if point_rule not in ("exactly-one", "at-least-one"):
-        raise ValueError(
-            f"point_rule must be 'exactly-one' or 'at-least-one', got {point_rule!r}"
-        )
+def _validate_tree_like(t: TreeLikeTableau) -> list[RuleViolation]:
     violations: list[RuleViolation] = []
     lengths = t.path.row_lengths
     heights = t.path.column_heights
@@ -353,11 +335,7 @@ def _validate_tree_like(t: TreeLikeTableau, point_rule: str) -> list[RuleViolati
             continue
         above_empty = not any((i, c) in t.points for i in range(1, r))
         left_empty = not any((r, j) in t.points for j in range(1, c))
-        if point_rule == "exactly-one":
-            bad = above_empty == left_empty
-        else:
-            bad = not (above_empty or left_empty)
-        if bad:
+        if above_empty == left_empty:
             violations.append(
                 RuleViolation(
                     "point-direction",
@@ -369,28 +347,15 @@ def _validate_tree_like(t: TreeLikeTableau, point_rule: str) -> list[RuleViolati
     return violations
 
 
-def validate(
-    t: Tableau,
-    *,
-    point_rule: str = "exactly-one",
-    blocked_side: str = "left",
-) -> ValidationResult:
-    """Check the family rules of a tableau.
-
-    The keyword arguments select between the validated rule readings (the
-    defaults) and the rejected alternatives kept for diagnostics.
-    """
+def validate(t: Tableau) -> ValidationResult:
+    """Check the family rules of a tableau."""
     if isinstance(t, PermutationTableau):
-        violations = _validate_bit_tableau(t.rows, t.path.column_count, "left", 0)
+        violations = _validate_bit_tableau(t.rows, t.path.column_count, 0)
     elif isinstance(t, TypeBTableau):
-        violations = _validate_bit_tableau(
-            t.rows,
-            t.shifted.staircase_count,
-            blocked_side,
-            t.shifted.staircase_count,
-        )
+        staircase = t.shifted.staircase_count
+        violations = _validate_bit_tableau(t.rows, staircase, staircase)
     elif isinstance(t, TreeLikeTableau):
-        violations = _validate_tree_like(t, point_rule)
+        violations = _validate_tree_like(t)
         if isinstance(t, SymmetricTreeLikeTableau) and t.size % 2 == 0:
             violations.append(
                 RuleViolation("even-size", None, f"symmetric size {t.size} is even")

@@ -118,14 +118,6 @@ class VerificationReport:
             "rows": [row.to_json_dict() for row in self.rows],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "VerificationReport":
-        rows = tuple(
-            VerificationRow(r["identity"], r["parameters"], r["lhs"], r["rhs"], r["status"])
-            for r in data["rows"]
-        )
-        return cls(data["suite"], rows)
-
 
 def _law(values: dict[int, Fraction]) -> str:
     return " ".join(f"{k}:{_fraction_text(v)}" for k, v in sorted(values.items()))
@@ -478,25 +470,22 @@ class PushforwardReport:
 def pushforward_check(
     n: int,
     statistic: Callable[[PermutationTableau], Union[int, Fraction]],
-    family: Family = Family.PERMUTATION,
 ) -> PushforwardReport:
     """Check ``E_n[X(parent)] = (1/n) E_{n-1}[2**U X]`` by enumeration.
 
     ``statistic`` is evaluated on size ``n - 1`` tableaux; both sides are
     exact rationals.
     """
-    if family is not Family.PERMUTATION:
-        raise DomainError("the push-forward identity concerns permutation tableaux")
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     left_sum = sum(
         Fraction(statistic(parent_permutation(t)))
-        for t in enumerate_tableaux(n, family)
+        for t in enumerate_tableaux(n, Family.PERMUTATION)
     )
     left = left_sum / factorial(n)
     right_sum = sum(
         Fraction(statistic(s)) * (1 << unrestricted_row_count(s))
-        for s in enumerate_tableaux(n - 1, family)
+        for s in enumerate_tableaux(n - 1, Family.PERMUTATION)
     )
     right = right_sum / (n * factorial(n - 1))
     return PushforwardReport(n, left, right)

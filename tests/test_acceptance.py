@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial
 
-from conftest import cached_census, cached_tableaux
+from conftest import cached_census, cached_tableaux, chi_square_survival
 from corners.bijections import (
     ShapeCorrespondence,
     symmetric_corner_decomposition,
@@ -33,11 +33,7 @@ from corners.chain import (
 )
 from corners.enumerator import census, extend_permutation, parent_permutation
 from corners.families import Family
-from corners.sampler import (
-    chi_square_survival,
-    monte_carlo_corner_report,
-    sample_permutation_tableaux,
-)
+from corners.sampler import monte_carlo_corner_report, sample_permutation_tableaux
 from corners.tableaux import canonical_key, unrestricted_row_count
 from corners.verification import pushforward_check
 from test_bijections import SYMMETRIC_11, TYPE_B_5

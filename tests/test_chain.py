@@ -1,16 +1,16 @@
 """Weighted growth chain: counts, corner DP, closed forms, pgf."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cached_census, cached_tableaux
+from conftest import cached_census
 from corners import chain
 from corners.chain import (
     ChainSpec,
-    ChainWeightTable,
     corner_distribution,
     corner_event_probability_dp,
     corner_event_probability_formula,
@@ -39,7 +39,6 @@ def test_transition_weights_and_totals():
         ("W", 1): 1,
         ("W", 2): 2,
     }
-    assert spec.total_weight(2) == 4
     spec_b = ChainSpec(Family.TYPE_B)
     assert {(t.step, t.target): t.weight for t in spec_b.transitions(2)} == {
         ("S", 3): 1,
@@ -47,13 +46,16 @@ def test_transition_weights_and_totals():
         ("W", 2): 4,
         ("W", 3): 1,
     }
-    assert spec_b.total_weight(2) == 8
 
 
 @pytest.mark.parametrize("family", CHAIN)
 @pytest.mark.parametrize("u", range(6))
 def test_normalized_law_is_one_plus_binomial(family, u):
-    law = ChainSpec(family).normalized_law(u)
+    transitions = ChainSpec(family).transitions(u)
+    total = sum(t.weight for t in transitions)
+    law = {}
+    for t in transitions:
+        law[t.target] = law.get(t.target, 0) + Fraction(t.weight, total)
     assert law == {1 + j: Fraction(comb(u, j), 2**u) for j in range(u + 1)}
     assert sum(law.values()) == 1
 
@@ -68,33 +70,6 @@ def test_counts_match_closed_forms(family, n):
         Family.SYMMETRIC: 2**n * factorial(n),
     }[family]
     assert count_tableaux(n, family) == expected
-
-
-@pytest.mark.parametrize("family", CHAIN)
-def test_weight_table_forward_backward_identity(family):
-    n = 7
-    table = ChainWeightTable(n, family)
-    for k in range(n + 1):
-        total = sum(table.forward_total(k, u) * table.backward(k, u) for u in range(k + 1))
-        assert total == table.count()
-    assert table.forward_total(0, 0) == 1
-    assert table.forward(3, 2, "S") + table.forward(3, 2, "W") == table.forward_total(3, 2)
-    with pytest.raises(IndexOutOfRangeError):
-        table.backward(n + 1, 0)
-
-
-def _closed_form_suffix(family, m, u):
-    return factorial(m) * (m + 1) ** u * (2**m if family is Family.TYPE_B else 1)
-
-
-@pytest.mark.parametrize("family", CHAIN)
-def test_backward_does_not_depend_on_earlier_queries(family):
-    table = ChainWeightTable(20, family)
-    cells = [(k, u) for k in range(21) for u in (0, 1, 5, 21, 300)]
-    before = [table.backward(k, u) for k, u in cells]
-    count_tableaux(40, family)
-    after = [ChainWeightTable(20, family).backward(k, u) for k, u in cells]
-    assert before == after == [_closed_form_suffix(family, 20 - k, u) for k, u in cells]
 
 
 @pytest.mark.parametrize("family", CHAIN)
@@ -115,7 +90,7 @@ def _polynomial(row, x):
 @pytest.mark.parametrize("family", CHAIN)
 def test_rows_satisfy_the_functional_equation(family):
     # the rows are grown from ChainSpec.transitions, the independent side
-    rows, _ = chain._rows(family, 40)
+    rows = chain._rows(family, 40)
     d = 2 if family is Family.TYPE_B else 1
     for k in range(1, 41):
         for x in range(-3, 12):
@@ -124,7 +99,7 @@ def test_rows_satisfy_the_functional_equation(family):
 
 @pytest.mark.parametrize("family", CHAIN)
 def test_diagonals_are_row_values(family):
-    rows, _ = chain._rows(family, 40)
+    rows = chain._rows(family, 40)
     for s in range(41):
         assert chain._diagonal(family, s) == tuple(
             _polynomial(rows[k], s - k) for k in range(s + 1)
@@ -136,94 +111,6 @@ def test_dp_equals_formula_at_1000(family):
     assert corner_distribution(1000, family) == corner_distribution(1000, family, method="formula")
 
 
-def _fresh_rows(monkeypatch):
-    monkeypatch.setattr(chain, "_forward", {f: ([[1]], [1], []) for f in CHAIN})
-
-
-def _copy_rows(family, n):
-    rows, totals = chain._rows(family, n)
-    return [list(row) for row in rows], list(totals)
-
-
-@pytest.mark.parametrize("family", CHAIN)
-def test_rows_grown_in_steps_match_a_cold_build(family, monkeypatch):
-    _fresh_rows(monkeypatch)
-    chain._rows(family, 10)
-    grown = _copy_rows(family, 25)
-    _fresh_rows(monkeypatch)
-    cold_rows, cold_totals = chain._rows(family, 25)
-    assert grown == (cold_rows, cold_totals) and len(cold_rows) == 26
-    assert cold_totals == [sum(row) for row in cold_rows] == [
-        factorial(k) * (2**k if family is Family.TYPE_B else 1) for k in range(26)
-    ]
-
-
-class _Interrupted(BaseException):
-    """Stands in for KeyboardInterrupt without stopping the test run."""
-
-
-class _TrippingTransition:
-    """A transition whose weight raises the first time it is read."""
-
-    def __init__(self, transition):
-        self.target = transition.target
-        self._weight = transition.weight
-        self._armed = True
-
-    @property
-    def weight(self):
-        if self._armed:
-            self._armed = False
-            raise _Interrupted
-        return self._weight
-
-
-@pytest.mark.parametrize("family", CHAIN)
-def test_rows_survive_an_interrupted_growth(family, monkeypatch):
-    _fresh_rows(monkeypatch)
-    cold = _copy_rows(family, 12)
-    _fresh_rows(monkeypatch)
-    transitions, tripped = ChainSpec.transitions, []
-
-    def tripping(self, u):
-        out = transitions(self, u)
-        if u == 5 and not tripped:
-            tripped.append(u)
-            return (_TrippingTransition(out[0]),) + out[1:]
-        return out
-
-    monkeypatch.setattr(ChainSpec, "transitions", tripping)
-    with pytest.raises(_Interrupted):
-        chain._rows(family, 12)
-    assert tripped and _copy_rows(family, 12) == cold
-
-
-@pytest.mark.parametrize("family", CHAIN)
-def test_weight_table_bounds_ignore_longer_shared_rows(family):
-    count_tableaux(30, family)
-    table = ChainWeightTable(5, family)
-    for call in (
-        lambda: table.forward(6, 1, "S"),
-        lambda: table.forward(0, 0, "S"),
-        lambda: table.forward_total(6, 1),
-        lambda: table.forward_total(-1, 0),
-        lambda: table.backward(6, 0),
-        lambda: table.backward(-1, 0),
-    ):
-        with pytest.raises(IndexOutOfRangeError):
-            call()
-    assert table.count() == count_tableaux(5, family)
-
-
-@pytest.mark.parametrize("family", CHAIN)
-@pytest.mark.parametrize("last_step", ("X", "", "SW", "s", None))
-def test_forward_rejects_unknown_last_step(family, last_step):
-    table = ChainWeightTable(5, family)
-    with pytest.raises(DomainError):
-        table.forward(3, 2, last_step)
-    assert table.forward(3, 2, "S") + table.forward(3, 2, "W") == table.forward_total(3, 2)
-
-
 @pytest.mark.parametrize("family", CHAIN)
 @pytest.mark.parametrize("n", range(1, 7))
 def test_u_distribution_matches_enumeration(family, n):
@@ -232,13 +119,18 @@ def test_u_distribution_matches_enumeration(family, n):
     assert u_distribution(n, family) == enumerated
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+_u_law = lru_cache(maxsize=None)(u_distribution)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
 @pytest.mark.parametrize("z", range(1, 6))
 def test_pgf_is_normalized_rising_factorial(n, z):
-    assert u_pgf(n, Family.PERMUTATION, z) == rising_factorial_pgf(z, n)
-    assert rising_factorial_pgf(z, n) == Fraction(
-        factorial(z + n - 1), factorial(z - 1) * factorial(n)
-    )
+    # P_n(x) = d**n x (x + 1) ... (x + n - 1), so type B has the same law
+    expected = rising_factorial_pgf(z, n)
+    assert expected == Fraction(factorial(z + n - 1), factorial(z - 1) * factorial(n))
+    law = _u_law(n, Family.PERMUTATION)
+    assert _u_law(n, Family.TYPE_B) == law
+    assert sum(p * z**u for u, p in law.items()) == expected
 
 
 def test_pgf_special_evaluations():
@@ -341,8 +233,6 @@ def test_pushforward_identity(n):
 def test_pushforward_guards():
     with pytest.raises(DomainError):
         pushforward_check(1, lambda t: 1)
-    with pytest.raises(DomainError):
-        pushforward_check(3, lambda t: 1, Family.TYPE_B)
 
 
 @settings(max_examples=25, deadline=None)

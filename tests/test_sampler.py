@@ -8,7 +8,7 @@ from itertools import accumulate
 
 import pytest
 
-from conftest import cached_tableaux
+from conftest import cached_tableaux, chi_square_survival
 from corners import chain
 from corners.chain import ChainSpec, count_tableaux
 from corners.errors import BudgetExceededError, DomainError
@@ -16,7 +16,6 @@ from corners.families import CHAIN_BUDGET, Family
 from corners.sampler import (
     GENERATOR_ID,
     Trajectory,
-    chi_square_survival,
     monte_carlo_corner_report,
     sample_permutation_tableau,
     sample_permutation_tableaux,
@@ -202,7 +201,8 @@ def test_chi_square_survival_reference_values():
     assert math.isclose(chi_square_survival(3.841458820694124, 1), 0.05, rel_tol=1e-9)
     assert math.isclose(chi_square_survival(18.307038053275146, 10), 0.05, rel_tol=1e-9)
     assert math.isclose(chi_square_survival(2.0, 2), math.exp(-1.0), rel_tol=1e-12)
-    with pytest.raises(DomainError):
+    assert math.isclose(chi_square_survival(11.070497693516351, 5), 0.05, rel_tol=1e-9)
+    with pytest.raises(ValueError):
         chi_square_survival(1.0, 0)
 
 
