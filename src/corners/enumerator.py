@@ -13,12 +13,18 @@ unrestricted rows has exactly ``2**u`` extensions of size ``n`` (one new
 bottom row, or a new full-height leftmost column holding 1s on a
 non-empty subset of the unrestricted rows).
 
-Censuses of the permutation and type-B families count fillings without
-building them: a row-by-row transfer over the columns that already hold
-a 1 tallies, per shape, how many fillings have each number of
-unrestricted rows.  Building every tableau (``method="brute"``) or
-growing the extension tree (``method="extension"``) stays available as
-the reference.
+Each family states its filling rules once, as a function listing the
+legal rows of one row given the columns already covered above it: bit
+rows for the permutation and type-B families, point rows for tree-like
+tableaux and lower-triangle point rows for symmetric ones.  A filling is
+a choice of legal rows, top to bottom, that covers every column it
+must.  Enumeration walks these rows depth first and builds each tableau;
+a census walks them breadth first, merging fillings that cover the same
+columns with the same statistic (unrestricted rows for the 0/1
+families, occupied corners for the pointed ones), and builds nothing.
+Building every tableau (``method="brute"``) or growing the extension
+tree (``method="extension"``) stays available as the reference, and
+:func:`~corners.tableaux.validate` checks the rules independently.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     BudgetExceededError,
@@ -37,6 +43,7 @@ from .errors import (
 from .families import BRUTE_FORCE_BUDGET, Family
 from .shapes import SOUTH, WEST, BorderPath, all_paths
 from .tableaux import (
+    Bits,
     PermutationTableau,
     SymmetricTreeLikeTableau,
     Tableau,
@@ -76,233 +83,207 @@ def enumerate_shapes(half_perimeter: int, family: Family) -> Iterator[BorderPath
         yield path
 
 
-def _column_heights_of(profile: Sequence[int]) -> list[int]:
-    width = max(profile, default=0)
-    heights = [0] * (width + 1)
-    for length in profile:
-        for c in range(1, length + 1):
-            heights[c] += 1
-    return heights
+# one legal row: its cells (1 for a 1 or a point), the columns it covers as
+# a mask (bit c - 1 for column c) and what it adds to the census statistic
+_Row = tuple[tuple[int, ...], int, int]
+_Reader = Callable[[tuple, int], tuple[_Row, ...]]
 
 
-def _bottom_rows_of(profile: Sequence[int]) -> list[int]:
-    """bottom_rows[c] = largest 1-based row index whose length reaches c."""
-    width = max(profile, default=0)
-    bottom = [0] * (width + 1)
-    for r, length in enumerate(profile, start=1):
-        for c in range(1, length + 1):
-            bottom[c] = max(bottom[c], r)
-    return bottom
+def _cells(bits: int, length: int) -> tuple[int, ...]:
+    return tuple(bits >> c & 1 for c in range(length))
 
 
-def _bit_fillings(
-    profile: Sequence[int],
-    column_count: int,
-    diagonal_limit: int,
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All valid 0/1 fillings of a (possibly shifted) profile.
+def _legal_rows(length: int, diagonal: bool, above: int) -> tuple[_Row, ...]:
+    """Every legal bit row of a permutation or type-B filling.
 
-    Implements the three filling rules: every column of the profile gets a
-    1, no 0 with a 1 above and a 1 to its left, and for rows up to
-    ``diagonal_limit`` a 0 on the diagonal cell ``(i, i)`` forces row ``i``
-    to all 0.  Columns beyond the profile's width (zero-height columns)
-    make the shape infeasible.
+    ``above`` masks the columns of the row with a 1 above.  No 0 may have
+    both a 1 above and a 1 to its left, and in a staircase row
+    (``diagonal``) a 0 in the last, diagonal cell forces the whole row to
+    0.  The statistic counts the row as unrestricted unless it holds a 0
+    under a 1 or a diagonal 0.
     """
-    if column_count > max(profile, default=0):
-        return  # a column without cells can never contain a 1
-    bottom = _bottom_rows_of(profile)
-    nrows = len(profile)
+    out = []
+    for bits in range(1 << length):
+        under = above & ~bits  # 0s with a 1 above
+        lowest_one = bits & -bits
+        if lowest_one and under > lowest_one:
+            continue  # a 0 under a 1 with a 1 to its left
+        diagonal_zero = diagonal and not bits >> (length - 1)
+        if diagonal_zero and bits:
+            continue
+        out.append((_cells(bits, length), bits, 0 if under or diagonal_zero else 1))
+    return tuple(out)
 
-    def fill_row(r: int, one_above: list[bool], prefix: list[tuple[int, ...]]):
-        if r > nrows:
-            yield tuple(prefix)
+
+def _point_rows(length: int, root: bool, corners: int, above: int) -> tuple[_Row, ...]:
+    """Every legal point row of a tree-like filling.
+
+    ``above`` masks the columns of the row with a point above.  A row
+    holds a point; its first point is the root (cell ``(1, 1)`` of the
+    ``root`` row) or sits under a point, and every later point sits under
+    a column without one.  The statistic counts ``corners`` occupied
+    corners when the last cell holds a point.
+    """
+    out = []
+    for bits in range(1, 1 << length):
+        first = bits & -bits
+        if not (first & above or root and first == 1):
+            continue
+        if bits & above != first & above:
+            continue  # a later point under a point
+        out.append((_cells(bits, length), bits, corners * (bits >> (length - 1))))
+    return tuple(out)
+
+
+def _lower_point_rows(length: int, row: int, corners: int, above: int) -> tuple[_Row, ...]:
+    """Every legal lower-triangle row ``row`` of a symmetric filling.
+
+    The row holds the cells ``(row, c)`` with ``c <= row``; their mirrors
+    ``(c, row)`` lie in column ``row``, so a non-empty row covers that
+    column too, and ``above`` counts mirrored points as well.  Transposing
+    swaps the two arms of the point rule, so the lower triangle obeys the
+    tree-like rule.  A row may be empty, as its full row can take points
+    from the lower part of column ``row``.  A point on the diagonal is its
+    own mirror, with points both above and to its left unless it is the
+    root.
+    """
+    mirror = 1 << (row - 1)
+    out = [(_cells(0, length), 0, 0)]
+    for cells, bits, stat in _point_rows(length, row == 1, corners, above):
+        if row > 1 and bits & mirror:
+            continue  # a diagonal point that is not the root
+        out.append((cells, bits | mirror, stat))
+    return tuple(out)
+
+
+_ROW_RULES = {
+    Family.PERMUTATION: _legal_rows,
+    Family.TYPE_B: _legal_rows,
+    Family.TREE_LIKE: _point_rows,
+    Family.SYMMETRIC: _lower_point_rows,
+}
+
+
+def _row_keys(family: Family, path: BorderPath) -> tuple[list[tuple], int]:
+    """One shape's rows for its family's legal-row function, top to bottom,
+    and the columns every filling must cover, as a mask.
+
+    A key is the arguments of the legal-row function except ``above``,
+    row length first.  Type-B rows are those of the shifted shape, and a
+    symmetric row is its lower triangle.
+    """
+    if family is Family.PERMUTATION:
+        return [(length, False) for length in path.row_lengths], (1 << path.column_count) - 1
+    if family is Family.TYPE_B:
+        k = path.column_count
+        lengths = path.shifted_shape().row_lengths
+        return [(length, r <= k) for r, length in enumerate(lengths, start=1)], (1 << k) - 1
+    lengths = path.row_lengths
+    corner_rows = [length > below for length, below in zip(lengths, lengths[1:] + (0,))]
+    need = (1 << lengths[0]) - 1
+    if family is Family.TREE_LIKE:
+        return [
+            (length, r == 1, int(corner))
+            for r, (length, corner) in enumerate(zip(lengths, corner_rows), start=1)
+        ], need
+    # a corner below the diagonal counts for itself and its mirror, one on
+    # it for itself; one above it is counted at its mirror
+    return [
+        (min(r, length), r, corner * ((length <= r) + (length < r)))
+        for r, (length, corner) in enumerate(zip(lengths, corner_rows), start=1)
+    ], need
+
+
+def _row_reader(family: Family) -> _Reader:
+    """The family's legal rows by key and covered columns, each computed once."""
+    rule = _ROW_RULES[family]
+    legal: dict[tuple[tuple, int], tuple[_Row, ...]] = {}
+
+    def rows(key: tuple, above: int) -> tuple[_Row, ...]:
+        seen = above & ((1 << key[0]) - 1)
+        found = legal.get((key, seen))
+        if found is None:
+            found = legal[key, seen] = rule(*key, seen)
+        return found
+
+    return rows
+
+
+def _fillings(keys: list[tuple], need: int, rows: _Reader) -> Iterator[Bits]:
+    """Every filling of one shape, row by row depth first."""
+    fill: list[tuple[int, ...]] = [()] * len(keys)
+
+    def walk(r: int, above: int) -> Iterator[Bits]:
+        if r == len(keys):
+            if above & need == need:
+                yield tuple(fill)
             return
-        length = profile[r - 1]
+        for cells, cover, _ in rows(keys[r], above):
+            fill[r] = cells
+            yield from walk(r + 1, above | cover)
 
-        def fill_cell(c: int, row_acc: list[int], one_left: bool):
-            if c > length:
-                if r <= diagonal_limit and length and row_acc[r - 1] == 0 and one_left:
-                    return  # diagonal 0 with a 1 in its row
-                next_above = one_above.copy()
-                for cc, bit in enumerate(row_acc, start=1):
-                    if bit:
-                        next_above[cc] = True
-                prefix.append(tuple(row_acc))
-                yield from fill_row(r + 1, next_above, prefix)
-                prefix.pop()
-                return
-            # bit 0 first keeps fillings in ascending binary order
-            if not (one_above[c] and one_left):  # no blocked 0
-                if not (bottom[c] == r and not one_above[c]):  # column keeps hope of a 1
-                    row_acc.append(0)
-                    yield from fill_cell(c + 1, row_acc, one_left)
-                    row_acc.pop()
-            row_acc.append(1)
-            yield from fill_cell(c + 1, row_acc, True)
-            row_acc.pop()
-
-        yield from fill_cell(1, [], False)
-
-    yield from fill_row(1, [False] * (max(profile, default=0) + 1), [])
+    return walk(0, 0)
 
 
-def _point_sets(profile: Sequence[int]) -> Iterator[frozenset[tuple[int, int]]]:
-    """All point sets on a Ferrers profile satisfying the tree-like rules."""
-    if not profile or profile[-1] == 0:
-        return  # empty rows cannot carry points
-    heights = _column_heights_of(profile)
-    nrows = len(profile)
-    width = profile[0]
-    if heights[width] == 0:
-        return
-
-    points: list[tuple[int, int]] = []
-    col_above = [False] * (width + 1)
-
-    def do_row(r: int):
-        length = profile[r - 1]
-
-        def do_cell(c: int, row_has: bool):
-            if c > length:
-                if not row_has:
-                    return  # row without a point
-                next_rows = do_row(r + 1) if r < nrows else iter((frozenset(points),))
-                yield from next_rows
-                return
-            root = r == 1 and c == 1
-            # skip first (0 before 1 in the binary filling order)
-            if not root and not (heights[c] == r and not col_above[c]):
-                yield from do_cell(c + 1, row_has)
-            above_empty = not col_above[c]
-            left_empty = not row_has
-            if root or (above_empty != left_empty):
-                saved = col_above[c]
-                points.append((r, c))
-                col_above[c] = True
-                yield from do_cell(c + 1, True)
-                col_above[c] = saved
-                points.pop()
-
-        yield from do_cell(1, False)
-
-    yield from do_row(1)
+def _tally(keys: list[tuple], need: int, rows: _Reader) -> Counter[int]:
+    """The fillings of one shape counted by statistic, row by row breadth
+    first: a state is the covered columns and the statistic so far, and
+    equal states merge."""
+    states: dict[tuple[int, int], int] = {(0, 0): 1}
+    for key in keys:
+        grown: defaultdict[tuple[int, int], int] = defaultdict(int)
+        for (above, stat), count in states.items():
+            for _, cover, gain in rows(key, above):
+                grown[above | cover, stat + gain] += count
+        states = grown
+    tally: Counter[int] = Counter()
+    for (above, stat), count in states.items():
+        if above & need == need:
+            tally[stat] += count
+    return tally
 
 
-def _symmetric_point_sets(profile: Sequence[int]) -> Iterator[frozenset[tuple[int, int]]]:
-    """Transpose-invariant tree-like point sets on a self-conjugate profile.
-
-    Only cells on or below the main diagonal are decided; the mirror cell
-    of ``(r, c)`` is ``(c, r)``.  Checking the point rule on the lower
-    triangle is exact because transposition swaps the two arms of the
-    rule, and covering row ``r`` of the full tableau is the same as
-    putting a point in lower row ``r`` or lower column ``r``.
-    """
-    heights = _column_heights_of(profile)
-    nrows = len(profile)
-    lower_lengths = [min(r, profile[r - 1]) for r in range(1, nrows + 1)]
-
-    def lower_point(points: set, r: int, c: int) -> bool:
-        return (r, c) in points if c <= r else (c, r) in points
-
-    points: set[tuple[int, int]] = set()
-    row_has = [False] * (nrows + 1)
-    col_has = [False] * (nrows + 1)
-
-    def do_row(r: int):
-        length = lower_lengths[r - 1]
-
-        def do_cell(c: int):
-            if c > length:
-                # with no lower cells in column r, full row r is covered by
-                # its lower row alone; that is settled here
-                if heights[r] < r and not row_has[r]:
-                    return
-                if r == nrows:
-                    yield frozenset(points) | frozenset((c0, r0) for r0, c0 in points)
-                else:
-                    yield from do_row(r + 1)
-                return
-
-            def deadline_ok() -> bool:
-                # bottom of lower column c decides coverage of full row c
-                return heights[c] != r or row_has[c] or col_has[c]
-
-            root = r == 1 and c == 1
-            if not root:
-                if deadline_ok():
-                    yield from do_cell(c + 1)
-                above_empty = not any(lower_point(points, i, c) for i in range(1, r))
-                left_empty = not any(lower_point(points, r, j) for j in range(1, c))
-                if above_empty == left_empty:
-                    return
-            points.add((r, c))
-            old_r, old_c = row_has[r], col_has[c]
-            row_has[r] = col_has[c] = True
-            if deadline_ok():
-                yield from do_cell(c + 1)
-            points.discard((r, c))
-            row_has[r], col_has[c] = old_r, old_c
-
-        yield from do_cell(1)
-
-    yield from do_row(1)
+def _shapes(n: int, family: Family) -> Iterator[BorderPath]:
+    """The shapes of size ``n``; a pointed tableau's half-perimeter is its size plus one."""
+    pointed = family in (Family.TREE_LIKE, Family.SYMMETRIC)
+    return enumerate_shapes(n + 1 if pointed else n, family)
 
 
-def _require_size(n: int, family: Family, budget: int | None) -> None:
+def _tableau(family: Family, path: BorderPath, fill: Bits) -> Tableau:
+    if family is Family.PERMUTATION:
+        return PermutationTableau(path, fill)
+    if family is Family.TYPE_B:
+        return TypeBTableau(path, fill)
+    points = {
+        (r, c) for r, row in enumerate(fill, start=1) for c, cell in enumerate(row, start=1) if cell
+    }
+    if family is Family.TREE_LIKE:
+        return TreeLikeTableau(path, frozenset(points))
+    return SymmetricTreeLikeTableau(path, frozenset(points | {(c, r) for r, c in points}))
+
+
+def _require_size(n: int, family: Family) -> None:
     if n < 1:
         raise DomainError(f"size must be at least 1, got {n}")
-    limit = BRUTE_FORCE_BUDGET[family] if budget is None else budget
+    limit = BRUTE_FORCE_BUDGET[family]
     if n > limit:
         raise BudgetExceededError(n, family, limit)
+    if family is Family.SYMMETRIC and n % 2 == 0:
+        raise DomainError(f"symmetric tableaux have odd size, got {n}")
 
 
-def enumerate_tableaux(
-    n: int, family: Family, *, budget: int | None = None
-) -> Iterator[Tableau]:
+def enumerate_tableaux(n: int, family: Family) -> Iterator[Tableau]:
     """All tableaux of the family in canonical order.
 
     ``n`` is the tableau size; for the symmetric family that is the (odd)
     size ``2m + 1``.
     """
-    _require_size(n, family, budget)
-    if family is Family.SYMMETRIC and n % 2 == 0:
-        raise DomainError(f"symmetric tableaux have odd size, got {n}")
-
-    if family is Family.PERMUTATION:
-        for path in enumerate_shapes(n, family):
-            batch = [
-                PermutationTableau(path, rows)
-                for rows in _bit_fillings(path.row_lengths, path.column_count, 0)
-            ]
-            batch.sort(key=canonical_key)
-            yield from batch
-    elif family is Family.TYPE_B:
-        for path in enumerate_shapes(n, family):
-            shifted = path.shifted_shape()
-            batch = [
-                TypeBTableau(path, rows)
-                for rows in _bit_fillings(
-                    shifted.row_lengths, shifted.staircase_count, shifted.staircase_count
-                )
-            ]
-            batch.sort(key=canonical_key)
-            yield from batch
-    elif family is Family.TREE_LIKE:
-        for path in enumerate_shapes(n + 1, family):
-            batch = [TreeLikeTableau(path, pts) for pts in _point_sets(path.row_lengths)]
-            batch.sort(key=canonical_key)
-            yield from batch
-    elif family is Family.SYMMETRIC:
-        for path in enumerate_shapes(n + 1, family):
-            batch = [
-                SymmetricTreeLikeTableau(path, pts)
-                for pts in _symmetric_point_sets(path.row_lengths)
-            ]
-            batch.sort(key=canonical_key)
-            yield from batch
-    else:  # pragma: no cover - defensive
-        raise ValueError(f"unknown family {family!r}")
-
+    _require_size(n, family)
+    rows = _row_reader(family)
+    for path in _shapes(n, family):
+        batch = [_tableau(family, path, fill) for fill in _fillings(*_row_keys(family, path), rows)]
+        batch.sort(key=canonical_key)
+        yield from batch
 
 def extend_permutation(t: PermutationTableau) -> tuple[PermutationTableau, ...]:
     """The ``2**u`` size ``n + 1`` tableaux whose parent is ``t``.
@@ -427,74 +408,11 @@ def _tableau_tallies(
         )
 
 
-_LegalRows = tuple[tuple[int, bool], ...]
-
-
-def _legal_rows(length: int, above: int, diagonal: bool) -> _LegalRows:
-    """Every legal bit row of one row, with whether it is restricted.
-
-    Bit ``c - 1`` stands for column ``c``; ``above`` holds the columns of
-    the row with a 1 above.  No 0 may have both a 1 above and a 1 to its
-    left, and in a staircase row (``diagonal``) a 0 in the last, diagonal
-    cell forces the whole row to 0.  A row is restricted when it holds a
-    0 under a 1, or a diagonal 0.
-    """
-    out = []
-    for bits in range(1 << length):
-        under = above & ~bits  # 0s with a 1 above
-        lowest_one = bits & -bits
-        if lowest_one and under > lowest_one:
-            continue  # a 0 under a 1 with a 1 to its left
-        diagonal_zero = diagonal and not bits >> (length - 1)
-        if diagonal_zero and bits:
-            continue
-        out.append((bits, bool(under) or diagonal_zero))
-    return tuple(out)
-
-
-def _transfer_tally(
-    lengths: Sequence[int],
-    staircase: int,
-    required: int,
-    legal: dict[tuple[int, int, bool], _LegalRows],
-) -> Counter[int]:
-    """Fillings of one (possibly shifted) profile, counted by unrestricted rows.
-
-    Rows are filled top to bottom; the state is the set of columns holding
-    a 1 so far, each carrying a tally ``u -> partial fillings``.  The first
-    ``staircase`` rows end on a diagonal cell.  Only states covering
-    columns ``1..required`` count; ``legal`` caches the rows per key.
-    """
-    states: dict[tuple[int, int], int] = {(0, 0): 1}
-    for r, length in enumerate(lengths, start=1):
-        diagonal = r <= staircase
-        visible = (1 << length) - 1
-        grown: defaultdict[tuple[int, int], int] = defaultdict(int)
-        for (above, u), count in states.items():
-            key = (length, above & visible, diagonal)
-            if key not in legal:
-                legal[key] = _legal_rows(*key)
-            for bits, restricted in legal[key]:
-                grown[above | bits, u if restricted else u + 1] += count
-        states = grown
-    need = (1 << required) - 1
-    tally: Counter[int] = Counter()
-    for (above, u), count in states.items():
-        if above & need == need:
-            tally[u] += count
-    return tally
-
-
-def _transfer_tallies(n: int, family: Family) -> Iterator[tuple[BorderPath, Counter[int]]]:
-    """Per-shape tallies of the permutation or type-B family, by transfer."""
-    legal: dict[tuple[int, int, bool], _LegalRows] = {}
-    for path in enumerate_shapes(n, family):
-        if family is Family.TYPE_B:
-            shifted = path.shifted_shape()
-            staircase = shifted.staircase_count
-            yield path, _transfer_tally(shifted.row_lengths, staircase, staircase, legal)
-        else:
-            yield path, _transfer_tally(path.row_lengths, 0, path.column_count, legal)
+def _walk_tallies(n: int, family: Family) -> Iterator[tuple[BorderPath, Counter[int]]]:
+    """Per-shape tallies of any family, by walking its legal rows."""
+    rows = _row_reader(family)
+    for path in _shapes(n, family):
+        yield path, _tally(*_row_keys(family, path), rows)
 
 
 def _extension_levels(n: int) -> Iterator[list[PermutationTableau]]:
@@ -506,25 +424,26 @@ def _extension_levels(n: int) -> Iterator[list[PermutationTableau]]:
         yield level
 
 
-def census(n: int, family: Family, *, method: str = "auto", budget: int | None = None) -> Census:
+def census(n: int, family: Family, *, method: str = "auto") -> Census:
     """Aggregate statistics at size ``n``.
 
-    ``"auto"`` counts permutation and type-B fillings shape by shape
-    without building them, and builds the tableaux of the pointed
-    families.  ``"brute"`` builds every tableau by filling shapes, and
-    ``"extension"`` (permutation only) grows them through the extension
-    step.  All routes must agree; tests hold them to that.
+    ``"auto"`` counts fillings shape by shape without building them: it
+    walks the same legal rows as :func:`enumerate_tableaux`, breadth
+    first, merging fillings that cover the same columns with the same
+    statistic.  ``"brute"`` builds every tableau, and ``"extension"``
+    (permutation only) grows them through the extension step.  All routes
+    must agree; tests hold them to that.
     """
     if method not in ("auto", "brute", "extension"):
         raise DomainError(f"unknown census method {method!r}")
     if method == "extension":
         if family is not Family.PERMUTATION:
             raise DomainError("extension construction applies to permutation tableaux only")
-        _require_size(n, family, budget)
+        _require_size(n, family)
         *_, last = _extension_levels(n)
         return _census_of(family, n, _tableau_tallies(family, last))
-    if method == "auto" and family in (Family.PERMUTATION, Family.TYPE_B):
-        _require_size(n, family, budget)
-        return _census_of(family, n, _transfer_tallies(n, family))
-    tableaux = enumerate_tableaux(n, family, budget=budget)
+    if method == "auto":
+        _require_size(n, family)
+        return _census_of(family, n, _walk_tallies(n, family))
+    tableaux = enumerate_tableaux(n, family)
     return _census_of(family, n, _tableau_tallies(family, tableaux))

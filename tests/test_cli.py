@@ -339,6 +339,10 @@ PINNED_CENSUSES = {
     "census --family permutation --size 8 --format json": (0, "d1f481b817e0a4de98e120fa7b1be226bee4fc27bf38239e655d411b4278a25f"),
     "census --family type-b --size 8 --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "census --family permutation --size 9 --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "census --family tree-like --size 8 --format json": (0, "e3f5bb3202a34176664feb25c0de5adfbb8dc1ba7d5c66f1338ded97df2aba78"),
+    "census --family symmetric --size 13 --format json": (0, "bd46237b95565a78bcd41155fb163d4fb846d9b472079e3081da2e87b2aff03c"),
+    "census --family tree-like --size 9 --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "census --family symmetric --size 15 --format json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 

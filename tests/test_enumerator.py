@@ -18,6 +18,14 @@ from corners.enumerator import (
 from corners.errors import BudgetExceededError, DomainError
 from corners.families import BRUTE_FORCE_BUDGET, Family
 from corners.tableaux import canonical_key, family_of, unrestricted_row_count, validate
+from corners.verification import _CENSUS_CAP
+
+# every size the verify census sweeps reach, symmetric sizes odd
+SWEPT_SIZES = [
+    (family, size)
+    for family, cap in _CENSUS_CAP.items()
+    for size in range(1, cap + 1, 2 if family is Family.SYMMETRIC else 1)
+]
 
 
 @pytest.mark.parametrize("family,factor", [(Family.PERMUTATION, 1), (Family.TREE_LIKE, 1)])
@@ -44,19 +52,20 @@ def test_enumerate_shapes_filters_admissible_paths():
 
 
 def test_every_enumerated_tableau_validates():
-    for family in Family:
-        size = 7 if family is Family.SYMMETRIC else 4
-        for t in cached_tableaux(size, family):
+    for family, size in SWEPT_SIZES:
+        for t in enumerate_tableaux(size, family):
             assert family_of(t) is family
             assert validate(t).ok
 
 
 def test_enumeration_is_sorted_and_duplicate_free():
-    for family in Family:
-        size = 7 if family is Family.SYMMETRIC else 4
-        keys = [canonical_key(t) for t in cached_tableaux(size, family)]
+    # with every tableau valid, a sorted, distinct list of closed-form
+    # length is the whole family
+    for family, size in SWEPT_SIZES:
+        keys = [canonical_key(t) for t in enumerate_tableaux(size, family)]
         assert keys == sorted(keys)
-        assert len(keys) == len(set(keys))
+        index = (size - 1) // 2 if family is Family.SYMMETRIC else size
+        assert len(set(keys)) == len(keys) == _closed_form_count(index, family)
 
 
 def test_hand_census_type_b_2():
@@ -111,10 +120,22 @@ def test_brute_and_extension_methods_agree():
 
 @pytest.mark.parametrize(
     "family,n",
-    [(Family.PERMUTATION, n) for n in range(1, 9)] + [(Family.TYPE_B, n) for n in range(1, 7)],
+    [(Family.PERMUTATION, n) for n in range(1, 9)]
+    + [(Family.TYPE_B, n) for n in range(1, 7)]
+    + [(Family.TREE_LIKE, n) for n in range(1, 8)]
+    + [(Family.SYMMETRIC, n) for n in range(1, 12, 2)],
 )
 def test_transfer_census_matches_brute_force(family, n):
     assert cached_census(n, family) == cached_census(n, family, "brute")
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [(Family.TREE_LIKE, n) for n in range(1, 9)] + [(Family.SYMMETRIC, n) for n in range(1, 14, 2)],
+)
+def test_occupied_corners_equal_cardinality(family, n):
+    c = cached_census(n, family)
+    assert c.total_occupied_corners == c.cardinality
 
 
 def test_transfer_census_at_type_b_budget():
@@ -137,6 +158,8 @@ def test_census_rejects_unknown_method_and_budget():
         census(BRUTE_FORCE_BUDGET[Family.PERMUTATION] + 1, Family.PERMUTATION)
     with pytest.raises(DomainError):
         census(0, Family.TYPE_B)
+    with pytest.raises(DomainError):
+        census(4, Family.SYMMETRIC)
     with pytest.raises(BudgetExceededError):
         list(enumerate_tableaux(99, Family.TREE_LIKE))
 
