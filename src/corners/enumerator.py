@@ -18,13 +18,15 @@ legal rows of one row given the columns already covered above it: bit
 rows for the permutation and type-B families, point rows for tree-like
 tableaux and lower-triangle point rows for symmetric ones.  A filling is
 a choice of legal rows, top to bottom, that covers every column it
-must.  Enumeration walks these rows depth first and builds each tableau;
-a census walks them breadth first, merging fillings that cover the same
-columns with the same statistic (unrestricted rows for the 0/1
-families, occupied corners for the pointed ones), and builds nothing.
-Building every tableau (``method="brute"``) or growing the extension
-tree (``method="extension"``) stays available as the reference, and
-:func:`~corners.tableaux.validate` checks the rules independently.
+must.  Enumeration walks these rows depth first and builds each tableau.
+The census of a 0/1 family walks them breadth first, merging fillings
+that cover the same columns with the same number of unrestricted rows,
+and builds nothing; the census of a pointed family builds its tableaux.
+Building every tableau (``method="brute"``) reads the same legal rows,
+so it checks the census statistic rather than the rules.  The rules are
+checked independently by :func:`~corners.tableaux.validate`, by the
+closed-form counts and by growing the extension tree
+(``method="extension"``).
 """
 
 from __future__ import annotations
@@ -83,10 +85,12 @@ def enumerate_shapes(half_perimeter: int, family: Family) -> Iterator[BorderPath
         yield path
 
 
-# one legal row: its cells (1 for a 1 or a point), the columns it covers as
-# a mask (bit c - 1 for column c) and what it adds to the census statistic
-_Row = tuple[tuple[int, ...], int, int]
-_Reader = Callable[[tuple, int], tuple[_Row, ...]]
+# one legal row: its cells (1 for a 1 or a point) and the columns it covers
+# as a mask (bit c - 1 for column c); a bit row also carries 1 when it is
+# unrestricted, the statistic of the 0/1 census
+_Row = tuple
+_Rule = Callable[..., tuple[_Row, ...]]
+_Reader = Callable[[_Rule, tuple, int], tuple[_Row, ...]]
 
 
 def _cells(bits: int, length: int) -> tuple[int, ...]:
@@ -99,8 +103,8 @@ def _legal_rows(length: int, diagonal: bool, above: int) -> tuple[_Row, ...]:
     ``above`` masks the columns of the row with a 1 above.  No 0 may have
     both a 1 above and a 1 to its left, and in a staircase row
     (``diagonal``) a 0 in the last, diagonal cell forces the whole row to
-    0.  The statistic counts the row as unrestricted unless it holds a 0
-    under a 1 or a diagonal 0.
+    0.  A row is unrestricted unless it holds a 0 under a 1 or a diagonal
+    0.
     """
     out = []
     for bits in range(1 << length):
@@ -115,14 +119,13 @@ def _legal_rows(length: int, diagonal: bool, above: int) -> tuple[_Row, ...]:
     return tuple(out)
 
 
-def _point_rows(length: int, root: bool, corners: int, above: int) -> tuple[_Row, ...]:
+def _point_rows(length: int, root: bool, above: int) -> tuple[_Row, ...]:
     """Every legal point row of a tree-like filling.
 
     ``above`` masks the columns of the row with a point above.  A row
     holds a point; its first point is the root (cell ``(1, 1)`` of the
     ``root`` row) or sits under a point, and every later point sits under
-    a column without one.  The statistic counts ``corners`` occupied
-    corners when the last cell holds a point.
+    a column without one.
     """
     out = []
     for bits in range(1, 1 << length):
@@ -131,11 +134,11 @@ def _point_rows(length: int, root: bool, corners: int, above: int) -> tuple[_Row
             continue
         if bits & above != first & above:
             continue  # a later point under a point
-        out.append((_cells(bits, length), bits, corners * (bits >> (length - 1))))
+        out.append((_cells(bits, length), bits))
     return tuple(out)
 
 
-def _lower_point_rows(length: int, row: int, corners: int, above: int) -> tuple[_Row, ...]:
+def _lower_point_rows(length: int, row: int, above: int) -> tuple[_Row, ...]:
     """Every legal lower-triangle row ``row`` of a symmetric filling.
 
     The row holds the cells ``(row, c)`` with ``c <= row``; their mirrors
@@ -148,68 +151,53 @@ def _lower_point_rows(length: int, row: int, corners: int, above: int) -> tuple[
     root.
     """
     mirror = 1 << (row - 1)
-    out = [(_cells(0, length), 0, 0)]
-    for cells, bits, stat in _point_rows(length, row == 1, corners, above):
+    out = [(_cells(0, length), 0)]
+    for cells, bits in _point_rows(length, row == 1, above):
         if row > 1 and bits & mirror:
             continue  # a diagonal point that is not the root
-        out.append((cells, bits | mirror, stat))
+        out.append((cells, bits | mirror))
     return tuple(out)
 
 
-_ROW_RULES = {
-    Family.PERMUTATION: _legal_rows,
-    Family.TYPE_B: _legal_rows,
-    Family.TREE_LIKE: _point_rows,
-    Family.SYMMETRIC: _lower_point_rows,
-}
-
-
-def _row_keys(family: Family, path: BorderPath) -> tuple[list[tuple], int]:
-    """One shape's rows for its family's legal-row function, top to bottom,
-    and the columns every filling must cover, as a mask.
+def _shape_rows(family: Family, path: BorderPath) -> tuple[_Rule, list[tuple], int]:
+    """One shape's legal-row function, its row keys top to bottom, and the
+    columns every filling must cover, as a mask.
 
     A key is the arguments of the legal-row function except ``above``,
     row length first.  Type-B rows are those of the shifted shape, and a
     symmetric row is its lower triangle.
     """
     if family is Family.PERMUTATION:
-        return [(length, False) for length in path.row_lengths], (1 << path.column_count) - 1
+        keys = [(length, False) for length in path.row_lengths]
+        return _legal_rows, keys, (1 << path.column_count) - 1
     if family is Family.TYPE_B:
         k = path.column_count
         lengths = path.shifted_shape().row_lengths
-        return [(length, r <= k) for r, length in enumerate(lengths, start=1)], (1 << k) - 1
+        keys = [(length, r <= k) for r, length in enumerate(lengths, start=1)]
+        return _legal_rows, keys, (1 << k) - 1
     lengths = path.row_lengths
-    corner_rows = [length > below for length, below in zip(lengths, lengths[1:] + (0,))]
     need = (1 << lengths[0]) - 1
     if family is Family.TREE_LIKE:
-        return [
-            (length, r == 1, int(corner))
-            for r, (length, corner) in enumerate(zip(lengths, corner_rows), start=1)
-        ], need
-    # a corner below the diagonal counts for itself and its mirror, one on
-    # it for itself; one above it is counted at its mirror
-    return [
-        (min(r, length), r, corner * ((length <= r) + (length < r)))
-        for r, (length, corner) in enumerate(zip(lengths, corner_rows), start=1)
-    ], need
+        return _point_rows, [(length, r == 1) for r, length in enumerate(lengths, start=1)], need
+    return _lower_point_rows, [(min(r, length), r) for r, length in enumerate(lengths, start=1)], need
 
 
-def _row_reader(family: Family) -> _Reader:
-    """The family's legal rows by key and covered columns, each computed once."""
-    rule = _ROW_RULES[family]
-    legal: dict[tuple[tuple, int], tuple[_Row, ...]] = {}
+def _row_reader() -> _Reader:
+    """Legal rows by function, key and the covered columns the row sees,
+    each computed once per reader."""
+    legal: dict[tuple[_Rule, tuple, int], tuple[_Row, ...]] = {}
 
-    def rows(key: tuple, above: int) -> tuple[_Row, ...]:
+    def rows(rule: _Rule, key: tuple, above: int) -> tuple[_Row, ...]:
         seen = above & ((1 << key[0]) - 1)
-        found = legal.get((key, seen))
+        found = legal.get((rule, key, seen))
         if found is None:
-            found = legal[key, seen] = rule(*key, seen)
+            found = legal[rule, key, seen] = rule(*key, seen)
         return found
 
     return rows
 
 
-def _fillings(keys: list[tuple], need: int, rows: _Reader) -> Iterator[Bits]:
+def _fillings(rows: _Reader, rule: _Rule, keys: list[tuple], need: int) -> Iterator[Bits]:
     """Every filling of one shape, row by row depth first."""
     fill: list[tuple[int, ...]] = [()] * len(keys)
 
@@ -218,28 +206,28 @@ def _fillings(keys: list[tuple], need: int, rows: _Reader) -> Iterator[Bits]:
             if above & need == need:
                 yield tuple(fill)
             return
-        for cells, cover, _ in rows(keys[r], above):
+        for cells, cover, *_ in rows(rule, keys[r], above):
             fill[r] = cells
             yield from walk(r + 1, above | cover)
 
     return walk(0, 0)
 
 
-def _tally(keys: list[tuple], need: int, rows: _Reader) -> Counter[int]:
-    """The fillings of one shape counted by statistic, row by row breadth
-    first: a state is the covered columns and the statistic so far, and
-    equal states merge."""
+def _tally(rows: _Reader, rule: _Rule, keys: list[tuple], need: int) -> Counter[int]:
+    """The 0/1 fillings of one shape counted by unrestricted rows, row by
+    row breadth first: a state is the covered columns and the count so
+    far, and equal states merge."""
     states: dict[tuple[int, int], int] = {(0, 0): 1}
     for key in keys:
         grown: defaultdict[tuple[int, int], int] = defaultdict(int)
-        for (above, stat), count in states.items():
-            for _, cover, gain in rows(key, above):
-                grown[above | cover, stat + gain] += count
+        for (above, u), count in states.items():
+            for _, cover, unrestricted in rows(rule, key, above):
+                grown[above | cover, u + unrestricted] += count
         states = grown
     tally: Counter[int] = Counter()
-    for (above, stat), count in states.items():
+    for (above, u), count in states.items():
         if above & need == need:
-            tally[stat] += count
+            tally[u] += count
     return tally
 
 
@@ -279,11 +267,12 @@ def enumerate_tableaux(n: int, family: Family) -> Iterator[Tableau]:
     size ``2m + 1``.
     """
     _require_size(n, family)
-    rows = _row_reader(family)
+    rows = _row_reader()
     for path in _shapes(n, family):
-        batch = [_tableau(family, path, fill) for fill in _fillings(*_row_keys(family, path), rows)]
+        batch = [_tableau(family, path, fill) for fill in _fillings(rows, *_shape_rows(family, path))]
         batch.sort(key=canonical_key)
         yield from batch
+
 
 def extend_permutation(t: PermutationTableau) -> tuple[PermutationTableau, ...]:
     """The ``2**u`` size ``n + 1`` tableaux whose parent is ``t``.
@@ -409,10 +398,11 @@ def _tableau_tallies(
 
 
 def _walk_tallies(n: int, family: Family) -> Iterator[tuple[BorderPath, Counter[int]]]:
-    """Per-shape tallies of any family, by walking its legal rows."""
-    rows = _row_reader(family)
+    """Per-shape tallies of the permutation or type-B family, by walking
+    its legal rows."""
+    rows = _row_reader()
     for path in _shapes(n, family):
-        yield path, _tally(*_row_keys(family, path), rows)
+        yield path, _tally(rows, *_shape_rows(family, path))
 
 
 def _extension_levels(n: int) -> Iterator[list[PermutationTableau]]:
@@ -427,12 +417,19 @@ def _extension_levels(n: int) -> Iterator[list[PermutationTableau]]:
 def census(n: int, family: Family, *, method: str = "auto") -> Census:
     """Aggregate statistics at size ``n``.
 
-    ``"auto"`` counts fillings shape by shape without building them: it
-    walks the same legal rows as :func:`enumerate_tableaux`, breadth
-    first, merging fillings that cover the same columns with the same
-    statistic.  ``"brute"`` builds every tableau, and ``"extension"``
-    (permutation only) grows them through the extension step.  All routes
-    must agree; tests hold them to that.
+    ``"auto"`` counts permutation and type-B fillings shape by shape
+    without building them: it walks the same legal rows as
+    :func:`enumerate_tableaux`, breadth first, merging fillings that
+    cover the same columns with the same number of unrestricted rows.  It
+    builds the tableaux of the pointed families.  ``"brute"`` builds every
+    tableau, and ``"extension"`` (permutation only) grows them through
+    the extension step.
+
+    ``"brute"`` reads the same legal rows as ``"auto"``, so comparing the
+    two checks the per-tableau statistic and the tableau construction,
+    not the rules.  The set of fillings is checked independently by
+    :func:`~corners.tableaux.validate`, by the closed-form counts and, for
+    permutation tableaux, by ``"extension"``.
     """
     if method not in ("auto", "brute", "extension"):
         raise DomainError(f"unknown census method {method!r}")
@@ -442,7 +439,7 @@ def census(n: int, family: Family, *, method: str = "auto") -> Census:
         _require_size(n, family)
         *_, last = _extension_levels(n)
         return _census_of(family, n, _tableau_tallies(family, last))
-    if method == "auto":
+    if method == "auto" and family in (Family.PERMUTATION, Family.TYPE_B):
         _require_size(n, family)
         return _census_of(family, n, _walk_tallies(n, family))
     tableaux = enumerate_tableaux(n, family)
