@@ -56,7 +56,7 @@ from .sampler import (
     sample_trajectories,
     sample_trajectory,
 )
-from .shapes import BorderPath, FerrersShape, ShiftedShape, all_paths
+from .shapes import BorderPath, all_paths
 from .tableaux import (
     CornerStats,
     MarkerMap,

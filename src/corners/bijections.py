@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from .chain import (
     _fold_boundary_terms,
+    _require_dp_size,
     corner_event_probability_dp,
     count_tableaux,
     first_step_west_probability,
@@ -106,9 +107,9 @@ def symmetric_to_type_b(t: SymmetricTreeLikeTableau) -> TypeBTableau:
     n = (t.size - 1) // 2
     steps = t.path.steps
     b_path = BorderPath(steps[n + 1 : 2 * n + 1])
-    shifted = b_path.shifted_shape()
+    k = b_path.column_count
     lengths = t.row_lengths
-    profile = shifted.row_lengths
+    profile = b_path.shifted_row_lengths
     if len(profile) != n or any(
         min(lengths[r - 1], r) - 1 != profile[r - 2] for r in range(2, n + 2)
     ):
@@ -129,11 +130,11 @@ def symmetric_to_type_b(t: SymmetricTreeLikeTableau) -> TypeBTableau:
     unrestricted = frozenset(r - 1 for r, c in t.points if c == 1 and r >= 2)
 
     rows: list[tuple[int, ...]] = []
-    col_has_one = [False] * (shifted.staircase_count + 1)
+    col_has_one = [False] * (k + 1)
     for big_r, length in enumerate(profile, start=1):
         zero_mark = next((c for rr, c in zeros if rr == big_r), None)
         all_zero_row = big_r not in unrestricted and zero_mark is None
-        if all_zero_row and not shifted.is_staircase_row(big_r):
+        if all_zero_row and big_r > k:
             raise BijectionError(
                 f"row {big_r} is restricted without a marked 0 and has no diagonal cell",
                 witness=t,
@@ -144,7 +145,7 @@ def symmetric_to_type_b(t: SymmetricTreeLikeTableau) -> TypeBTableau:
                 bit = 0
             elif (big_r, c) in ones:
                 bit = 1
-            elif shifted.is_diagonal((big_r, c)):
+            elif big_r == c <= k:
                 bit = 1
             elif zero_mark is not None and c <= zero_mark:
                 bit = 0
@@ -176,7 +177,8 @@ def _check_fold(
             f"folded filling breaks type-B rules: {result.violations[0].message}", witness=t
         )
     m = markers(b)
-    derived_ones = {cell for cell in m.topmost_ones if not b.shifted.is_diagonal(cell)}
+    k = b.path.column_count
+    derived_ones = {(r, c) for r, c in m.topmost_ones if not r == c <= k}
     diag_zero_rows = {r for r, _ in m.diagonal_zeros}
     derived_zeros = {
         cell for cell in m.rightmost_restricted_zeros if cell[0] not in diag_zero_rows
@@ -207,7 +209,8 @@ def type_b_to_symmetric(b: TypeBTableau) -> SymmetricTreeLikeTableau:
     lower.update(
         (r + 1, c + 1) for r, c in m.rightmost_restricted_zeros if r not in diag_zero_rows
     )
-    lower.update((r + 1, c + 1) for r, c in m.topmost_ones if not b.shifted.is_diagonal((r, c)))
+    k = b.path.column_count
+    lower.update((r + 1, c + 1) for r, c in m.topmost_ones if not r == c <= k)
     points = frozenset(lower) | frozenset((c, r) for r, c in lower)
 
     t = SymmetricTreeLikeTableau(sym_path, points)
@@ -253,10 +256,12 @@ def symmetric_corner_decomposition(n: int) -> CornerDecomposition:
 
     Asserts the component identities (``south_term = 2^n (n-1)!`` and
     ``west_term = 2^{n-1} n!``) and that the three parts sum to the
-    symmetric corner total.
+    symmetric corner total, which it takes from the symmetric DP law, so
+    ``n`` is capped at ``CHAIN_BUDGET.dp_size``.
     """
     if n < 1:
         raise DomainError(f"index must be at least 1, got {n}")
+    _require_dp_size(n, Family.SYMMETRIC, "the corner decomposition")
     b_count = count_tableaux(n, Family.TYPE_B)
     twice_b = 2 * total_corners(n, Family.TYPE_B) if n >= 2 else 0
     south = 2 * _exact_count(last_step_south_probability(n, Family.TYPE_B), b_count)

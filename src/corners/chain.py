@@ -301,6 +301,14 @@ def corner_event_probability_formula(n: int, k: int, family: Family) -> Fraction
     return Fraction(2 * n - k + 2, 2 * n) - Fraction((2 * n - k + 1) ** 2, 4 * n * (n - 1))
 
 
+def _require_dp_size(n: int, family: Family, what: str) -> None:
+    """Refuse ``what`` at ``n`` past ``CHAIN_BUDGET.dp_size``."""
+    if n > CHAIN_BUDGET.dp_size:
+        raise BudgetExceededError(
+            n, family, CHAIN_BUDGET.dp_size, f"{what} of {family.value} at n={n}"
+        )
+
+
 def corner_distribution(n: int, family: Family, *, method: str = "dp") -> dict[int, Fraction]:
     """Per-position corner probabilities over the family's full range."""
     if method == "dp":
@@ -313,10 +321,8 @@ def corner_distribution(n: int, family: Family, *, method: str = "dp") -> dict[i
         raise ValueError(f"unknown method {method!r}")
     if n < least:
         raise DomainError(f"the {method} corner law needs n >= {least}, got {n}")
-    if method == "dp" and n > CHAIN_BUDGET.dp_size:
-        raise BudgetExceededError(
-            n, family, CHAIN_BUDGET.dp_size, f"the DP corner law of {family.value} at n={n}"
-        )
+    if method == "dp":
+        _require_dp_size(n, family, "the DP corner law")
     return {k: prob(k) for k in _corner_position_range(n, family)}
 
 
@@ -334,7 +340,9 @@ def expected_corners(n: int, family: Family) -> Fraction:
 
 
 def total_corners(n: int, family: Family) -> int:
-    """Corner count summed over the whole family; always an integer."""
+    """Corner count summed over the whole family; always an integer.
+    Capped at ``CHAIN_BUDGET.dp_size``, as the DP law is."""
+    _require_dp_size(n, family, "the corner total")
     total = expected_corners(n, family) * _closed_form_count(n, family)
     if total.denominator != 1:
         raise DomainError(f"non-integer corner total {total} at n={n}")  # pragma: no cover

@@ -335,6 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: Sequence[str]) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # exact totals outgrow the default 4300 digits
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "command", None) == "bijection":

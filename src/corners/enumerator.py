@@ -80,7 +80,7 @@ def enumerate_shapes(half_perimeter: int, family: Family) -> Iterator[BorderPath
             continue
         if family in (Family.TREE_LIKE, Family.SYMMETRIC) and not path.is_tree_like_shape():
             continue
-        if family is Family.SYMMETRIC and not path.is_self_conjugate():
+        if family is Family.SYMMETRIC and not path.is_self_conjugate:
             continue
         yield path
 
@@ -172,7 +172,7 @@ def _shape_rows(family: Family, path: BorderPath) -> tuple[_Rule, list[tuple], i
         return _legal_rows, keys, (1 << path.column_count) - 1
     if family is Family.TYPE_B:
         k = path.column_count
-        lengths = path.shifted_shape().row_lengths
+        lengths = path.shifted_row_lengths
         keys = [(length, r <= k) for r, length in enumerate(lengths, start=1)]
         return _legal_rows, keys, (1 << k) - 1
     lengths = path.row_lengths

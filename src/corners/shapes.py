@@ -1,4 +1,4 @@
-"""Border paths, Ferrers shapes and shifted Ferrers shapes.
+"""Border paths: the one shape type of the package.
 
 The southeast border of a Ferrers diagram with half-perimeter ``h`` is
 encoded as a word of length ``h`` over the alphabet ``S`` (south step) and
@@ -16,7 +16,13 @@ Geometry of the encoding:
   earlier in the word.
 
 Zero-length rows (trailing ``S`` steps) and zero-height columns (leading
-``W`` steps) are legal and preserved by the shape round trip.
+``W`` steps) are legal.
+
+The same path is the border of a shifted Ferrers diagram, the shape of a
+type-B tableau: ``column_count`` staircase rows sit on top of the plain
+diagram, and the diagonal cells are ``(r, r)`` for ``r <= column_count``.
+``BorderPath.row_lengths`` and ``BorderPath.shifted_row_lengths`` give the
+rows of the two diagrams.
 
 A *corner* sits at position ``k`` whenever step ``k`` is South and step
 ``k + 1`` is West; the corner cell is the last cell of the row whose right
@@ -41,8 +47,6 @@ __all__ = [
     "WEST",
     "Cell",
     "BorderPath",
-    "FerrersShape",
-    "ShiftedShape",
     "all_paths",
 ]
 
@@ -111,6 +115,17 @@ class BorderPath:
         heights.reverse()  # the first W of the word is the rightmost column
         return tuple(heights)
 
+    @cached_property
+    def shifted_row_lengths(self) -> tuple[int, ...]:
+        """Row lengths of the shifted diagram, staircase rows first.
+
+        The shifted diagram glues ``column_count`` staircase rows on top
+        of this one: row ``i <= column_count`` holds columns ``1..i`` and
+        ends in the diagonal cell ``(i, i)``.  Both diagrams have this
+        border path.
+        """
+        return tuple(range(1, self.column_count + 1)) + self.row_lengths
+
     @property
     def row_count(self) -> int:
         return self.steps.count(SOUTH)
@@ -143,6 +158,7 @@ class BorderPath:
         """Reflect the diagram through its main diagonal."""
         return BorderPath("".join(_FLIP[ch] for ch in reversed(self.steps)))
 
+    @cached_property
     def is_self_conjugate(self) -> bool:
         return self.conjugate().steps == self.steps
 
@@ -167,124 +183,6 @@ class BorderPath:
     def is_permutation_shape(self) -> bool:
         """True when every column has at least one cell."""
         return self.steps[0] == SOUTH
-
-    def shape(self) -> "FerrersShape":
-        return FerrersShape(self.row_lengths, self.column_count)
-
-    def shifted_shape(self) -> "ShiftedShape":
-        return ShiftedShape.from_path(self)
-
-
-@dataclass(frozen=True)
-class FerrersShape:
-    """Row lengths plus an explicit column count.
-
-    ``column_count`` may exceed the first row length; the difference is the
-    number of zero-height columns, which the border path records as leading
-    West steps.
-    """
-
-    row_lengths: tuple[int, ...]
-    column_count: int
-
-    def __post_init__(self) -> None:
-        lengths = tuple(self.row_lengths)
-        object.__setattr__(self, "row_lengths", lengths)
-        if any(a < b for a, b in zip(lengths, lengths[1:])):
-            raise ValueError(f"row lengths must be weakly decreasing: {lengths}")
-        if lengths and lengths[-1] < 0:
-            raise ValueError("row lengths must be non-negative")
-        if self.column_count < (lengths[0] if lengths else 0):
-            raise ValueError("column count below the first row length")
-
-    @classmethod
-    def from_rows(cls, row_lengths: tuple[int, ...] | list[int]) -> "FerrersShape":
-        rows = tuple(row_lengths)
-        return cls(rows, rows[0] if rows else 0)
-
-    @property
-    def row_count(self) -> int:
-        return len(self.row_lengths)
-
-    @property
-    def half_perimeter(self) -> int:
-        return self.row_count + self.column_count
-
-    @property
-    def cell_count(self) -> int:
-        return sum(self.row_lengths)
-
-    def cells(self) -> Iterator[Cell]:
-        for r, length in enumerate(self.row_lengths, start=1):
-            for c in range(1, length + 1):
-                yield (r, c)
-
-    def path(self) -> BorderPath:
-        """Rebuild the border path; inverse of ``BorderPath.shape``."""
-        parts = [WEST * (self.column_count - (self.row_lengths[0] if self.row_lengths else 0))]
-        for r, length in enumerate(self.row_lengths):
-            below = self.row_lengths[r + 1] if r + 1 < len(self.row_lengths) else 0
-            parts.append(SOUTH + WEST * (length - below))
-        return BorderPath("".join(parts))
-
-
-@dataclass(frozen=True)
-class ShiftedShape:
-    """A staircase glued on top of a base Ferrers diagram.
-
-    A base diagram with ``k`` columns gains ``k`` extra rows above it; the
-    extra row ``i`` (counted top to bottom, ``i = 1..k``) occupies columns
-    ``1..i``, so the rightmost cells of the added rows are the *diagonal*
-    cells ``(i, i)``.  The border path of the shifted shape is the border
-    path of its base, and both share the same half-perimeter.
-    """
-
-    base: FerrersShape
-
-    @classmethod
-    def from_path(cls, path: BorderPath) -> "ShiftedShape":
-        return cls(path.shape())
-
-    @property
-    def staircase_count(self) -> int:
-        """Number of added staircase rows; equals the column count."""
-        return self.base.column_count
-
-    @property
-    def half_perimeter(self) -> int:
-        return self.base.half_perimeter
-
-    @cached_property
-    def row_lengths(self) -> tuple[int, ...]:
-        """Row lengths of the shifted diagram, staircase rows first."""
-        k = self.staircase_count
-        return tuple(range(1, k + 1)) + self.base.row_lengths
-
-    @property
-    def row_count(self) -> int:
-        return len(self.row_lengths)
-
-    @property
-    def cell_count(self) -> int:
-        return sum(self.row_lengths)
-
-    def diagonal_cells(self) -> tuple[Cell, ...]:
-        return tuple((i, i) for i in range(1, self.staircase_count + 1))
-
-    def is_diagonal(self, cell: Cell) -> bool:
-        r, c = cell
-        return r == c and r <= self.staircase_count
-
-    def is_staircase_row(self, row: int) -> bool:
-        return 1 <= row <= self.staircase_count
-
-    def cells(self) -> Iterator[Cell]:
-        for r, length in enumerate(self.row_lengths, start=1):
-            for c in range(1, length + 1):
-                yield (r, c)
-
-    def path(self) -> BorderPath:
-        return self.base.path()
 
 
 def all_paths(half_perimeter: int) -> Iterator[BorderPath]:

@@ -18,20 +18,22 @@ Families
 * :class:`SymmetricTreeLikeTableau` -- a tree-like tableau equal to its
   transpose.  Sizes are odd, ``2n + 1``, and there are ``2**n * n!``.
 
-Constructors check only structure (the filling must cover the shape);
-family rules are checked by :func:`validate` so that fillings that break
-them can still be represented.
+Every shape is a :class:`~corners.shapes.BorderPath`; a type-B tableau
+fills the shifted diagram of its path (``path.shifted_row_lengths``).
+Constructors check only structure (the filling must cover the shape), from
+the row lengths the path caches; family rules are checked by
+:func:`validate` so that fillings that break them can still be
+represented.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Union
 
 from .errors import InvalidTableauError, NotSymmetricError, ShapeFillingMismatchError
 from .families import Family
-from .shapes import BorderPath, Cell, ShiftedShape
+from .shapes import BorderPath, Cell
 
 __all__ = [
     "POINT_CHAR",
@@ -64,8 +66,8 @@ EMPTY_CHAR = "."
 Bits = tuple[tuple[int, ...], ...]
 
 
-def _check_bit_rows(rows: Bits, lengths: tuple[int, ...], what: str) -> Bits:
-    rows = tuple(tuple(row) for row in rows)
+def _check_rows(rows: tuple, lengths: tuple[int, ...], what: str, symbols: tuple, kind: str) -> None:
+    """Rows must have the shape's lengths and hold only ``symbols``."""
     if len(rows) != len(lengths):
         raise ShapeFillingMismatchError(
             f"{what}: expected {len(lengths)} rows, got {len(rows)}"
@@ -75,25 +77,27 @@ def _check_bit_rows(rows: Bits, lengths: tuple[int, ...], what: str) -> Bits:
             raise ShapeFillingMismatchError(
                 f"{what}: row {r} has {len(row)} cells, shape wants {length}"
             )
-        if any(bit not in (0, 1) for bit in row):
-            raise ShapeFillingMismatchError(f"{what}: row {r} holds a non-bit value")
-    return rows
+        if any(x not in symbols for x in row):
+            raise ShapeFillingMismatchError(f"{what}: row {r} holds a {kind}")
 
 
 @dataclass(frozen=True)
-class PermutationTableau:
-    """A 0/1 filling of a Ferrers diagram, one bit per cell."""
+class _BitTableau:
+    """A 0/1 filling, one bit per cell of the diagram whose rows
+    ``row_lengths`` gives."""
 
     path: BorderPath
     rows: Bits
 
+    _what = "filling"
+
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "rows", _check_bit_rows(self.rows, self.path.row_lengths, "filling")
-        )
+        rows = tuple(tuple(row) for row in self.rows)
+        _check_rows(rows, self.row_lengths, self._what, (0, 1), "non-bit value")
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def from_strings(cls, path: str | BorderPath, rows: Iterable[str]) -> "PermutationTableau":
+    def from_strings(cls, path: str | BorderPath, rows: Iterable[str]):
         path = path if isinstance(path, BorderPath) else BorderPath(path)
         return cls(path, tuple(tuple(int(ch) for ch in row) for row in rows))
 
@@ -105,53 +109,26 @@ class PermutationTableau:
     def row_lengths(self) -> tuple[int, ...]:
         return self.path.row_lengths
 
-    def bit(self, r: int, c: int) -> int:
-        return self.rows[r - 1][c - 1]
-
     def row_strings(self) -> tuple[str, ...]:
         return tuple("".join(str(b) for b in row) for row in self.rows)
 
 
-@dataclass(frozen=True)
-class TypeBTableau:
+class PermutationTableau(_BitTableau):
+    """A 0/1 filling of a Ferrers diagram, one bit per cell."""
+
+
+class TypeBTableau(_BitTableau):
     """A 0/1 filling of a shifted Ferrers diagram.
 
     ``path`` is the border path of the base diagram; ``rows`` covers the
     rows of the shifted diagram, staircase rows first (top to bottom).
     """
 
-    path: BorderPath
-    rows: Bits
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "rows",
-            _check_bit_rows(self.rows, self.shifted.row_lengths, "shifted filling"),
-        )
-
-    @classmethod
-    def from_strings(cls, path: str | BorderPath, rows: Iterable[str]) -> "TypeBTableau":
-        path = path if isinstance(path, BorderPath) else BorderPath(path)
-        return cls(path, tuple(tuple(int(ch) for ch in row) for row in rows))
-
-    @cached_property
-    def shifted(self) -> ShiftedShape:
-        return ShiftedShape.from_path(self.path)
-
-    @property
-    def size(self) -> int:
-        return self.path.half_perimeter
+    _what = "shifted filling"
 
     @property
     def row_lengths(self) -> tuple[int, ...]:
-        return self.shifted.row_lengths
-
-    def bit(self, r: int, c: int) -> int:
-        return self.rows[r - 1][c - 1]
-
-    def row_strings(self) -> tuple[str, ...]:
-        return tuple("".join(str(b) for b in row) for row in self.rows)
+        return self.path.shifted_row_lengths
 
 
 @dataclass(frozen=True)
@@ -164,8 +141,10 @@ class TreeLikeTableau:
     def __post_init__(self) -> None:
         points = frozenset(self.points)
         object.__setattr__(self, "points", points)
-        cells = set(self.path.shape().cells())
-        stray = points - cells
+        lengths = self.path.row_lengths
+        stray = [
+            (r, c) for r, c in points if not (0 < r <= len(lengths) and 0 < c <= lengths[r - 1])
+        ]
         if stray:
             raise ShapeFillingMismatchError(
                 f"points {sorted(stray)} fall outside the shape of {self.path.steps!r}"
@@ -178,9 +157,6 @@ class TreeLikeTableau:
     @property
     def row_lengths(self) -> tuple[int, ...]:
         return self.path.row_lengths
-
-    def pointed(self, r: int, c: int) -> bool:
-        return (r, c) in self.points
 
     def row_strings(self) -> tuple[str, ...]:
         return tuple(
@@ -197,7 +173,7 @@ class SymmetricTreeLikeTableau(TreeLikeTableau):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not self.path.is_self_conjugate():
+        if not self.path.is_self_conjugate:
             raise NotSymmetricError(f"shape {self.path.steps!r} is not self-conjugate")
         mirrored = frozenset((c, r) for r, c in self.points)
         if mirrored != self.points:
@@ -352,7 +328,7 @@ def validate(t: Tableau) -> ValidationResult:
     if isinstance(t, PermutationTableau):
         violations = _validate_bit_tableau(t.rows, t.path.column_count, 0)
     elif isinstance(t, TypeBTableau):
-        staircase = t.shifted.staircase_count
+        staircase = t.path.column_count
         violations = _validate_bit_tableau(t.rows, staircase, staircase)
     elif isinstance(t, TreeLikeTableau):
         violations = _validate_tree_like(t)
@@ -367,7 +343,7 @@ def validate(t: Tableau) -> ValidationResult:
 
 def markers(t: PermutationTableau | TypeBTableau) -> MarkerMap:
     """Locate topmost 1s, restricted 0s and diagonal 0s of a 0/1 tableau."""
-    diagonal_limit = t.shifted.staircase_count if isinstance(t, TypeBTableau) else 0
+    diagonal_limit = t.path.column_count if isinstance(t, TypeBTableau) else 0
     topmost: dict[int, Cell] = {}
     restricted: set[Cell] = set()
     rightmost: dict[int, Cell] = {}
@@ -420,7 +396,7 @@ def transpose(t: TreeLikeTableau) -> TreeLikeTableau:
 
 
 def is_symmetric(t: TreeLikeTableau) -> bool:
-    if not t.path.is_self_conjugate():
+    if not t.path.is_self_conjugate:
         return False
     return all((c, r) in t.points for r, c in t.points)
 
@@ -480,6 +456,8 @@ def from_record(record: dict) -> Tableau:
         return PermutationTableau.from_strings(path, rows)
     if family is Family.TYPE_B:
         return TypeBTableau.from_strings(path, rows)
+    symbols = (POINT_CHAR, EMPTY_CHAR)
+    _check_rows(rows, path.row_lengths, "pointed filling", symbols, f"character outside {symbols}")
     points = frozenset(
         (r, c)
         for r, row in enumerate(rows, start=1)

@@ -15,8 +15,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corners.chain import total_corners
 from corners.cli import run_command
-from corners.families import CHAIN_BUDGET
+from corners.families import CHAIN_BUDGET, Family
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SUBCOMMANDS = ("census", "enumerate", "verify", "formula", "bijection", "sample")
@@ -145,6 +146,7 @@ MALFORMED_RECORDS = (
     '{"family":"type-b","path":"SW","rows":[1]}',
     '{"schema":"tableau/v1","family":"symmetric","path":"SW","rows":5}',
     '{"schema":"census/v1","family":"type-b","path":"SW","rows":["0","1"]}',
+    '{"family":"symmetric","path":"SSWW","rows":["●●xx1","●","junk"]}',
 )
 
 
@@ -376,6 +378,9 @@ CHAIN_BUDGET_RUNS = [
     (f"formula corners --method dp --family permutation --n {_DP_CAP + 1}", 2),
     (f"formula corners --method dp --family symmetric --n {_DP_CAP + 1}", 2),
     (f"formula corners --family symmetric --n {_DP_CAP + 1}", 0),  # closed forms have no cap
+    (f"formula total --family type-b --n {_DP_CAP}", 0),
+    (f"formula total --family type-b --n {_DP_CAP + 1}", 2),
+    (f"bijection decompose --size {_DP_CAP + 1}", 2),
     (f"sample --kind trajectories --family type-b --n {_SIZE_CAP} --count 1", 0),
     (f"sample --kind tableaux --n {_SIZE_CAP} --count 1", 0),
     (f"sample --kind trajectories --family type-b --n {_SIZE_CAP + 1} --count 1", 2),
@@ -396,6 +401,13 @@ def test_chain_budget_at_cap_and_one_past(capsys, argv, expected):
         assert json.loads(out)
     else:
         assert out == "" and "exceeds the budget" in err
+
+
+def test_formula_total_prints_big_integers(capsys):
+    # 5 700 digits, past the interpreter's default limit of 4 300
+    code, out, _ = run(capsys, "formula", "total", "--family", "permutation", "--n", "2000", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["value"] == str(total_corners(2000, Family.PERMUTATION))
 
 
 def _src_env():

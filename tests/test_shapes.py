@@ -1,4 +1,4 @@
-"""Border paths, Ferrers shapes, shifted shapes."""
+"""Border paths and the plain and shifted diagrams they bound."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +9,7 @@ from corners.errors import (
     IndexOutOfRangeError,
     NotATreeLikeShapeError,
 )
-from corners.shapes import BorderPath, FerrersShape, ShiftedShape, all_paths
+from corners.shapes import BorderPath, all_paths
 
 paths = st.text(alphabet="SW", min_size=1, max_size=40).map(BorderPath)
 
@@ -59,7 +59,7 @@ def test_conjugate_is_an_involution(p):
     q = p.conjugate()
     assert q.conjugate() == p
     assert q.row_lengths == p.column_heights
-    assert p.is_self_conjugate() == (p.steps == q.steps)
+    assert p.is_self_conjugate == (p.steps == q.steps)
 
 
 @given(paths)
@@ -97,8 +97,13 @@ def test_admissibility_flags():
 
 @pytest.mark.parametrize("h", range(1, 13))
 def test_ferrers_roundtrip_exhaustive(h):
+    """The row lengths and the column count determine the path."""
     for p in all_paths(h):
-        assert p.shape().path() == p
+        rows = p.row_lengths + (0,)
+        word = "W" * (p.column_count - rows[0]) + "".join(
+            "S" + "W" * (rows[r] - rows[r + 1]) for r in range(p.row_count)
+        )
+        assert word == p.steps
 
 
 def test_all_paths_is_lexicographic_and_complete():
@@ -108,34 +113,27 @@ def test_all_paths_is_lexicographic_and_complete():
     assert len(set(got)) == 8
 
 
-def test_ferrers_rejects_bad_rows():
-    with pytest.raises(ValueError):
-        FerrersShape.from_rows((1, 2))
-    with pytest.raises(ValueError):
-        FerrersShape.from_rows((-1,))
-
-
-def test_shifted_shape_of_figure_type_b():
-    s = BorderPath("WSSWWS").shifted_shape()
-    assert s.staircase_count == 3
-    assert s.row_lengths == (1, 2, 3, 2, 2, 0)
-    assert s.diagonal_cells() == ((1, 1), (2, 2), (3, 3))
-    assert s.is_diagonal((2, 2)) and not s.is_diagonal((3, 2))
-    assert s.is_staircase_row(3) and not s.is_staircase_row(4)
-    assert s.row_count == 6
+def test_shifted_rows_of_figure_type_b():
+    p = BorderPath("WSSWWS")
+    assert p.column_count == 3
+    assert p.shifted_row_lengths == (1, 2, 3, 2, 2, 0)
+    rows = p.shifted_row_lengths
+    diagonal = [
+        (r, c)
+        for r, length in enumerate(rows, start=1)
+        for c in range(1, length + 1)
+        if r == c <= p.column_count
+    ]
+    assert diagonal == [(1, 1), (2, 2), (3, 3)]
 
 
 @pytest.mark.parametrize("h", range(1, 11))
 def test_shifted_roundtrip_exhaustive(h):
     for p in all_paths(h):
-        s = ShiftedShape.from_path(p)
-        assert s.path() == p
-        assert s.row_count == len(p)
-        assert len(s.diagonal_cells()) == s.staircase_count == p.column_count
+        assert len(p.shifted_row_lengths) == len(p)
 
 
 @given(paths)
 def test_shifted_cell_count_adds_staircase(p):
-    s = ShiftedShape.from_path(p)
     k = p.column_count
-    assert s.cell_count == sum(p.row_lengths) + k * (k + 1) // 2
+    assert sum(p.shifted_row_lengths) == sum(p.row_lengths) + k * (k + 1) // 2

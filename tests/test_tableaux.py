@@ -63,7 +63,7 @@ def test_permutation_example_is_valid():
 
 def test_type_b_example_is_valid():
     assert validate(TYPE_B_6).ok
-    assert TYPE_B_6.shifted.row_lengths == (1, 2, 3, 2, 2, 0)
+    assert TYPE_B_6.row_lengths == (1, 2, 3, 2, 2, 0)
     m = markers(TYPE_B_6)
     assert m.diagonal_zeros == frozenset({(2, 2)})
     assert unrestricted_rows(TYPE_B_6) == (1, 6)
@@ -75,6 +75,31 @@ def test_filling_must_match_shape():
         PermutationTableau.from_strings("SW", ["10"])
     with pytest.raises(ShapeFillingMismatchError):
         TypeBTableau.from_strings("WSSWWS", ["1", "00", "011", "01", "00"])
+
+
+# the self-conjugate shape with rows 3, 1, 1: (1, 4) and (2, 2) are one
+# past the end of their rows, (4, 1) lies in a row below the last
+@pytest.mark.parametrize("cls", [TreeLikeTableau, SymmetricTreeLikeTableau])
+@pytest.mark.parametrize("point", [(0, 1), (1, 0), (-1, 1), (1, -1), (1, 4), (2, 2), (4, 1)])
+def test_points_outside_the_shape_are_rejected(cls, point):
+    r, c = point
+    with pytest.raises(ShapeFillingMismatchError):
+        cls(BorderPath("SWWSSW"), frozenset([(1, 1), (r, c), (c, r)]))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["●●", "●.", "."],  # one row too many
+        ["●●", "●"],  # a row too short
+        ["●●", "●x"],  # a character other than ● and .
+    ],
+    ids=["row-count", "row-length", "character"],
+)
+@pytest.mark.parametrize("family", ["tree-like", "symmetric"])
+def test_from_record_checks_pointed_rows(family, rows):
+    with pytest.raises(ShapeFillingMismatchError):
+        from_record({"family": family, "path": "SSWW", "rows": rows})
 
 
 def test_validation_catches_each_rule():
