@@ -45,7 +45,6 @@ from .tableaux import (
     SymmetricTreeLikeTableau,
     TypeBTableau,
     markers,
-    unrestricted_rows,
     validate,
 )
 
@@ -91,6 +90,14 @@ def _require_valid(t, what: str) -> None:
         raise InvalidTableauError(f"{what}: {result.violations[0].message}")
 
 
+def _column_tops(points) -> dict[int, int]:
+    """The topmost row of each column holding a point."""
+    tops: dict[int, int] = {}
+    for r, c in sorted(points):
+        tops.setdefault(c, r)
+    return tops
+
+
 def symmetric_to_type_b(t: SymmetricTreeLikeTableau) -> TypeBTableau:
     """Fold a symmetric tree-like tableau of size ``2n + 1`` down to a
     type-B tableau of size ``n``.
@@ -115,24 +122,26 @@ def symmetric_to_type_b(t: SymmetricTreeLikeTableau) -> TypeBTableau:
     ):
         raise BijectionError("lower triangle does not match the folded shape", witness=t)
 
+    # a lower-triangle point (r, c) is covered when its column holds a
+    # point higher up; above the diagonal the column mirrors row c, so the
+    # column's topmost point decides
+    tops = _column_tops(t.points)
     ones: set[Cell] = set()
     zeros: set[Cell] = set()
     for r, c in t.points:
         if c < 2 or c > r:
             continue
-        covered_above = any((i, c) in t.points for i in range(c, r)) or any(
-            (c, j) in t.points for j in range(1, c)
-        )
-        if covered_above:
+        if tops[c] < r:
             zeros.add((r - 1, c - 1))  # leftmost point of its row
         else:
             ones.add((r - 1, c - 1))  # topmost point of its column
     unrestricted = frozenset(r - 1 for r, c in t.points if c == 1 and r >= 2)
+    zero_marks = dict(zeros)  # a valid input marks at most one 0 per row
 
     rows: list[tuple[int, ...]] = []
     col_has_one = [False] * (k + 1)
     for big_r, length in enumerate(profile, start=1):
-        zero_mark = next((c for rr, c in zeros if rr == big_r), None)
+        zero_mark = zero_marks.get(big_r)
         all_zero_row = big_r not in unrestricted and zero_mark is None
         if all_zero_row and big_r > k:
             raise BijectionError(
@@ -186,7 +195,7 @@ def _check_fold(
     if (
         derived_ones != ones
         or derived_zeros != zeros
-        or frozenset(unrestricted_rows(b)) != unrestricted
+        or frozenset(m.unrestricted_rows) != unrestricted
     ):
         raise BijectionError("folded markers disagree with the point classification", witness=t)
 
@@ -205,7 +214,7 @@ def type_b_to_symmetric(b: TypeBTableau) -> SymmetricTreeLikeTableau:
     m = markers(b)
     diag_zero_rows = {r for r, _ in m.diagonal_zeros}
     lower: set[Cell] = {(1, 1)}
-    lower.update((r + 1, 1) for r in unrestricted_rows(b))
+    lower.update((r + 1, 1) for r in m.unrestricted_rows)
     lower.update(
         (r + 1, c + 1) for r, c in m.rightmost_restricted_zeros if r not in diag_zero_rows
     )

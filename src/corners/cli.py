@@ -122,7 +122,7 @@ def _emit_tableaux(args: argparse.Namespace, tableaux: Iterable[Tableau], **extr
         "count": str(len(records)),
         "tableaux": records,
     }
-    rows = [(i, r["path"], "|".join(r["rows"])) for i, r in enumerate(records)]
+    rows = [] if args.format == "json" else [(i, r["path"], "|".join(r["rows"])) for i, r in enumerate(records)]
     _emit(_render(args.format, payload, ("index", "path", "rows"), rows), args.out)
     return 0
 

@@ -20,15 +20,22 @@ Families
 
 Every shape is a :class:`~corners.shapes.BorderPath`; a type-B tableau
 fills the shifted diagram of its path (``path.shifted_row_lengths``).
-Constructors check only structure (the filling must cover the shape), from
-the row lengths the path caches; family rules are checked by
-:func:`validate` so that fillings that break them can still be
-represented.
+Constructors check only structure (the filling must cover the shape with
+``int`` bits 0 and 1, or points inside it), from the row lengths the path
+caches; family rules are checked by :func:`validate` so that fillings that
+break them can still be represented.
+
+Each per-tableau pass is one linear sweep: a row check tests the whole
+filling at once and words an error row by row only when that test fails;
+:func:`validate` reads a 0/1 filling once row-major and a point set once
+in sorted order; :func:`markers` finds every distinguished cell, and the
+unrestricted rows, in one scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Union
 
 from .errors import InvalidTableauError, NotSymmetricError, ShapeFillingMismatchError
@@ -66,8 +73,27 @@ EMPTY_CHAR = "."
 Bits = tuple[tuple[int, ...], ...]
 
 
-def _check_rows(rows: tuple, lengths: tuple[int, ...], what: str, symbols: tuple, kind: str) -> None:
-    """Rows must have the shape's lengths and hold only ``symbols``."""
+_BITS = frozenset((0, 1))
+_BIT_DIGITS = frozenset("01")
+_POINT_SYMBOLS = frozenset((POINT_CHAR, EMPTY_CHAR))
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")  # bit value -> its digit
+
+
+def _check_rows(
+    rows: tuple, lengths: tuple[int, ...], what: str, cell_type: type, symbols: frozenset, kind: str
+) -> None:
+    """Rows must have the shape's lengths and hold only ``symbols``, each
+    of type ``cell_type`` (so ``True`` and ``1.0`` are not bits).
+
+    The whole filling is tested at once; the row-by-row loop only words
+    the error.
+    """
+    if (
+        tuple(map(len, rows)) == lengths
+        and set(map(type, chain.from_iterable(rows))) <= {cell_type}
+        and set().union(*rows) <= symbols
+    ):
+        return
     if len(rows) != len(lengths):
         raise ShapeFillingMismatchError(
             f"{what}: expected {len(lengths)} rows, got {len(rows)}"
@@ -77,7 +103,7 @@ def _check_rows(rows: tuple, lengths: tuple[int, ...], what: str, symbols: tuple
             raise ShapeFillingMismatchError(
                 f"{what}: row {r} has {len(row)} cells, shape wants {length}"
             )
-        if any(x not in symbols for x in row):
+        if any(type(x) is not cell_type or x not in symbols for x in row):
             raise ShapeFillingMismatchError(f"{what}: row {r} holds a {kind}")
 
 
@@ -92,14 +118,18 @@ class _BitTableau:
     _what = "filling"
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.rows)
-        _check_rows(rows, self.row_lengths, self._what, (0, 1), "non-bit value")
+        rows = tuple(map(tuple, self.rows))
+        _check_rows(rows, self.row_lengths, self._what, int, _BITS, "non-bit value")
         object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_strings(cls, path: str | BorderPath, rows: Iterable[str]):
+        """Build from one string of ``0`` and ``1`` digits per row."""
         path = path if isinstance(path, BorderPath) else BorderPath(path)
-        return cls(path, tuple(tuple(int(ch) for ch in row) for row in rows))
+        rows = tuple(rows)
+        # the characters only: the constructor checks the row lengths
+        _check_rows(rows, tuple(map(len, rows)), cls._what, str, _BIT_DIGITS, "character outside ('0', '1')")
+        return cls(path, tuple(tuple(map(int, row)) for row in rows))
 
     @property
     def size(self) -> int:
@@ -110,7 +140,7 @@ class _BitTableau:
         return self.path.row_lengths
 
     def row_strings(self) -> tuple[str, ...]:
-        return tuple("".join(str(b) for b in row) for row in self.rows)
+        return tuple([bytes(row).translate(_BIT_CHARS).decode() for row in self.rows])
 
 
 class PermutationTableau(_BitTableau):
@@ -211,13 +241,16 @@ class MarkerMap:
     * ``rightmost_restricted_zeros`` -- the rightmost restricted 0 of each
       row that has one;
     * ``diagonal_zeros`` -- diagonal cells holding 0 (type-B only, empty
-      otherwise).
+      otherwise);
+    * ``unrestricted_rows`` -- 1-based indices, ascending, of the rows
+      with no restricted 0 and no diagonal 0.
     """
 
     topmost_ones: frozenset[Cell]
     restricted_zeros: frozenset[Cell]
     rightmost_restricted_zeros: frozenset[Cell]
     diagonal_zeros: frozenset[Cell]
+    unrestricted_rows: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -226,25 +259,45 @@ class CornerStats:
     occupied_corner_count: int | None
 
 
-def _column_has_one(rows: Bits, c: int) -> bool:
-    return any(len(row) >= c and row[c - 1] == 1 for row in rows)
-
-
 def _validate_bit_tableau(
     rows: Bits,
     column_count: int,
     diagonal_limit: int,
 ) -> list[RuleViolation]:
-    """Shared rule checks for permutation and type-B fillings.
+    """Shared rule checks for permutation and type-B fillings, in one
+    row-major sweep.
 
     ``diagonal_limit`` is the number of staircase rows (0 for permutation);
     row ``i <= diagonal_limit`` has its diagonal cell at ``(i, i)``.
+    Column violations come first, then each row's blocked 0s and its
+    diagonal 0, top to bottom.
     """
-    violations: list[RuleViolation] = []
     heights = [0] * (column_count + 1)
-    for row in rows:
-        for c in range(1, len(row) + 1):
+    one_above = [False] * (column_count + 1)
+    row_violations: list[RuleViolation] = []
+    for r, row in enumerate(rows, start=1):
+        one_left = False
+        for c, bit in enumerate(row, start=1):
             heights[c] += 1
+            if bit:
+                one_left = one_above[c] = True
+            elif one_left and one_above[c]:
+                row_violations.append(
+                    RuleViolation(
+                        "restricted-zero-blocked",
+                        (r, c),
+                        f"0 at {(r, c)} has a 1 above and a 1 to the left",
+                    )
+                )
+        if r <= diagonal_limit and row and row[r - 1] == 0 and one_left:
+            row_violations.append(
+                RuleViolation(
+                    "diagonal-zero-row",
+                    (r, r),
+                    f"diagonal 0 at {(r, r)} but row {r} is not all 0",
+                )
+            )
+    violations: list[RuleViolation] = []
     for c in range(1, column_count + 1):
         if heights[c] == 0:
             violations.append(
@@ -252,36 +305,20 @@ def _validate_bit_tableau(
                     "column-needs-one", None, f"column {c} has no cells, so no 1"
                 )
             )
-        elif not _column_has_one(rows, c):
+        elif not one_above[c]:
             violations.append(
                 RuleViolation("column-needs-one", (heights[c], c), f"column {c} has no 1")
             )
-    one_above = [False] * (column_count + 1)
-    for r, row in enumerate(rows, start=1):
-        for c, bit in enumerate(row, start=1):
-            if bit == 0 and one_above[c] and 1 in row[: c - 1]:
-                violations.append(
-                    RuleViolation(
-                        "restricted-zero-blocked",
-                        (r, c),
-                        f"0 at {(r, c)} has a 1 above and a 1 to the left",
-                    )
-                )
-        if r <= diagonal_limit and row and row[r - 1] == 0 and 1 in row:
-            violations.append(
-                RuleViolation(
-                    "diagonal-zero-row",
-                    (r, r),
-                    f"diagonal 0 at {(r, r)} but row {r} is not all 0",
-                )
-            )
-        for c, bit in enumerate(row, start=1):
-            if bit == 1:
-                one_above[c] = True
-    return violations
+    return violations + row_violations
 
 
 def _validate_tree_like(t: TreeLikeTableau) -> list[RuleViolation]:
+    """Tree-like rules, reading the points once in row-major order.
+
+    A point's column is empty above it unless an earlier point filled that
+    column, and its row is empty to its left unless the previous point
+    lies in the same row.
+    """
     violations: list[RuleViolation] = []
     lengths = t.path.row_lengths
     heights = t.path.column_heights
@@ -295,24 +332,15 @@ def _validate_tree_like(t: TreeLikeTableau) -> list[RuleViolation]:
         )
     if (1, 1) not in t.points:
         violations.append(RuleViolation("root-missing", (1, 1), "cell (1,1) is not pointed"))
-    rows_seen = [False] * (len(lengths) + 1)
-    cols_seen = [False] * (len(heights) + 1)
-    for r, c in t.points:
-        rows_seen[r] = True
-        cols_seen[c] = True
-    for r in range(1, len(lengths) + 1):
-        if lengths[r - 1] > 0 and not rows_seen[r]:
-            violations.append(RuleViolation("row-without-point", None, f"row {r} empty"))
-    for c in range(1, len(heights) + 1):
-        if heights[c - 1] > 0 and not cols_seen[c]:
-            violations.append(RuleViolation("column-without-point", None, f"column {c} empty"))
+    filled_rows: set[int] = set()
+    filled_columns: set[int] = set()
+    misdirected: list[RuleViolation] = []
+    previous_row = 0
     for r, c in sorted(t.points):
-        if (r, c) == (1, 1):
-            continue
-        above_empty = not any((i, c) in t.points for i in range(1, r))
-        left_empty = not any((r, j) in t.points for j in range(1, c))
-        if above_empty == left_empty:
-            violations.append(
+        above_empty = c not in filled_columns
+        left_empty = r != previous_row
+        if above_empty == left_empty and (r, c) != (1, 1):
+            misdirected.append(
                 RuleViolation(
                     "point-direction",
                     (r, c),
@@ -320,7 +348,16 @@ def _validate_tree_like(t: TreeLikeTableau) -> list[RuleViolation]:
                     f"row-left empty={left_empty}",
                 )
             )
-    return violations
+        filled_rows.add(r)
+        filled_columns.add(c)
+        previous_row = r
+    for r in range(1, len(lengths) + 1):
+        if lengths[r - 1] > 0 and r not in filled_rows:
+            violations.append(RuleViolation("row-without-point", None, f"row {r} empty"))
+    for c in range(1, len(heights) + 1):
+        if heights[c - 1] > 0 and c not in filled_columns:
+            violations.append(RuleViolation("column-without-point", None, f"column {c} empty"))
+    return violations + misdirected
 
 
 def validate(t: Tableau) -> ValidationResult:
@@ -342,27 +379,35 @@ def validate(t: Tableau) -> ValidationResult:
 
 
 def markers(t: PermutationTableau | TypeBTableau) -> MarkerMap:
-    """Locate topmost 1s, restricted 0s and diagonal 0s of a 0/1 tableau."""
+    """Locate topmost 1s, restricted 0s, diagonal 0s and unrestricted rows
+    of a 0/1 tableau, in one row-major scan."""
     diagonal_limit = t.path.column_count if isinstance(t, TypeBTableau) else 0
     topmost: dict[int, Cell] = {}
     restricted: set[Cell] = set()
-    rightmost: dict[int, Cell] = {}
+    rightmost: list[Cell] = []
     diagonal_zeros: set[Cell] = set()
+    unrestricted: list[int] = []
     for r, row in enumerate(t.rows, start=1):
+        last_restricted = None
         for c, bit in enumerate(row, start=1):
-            if bit == 1:
+            if bit:
                 topmost.setdefault(c, (r, c))
-            else:
-                if c in topmost and topmost[c][0] < r:
-                    restricted.add((r, c))
-                    rightmost[r] = (r, c)  # row-major scan keeps the rightmost
-                if r == c and r <= diagonal_limit:
-                    diagonal_zeros.add((r, c))
+            elif c in topmost:  # a 1 in an earlier row, as the scan is row-major
+                last_restricted = (r, c)
+                restricted.add(last_restricted)
+        diagonal_zero = r <= diagonal_limit and len(row) >= r and not row[r - 1]
+        if diagonal_zero:
+            diagonal_zeros.add((r, r))
+        if last_restricted is not None:
+            rightmost.append(last_restricted)
+        elif not diagonal_zero:
+            unrestricted.append(r)
     return MarkerMap(
         topmost_ones=frozenset(topmost.values()),
         restricted_zeros=frozenset(restricted),
-        rightmost_restricted_zeros=frozenset(rightmost.values()),
+        rightmost_restricted_zeros=frozenset(rightmost),
         diagonal_zeros=frozenset(diagonal_zeros),
+        unrestricted_rows=tuple(unrestricted),
     )
 
 
@@ -372,9 +417,7 @@ def unrestricted_rows(t: PermutationTableau | TypeBTableau) -> tuple[int, ...]:
     Zero-length rows are unrestricted; staircase rows of a type-B tableau
     take part like any other row.
     """
-    m = markers(t)
-    blocked = {r for r, _ in m.restricted_zeros} | {r for r, _ in m.diagonal_zeros}
-    return tuple(r for r in range(1, len(t.rows) + 1) if r not in blocked)
+    return markers(t).unrestricted_rows
 
 
 def unrestricted_row_count(t: PermutationTableau | TypeBTableau) -> int:
@@ -420,7 +463,7 @@ def _filling_bits(t: Tableau) -> tuple[int, ...]:
             for r, length in enumerate(t.row_lengths, start=1)
             for c in range(1, length + 1)
         )
-    return tuple(bit for row in t.rows for bit in row)
+    return tuple(chain.from_iterable(t.rows))
 
 
 def canonical_key(t: Tableau) -> tuple[str, tuple[int, ...]]:
@@ -445,6 +488,9 @@ def from_record(record: dict) -> Tableau:
         raise InvalidTableauError(f"a tableau record is a JSON object, got {type(record).__name__}")
     if record.get("schema", "tableau/v1") != "tableau/v1":
         raise InvalidTableauError(f"a tableau record's schema must be 'tableau/v1', got {record['schema']!r}")
+    for key in ("family", "path", "rows"):
+        if key not in record:
+            raise InvalidTableauError(f"a tableau record needs the key {key!r}")
     family = Family.parse(record["family"])
     if not isinstance(record["path"], str):
         raise InvalidTableauError("a tableau record's path must be a string")
@@ -456,8 +502,8 @@ def from_record(record: dict) -> Tableau:
         return PermutationTableau.from_strings(path, rows)
     if family is Family.TYPE_B:
         return TypeBTableau.from_strings(path, rows)
-    symbols = (POINT_CHAR, EMPTY_CHAR)
-    _check_rows(rows, path.row_lengths, "pointed filling", symbols, f"character outside {symbols}")
+    kind = f"character outside {(POINT_CHAR, EMPTY_CHAR)}"
+    _check_rows(rows, path.row_lengths, "pointed filling", str, _POINT_SYMBOLS, kind)
     points = frozenset(
         (r, c)
         for r, row in enumerate(rows, start=1)

@@ -147,6 +147,12 @@ MALFORMED_RECORDS = (
     '{"schema":"tableau/v1","family":"symmetric","path":"SW","rows":5}',
     '{"schema":"census/v1","family":"type-b","path":"SW","rows":["0","1"]}',
     '{"family":"symmetric","path":"SSWW","rows":["●●xx1","●","junk"]}',
+    '{"family":"type-b","path":"SW","rows":["\u0661","1"]}',
+    '{"family":"type-b","path":"SW","rows":["x","1"]}',
+    '{"family":"permutation","path":"SW","rows":["x"]}',
+    '{"path":"SW","rows":["1","1"]}',
+    '{"family":"type-b","rows":["1","1"]}',
+    '{"family":"type-b","path":"SW"}',
 )
 
 
@@ -324,6 +330,11 @@ PINNED_OUTPUTS = {
     ("sample --kind trajectories --family type-b --size 7 --count 5 --seed 6", "table"): (0, "427f85986e5dd02c9df0a96a704f2c0f426bf4ba4db6dd5a249ce4988c7bf75b"),
     ("sample --kind trajectories --family type-b --size 7 --count 5 --seed 6", "json"): (0, "3bd3931ebfa6dffc49ac9988db44dead52d83477df2e3ab7faf4b0bc8899c8ba"),
     ("sample --kind trajectories --family type-b --size 7 --count 5 --seed 6", "csv"): (0, "0e7a6bc4b282a0f03d430bad5016017b87c855506a470f3d990208abb1a936aa"),
+    ("enumerate --family type-b --size 4", "table"): (0, "e3da52feb42b293abbbe8f5bb057f2a9753799e5520235c2ddb5875c4e5c77c8"),
+    ("enumerate --family type-b --size 4", "json"): (0, "971dad061cc1c487b235aead538e4b4b6d3b25190483571d0dd29f5b522ac7dc"),
+    ("enumerate --family type-b --size 4", "csv"): (0, "d324fc1dff5fcb994170a755ad79b47b3b11717d1dcb63ada07097fefae6d1ff"),
+    ("enumerate --family type-b --size 6", "json"): (0, "4c5109c02fc94932b5662d59825fe4d8e5fa65376d8fb271adc3b0ba5ce38553"),
+    ("bijection roundtrip --family type-b --size 5", "json"): (0, "975c377c047a11df8be5e2067f46a9e4f2ee505cab5351117df812e6758a5f66"),
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cached_tableaux
-from corners.errors import ShapeFillingMismatchError
+from corners.errors import InvalidTableauError, ShapeFillingMismatchError
 from corners.families import Family
 from corners.shapes import BorderPath
 from corners.tableaux import (
@@ -100,6 +100,30 @@ def test_points_outside_the_shape_are_rejected(cls, point):
 def test_from_record_checks_pointed_rows(family, rows):
     with pytest.raises(ShapeFillingMismatchError):
         from_record({"family": family, "path": "SSWW", "rows": rows})
+
+
+# on the path SW a permutation filling has one row of one cell, and a
+# type-B filling two such rows
+@pytest.mark.parametrize("bit", [True, 1.0, 2, "1"], ids=["bool", "float", "two", "str"])
+@pytest.mark.parametrize("cls,rest", [(PermutationTableau, ()), (TypeBTableau, ((1,),))])
+def test_bits_must_be_int_zero_or_one(cls, rest, bit):
+    with pytest.raises(ShapeFillingMismatchError, match="non-bit value"):
+        cls(BorderPath("SW"), ((bit,), *rest))
+
+
+@pytest.mark.parametrize("digit", ["\u0661", "x", "2", " "], ids=["arabic-indic-one", "x", "two", "space"])
+@pytest.mark.parametrize("family,rest", [("permutation", []), ("type-b", ["1"])])
+def test_from_record_checks_bit_characters(family, rest, digit):
+    with pytest.raises(ShapeFillingMismatchError, match="character outside"):
+        from_record({"family": family, "path": "SW", "rows": [digit, *rest]})
+
+
+@pytest.mark.parametrize("key", ["family", "path", "rows"])
+def test_from_record_names_a_missing_key(key):
+    record = {"family": "type-b", "path": "SW", "rows": ["1", "1"]}
+    del record[key]
+    with pytest.raises(InvalidTableauError, match=repr(key)):
+        from_record(record)
 
 
 def test_validation_catches_each_rule():
