@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .chain import (
     _fold_boundary_terms,
     _require_dp_size,
-    corner_event_probability_dp,
+    corner_distribution,
     count_tableaux,
     first_step_west_probability,
     last_step_south_probability,
@@ -278,8 +278,7 @@ def symmetric_corner_decomposition(n: int) -> CornerDecomposition:
     deco = CornerDecomposition(n, twice_b, south, west)
 
     sym_total = sum(
-        _exact_count(corner_event_probability_dp(n, k, Family.SYMMETRIC), b_count)
-        for k in range(1, 2 * n + 2)
+        _exact_count(p, b_count) for p in corner_distribution(n, Family.SYMMETRIC).values()
     )
     if (deco.south_term, deco.west_term) != _fold_boundary_terms(n) or deco.total != sym_total:
         raise BijectionError(f"corner decomposition mismatch at n={n}: {deco}")

@@ -18,9 +18,11 @@ probabilities for sizes far beyond enumeration reach.  Write the forward
 row of k-step prefix weights as a polynomial ``P_k(x) = sum_u w_k(u) x**u``.
 The transitions give ``P_k(x) = d x P_{k-1}(x + 1)`` (``d`` = 1, resp. 2
 for type B), which never leaves an anti-diagonal ``k + x = s``; counts and
-the corner DP read only values ``P_k(s - k)`` from two such diagonals, in
-O(n) steps each.  The coefficient rows themselves, grown from
-:meth:`ChainSpec.transitions`, serve only the law of ``u``.
+the corner DP read only values ``P_k(s - k)`` from such diagonals, built
+in O(n) steps each; a whole DP corner law reads three of them once.  The
+coefficient rows themselves, grown from the plain ``(step, target,
+weight)`` triples that :meth:`ChainSpec.transitions` wraps, serve only
+the law of ``u``; the sampler's step-table rows read the same triples.
 Completion weights use the closed form ``m! (m + 1)**u`` (times ``2**m``
 for type B).
 
@@ -75,6 +77,16 @@ def _require_chain(family: Family) -> None:
         )
 
 
+def _chain_of(family: Family) -> Family:
+    """The chain whose weights carry ``family``'s corner laws."""
+    return Family.TYPE_B if family in (Family.TYPE_B, Family.SYMMETRIC) else Family.PERMUTATION
+
+
+def _doubling(family: Family) -> int:
+    """``d``: the factor on every binomial West weight of ``family``'s chain."""
+    return 2 if _chain_of(family) is Family.TYPE_B else 1
+
+
 def _fraction_text(value: Union[int, Fraction]) -> str:
     """``p/q`` in lowest terms, also for integers (``3`` is ``3/1``)."""
     q = Fraction(value)
@@ -88,6 +100,16 @@ class Transition:
     weight: int
 
 
+def _transitions(family: Family, u: int) -> list[tuple[str, int, int]]:
+    """``(step, target, weight)`` of each transition out of state ``u``."""
+    doubling = _doubling(family)
+    out = [(SOUTH, u + 1, 1)]
+    out.extend((WEST, j, doubling * comb(u, j - 1)) for j in range(1, u + 1))
+    if family is Family.TYPE_B:
+        out.append((WEST, u + 1, 1))
+    return out
+
+
 class ChainSpec:
     """Transition weights out of state ``u`` for one chain family."""
 
@@ -98,12 +120,7 @@ class ChainSpec:
     def transitions(self, u: int) -> tuple[Transition, ...]:
         if u < 0:
             raise DomainError(f"state must be non-negative, got {u}")
-        doubling = 2 if self.family is Family.TYPE_B else 1
-        out = [Transition(SOUTH, u + 1, 1)]
-        out.extend(Transition(WEST, j, doubling * comb(u, j - 1)) for j in range(1, u + 1))
-        if self.family is Family.TYPE_B:
-            out.append(Transition(WEST, u + 1, 1))
-        return tuple(out)
+        return tuple(Transition(*t) for t in _transitions(self.family, u))
 
 
 def _suffix_weight(family: Family, m: int, u: int) -> int:
@@ -115,14 +132,13 @@ def _suffix_weight(family: Family, m: int, u: int) -> int:
 def _rows(family: Family, n: int) -> list[list[int]]:
     """Forward rows ``0..n`` of ``family``: ``rows[k][u]`` weighs the
     k-step prefixes ending in state ``u``."""
-    spec = ChainSpec(family)
     rows = [[1]]
     for k in range(1, n + 1):
         row = [0] * (k + 1)
         for u, w in enumerate(rows[-1]):
             if w:
-                for t in spec.transitions(u):
-                    row[t.target] += w * t.weight
+                for _, target, weight in _transitions(family, u):
+                    row[target] += w * weight
         rows.append(row)
     return rows
 
@@ -137,7 +153,7 @@ def _diagonal(family: Family, s: int) -> tuple[int, ...]:
     extra type-B West step another ``x P(x)``.  So each value is the one
     before times ``d (s - k)``.
     """
-    d = 2 if family is Family.TYPE_B else 1
+    d = _doubling(family)
     values = [1]
     for k in range(1, s + 1):
         values.append(values[-1] * d * (s - k))
@@ -166,24 +182,29 @@ def _require_position(n: int, k: int, family: Family, error: type[CornersError])
         )
 
 
-def _chain_family_and_position(n: int, k: int, family: Family) -> tuple[Family, int]:
-    """Map a (size, position) corner query of any family onto a chain query.
+def _chain_position(n: int, k: int, family: Family) -> int:
+    """The position of the chain at size ``n`` that corner position ``k``
+    of ``family`` reads (symmetric: at index ``n``).
 
-    Returns the chain family plus the position there; position 0 encodes
-    the last-step-South event and -1 the first-step-West event of the
-    chain at size ``n`` (resp. index ``n`` for the symmetric family).
+    Chain positions run over ``1..n-1``; 0 stands for the chain's
+    last-step-South event and -1 for its first-step-West event.
     """
-    _require_position(n, k, family, IndexOutOfRangeError)
     if family in _CHAIN_FAMILIES:
-        return family, k
+        return k
     if family is Family.TREE_LIKE:
-        return Family.PERMUTATION, (k if k <= n - 1 else 0)
+        return k if k <= n - 1 else 0
     # symmetric: index n, path length 2n + 2
     if k == 1 or k == 2 * n + 1:
-        return Family.TYPE_B, 0
+        return 0
     if k == n + 1:
-        return Family.TYPE_B, -1
-    return Family.TYPE_B, (n + 1 - k if k <= n else k - n - 1)
+        return -1
+    return n + 1 - k if k <= n else k - n - 1
+
+
+def _lay_out(n: int, family: Family, value: Callable[[int], Fraction]) -> dict[int, Fraction]:
+    """``family``'s corner law at ``n``, keyed by ascending position, with
+    ``value(pos)`` the probability at chain position ``pos``."""
+    return {k: value(_chain_position(n, k, family)) for k in _corner_position_range(n, family)}
 
 
 def count_tableaux(n: int, family: Family) -> int:
@@ -243,6 +264,56 @@ def rising_factorial_pgf(z: Union[int, Fraction], m: int) -> Fraction:
     return prod / factorial(m)
 
 
+def _dp_boundary(n: int, pos: int, chain: Family) -> Fraction:
+    """The DP value of boundary position ``pos`` (0 or -1, see
+    :func:`_chain_position`)."""
+    if pos == 0:
+        return last_step_south_probability(n, chain)
+    return first_step_west_probability(n, chain)
+
+
+def _dp_corner_weight(d: int, m: int, high: int, low: int) -> int:
+    """The weight of a corner at chain position ``n - m``, over the factor
+    ``d**(m - 1) m!`` of its total, from ``high`` = ``P_{pos-1}(m + 1)``
+    and ``low`` = ``P_{pos-1}(m)``.
+
+    Step ``pos`` is South from some state ``v``; the ``m`` steps left start
+    West, weighing ``g[m][v + 1] - g[m - 1][v + 2] = g[m][1] (m + 1)**v -
+    g[m - 1][2] m**v`` with ``g`` = :func:`_suffix_weight`, so the sum over
+    ``v`` is read off the diagonals ``n`` and ``n - 1``.  The two weights
+    share ``d**(m - 1) m!``: ``g[m][1]`` is that times ``d (m + 1)``,
+    ``g[m - 1][2]`` that times ``m``.
+    """
+    return d * (m + 1) * high - m * low
+
+
+def _dp_denominator(n: int, m: int, chain: Family) -> int:
+    """The count at ``n`` over the factor ``d**(m - 1) m!`` that
+    :func:`_dp_corner_weight` leaves out."""
+    return _diagonal(chain, n + 1)[n] // (m * _suffix_weight(chain, m - 1, 0))
+
+
+def _dp_chain_law(n: int, chain: Family) -> list[Fraction]:
+    """The DP corner probabilities of ``chain`` at positions ``1..n-1``, in
+    one pass over the three diagonals.
+
+    Each weight stays over its shared factor ``d**(m - 1) m!``, so the
+    denominator (:func:`_dp_denominator`) starts at ``m = n - 1`` and
+    grows by ``d m`` as ``m`` falls.
+    """
+    if n < 2:
+        return []
+    d = _doubling(chain)
+    high, low = _diagonal(chain, n), _diagonal(chain, n - 1)
+    scale = _dp_denominator(n, n - 1, chain)
+    law = []
+    for pos in range(1, n):
+        m = n - pos
+        law.append(Fraction(_dp_corner_weight(d, m, high[pos - 1], low[pos - 1]), scale))
+        scale *= d * m
+    return law
+
+
 def corner_event_probability_dp(n: int, k: int, family: Family) -> Fraction:
     """Exact probability that border steps ``k`` and ``k + 1`` form a
     corner, computed from the chain weights.
@@ -253,52 +324,47 @@ def corner_event_probability_dp(n: int, k: int, family: Family) -> Fraction:
     """
     if n < 1:
         raise DomainError(f"size must be at least 1, got {n}")
-    chain, pos = _chain_family_and_position(n, k, family)
-    if pos == 0:
-        return last_step_south_probability(n, chain)
-    if pos == -1:
-        return first_step_west_probability(n, chain)
-    # Step pos is South from v; the m steps left start West, weighing
-    # g[m][v + 1] - g[m - 1][v + 2] = g[m][1] (m + 1)**v - g[m - 1][2] m**v
-    # with g = _suffix_weight, so the sum over v is P_{pos-1}(m + 1) and
-    # P_{pos-1}(m), read off the diagonals n and n - 1.  The two weights
-    # share d**(m - 1) m!: g[m][1] is that times d (m + 1), g[m - 1][2]
-    # that times m.
+    _require_position(n, k, family, IndexOutOfRangeError)
+    chain, pos = _chain_of(family), _chain_position(n, k, family)
+    if pos < 1:
+        return _dp_boundary(n, pos, chain)
     m = n - pos
-    d = 2 if chain is Family.TYPE_B else 1
-    shared = factorial(m) << (m - 1) if d == 2 else factorial(m)
-    weight = shared * (
-        d * (m + 1) * _diagonal(chain, n)[pos - 1] - m * _diagonal(chain, n - 1)[pos - 1]
-    )
-    return Fraction(weight, _diagonal(chain, n + 1)[n])
+    d = _doubling(chain)
+    weight = _dp_corner_weight(d, m, _diagonal(chain, n)[pos - 1], _diagonal(chain, n - 1)[pos - 1])
+    return Fraction(weight, _dp_denominator(n, m, chain))
+
+
+def _closed_form_corner(n: int, pos: int, d: int) -> Fraction:
+    """The closed-form probability at chain position ``pos`` (0 and -1 as
+    in :func:`_chain_position`) at size ``n >= 2`` of the chain with
+    doubling ``d`` (:func:`_doubling`).
+
+    With ``m = n - pos`` this is ``(m + 1)/(d n) - m**2/(d**2 n (n - 1))``,
+    as one fraction; the last step is South with probability ``1/(d n)``
+    and the first step West with probability ``1/2``.
+    """
+    if pos == 0:
+        return Fraction(1, d * n)
+    if pos == -1:
+        return Fraction(1, 2)
+    m = n - pos
+    return Fraction(d * (m + 1) * (n - 1) - m * m, d * d * n * (n - 1))
 
 
 def corner_event_probability_formula(n: int, k: int, family: Family) -> Fraction:
     """The closed-form corner probability; defined for ``n >= 2`` only
-    (the printed expressions leave their ranges below that)."""
+    (the printed expressions leave their ranges below that).
+
+    Permutation: ``(n-k+1)/n - (n-k)**2/(n(n-1))``; tree-like the same,
+    and ``1/n`` at ``k = n``.  Type B: ``(n-k+1)/(2n) -
+    (n-k)**2/(4n(n-1))``.  Symmetric at index ``n``: ``1/(2n)`` at ``k = 1``
+    and ``2n + 1``, ``1/2`` at ``k = n + 1``, and the type-B value at
+    ``n + 1 - k`` and ``k - n - 1`` on the two halves.
+    """
     if n < 2:
         raise DomainError(f"closed forms need n >= 2, got {n}")
-
-    def type_a(pos: int) -> Fraction:
-        return Fraction(n - pos + 1, n) - Fraction((n - pos) ** 2, n * (n - 1))
-
-    def type_b(pos: int) -> Fraction:
-        return Fraction(n - pos + 1, 2 * n) - Fraction((n - pos) ** 2, 4 * n * (n - 1))
-
     _require_position(n, k, family, DomainError)
-    if family is Family.PERMUTATION:
-        return type_a(k)
-    if family is Family.TREE_LIKE:
-        return Fraction(1, n) if k == n else type_a(k)
-    if family is Family.TYPE_B:
-        return type_b(k)
-    if k == 1 or k == 2 * n + 1:
-        return Fraction(1, 2 * n)
-    if k == n + 1:
-        return Fraction(1, 2)
-    if k <= n:
-        return Fraction(k, 2 * n) - Fraction((k - 1) ** 2, 4 * n * (n - 1))
-    return Fraction(2 * n - k + 2, 2 * n) - Fraction((2 * n - k + 1) ** 2, 4 * n * (n - 1))
+    return _closed_form_corner(n, _chain_position(n, k, family), _doubling(family))
 
 
 def _require_dp_size(n: int, family: Family, what: str) -> None:
@@ -310,20 +376,29 @@ def _require_dp_size(n: int, family: Family, what: str) -> None:
 
 
 def corner_distribution(n: int, family: Family, *, method: str = "dp") -> dict[int, Fraction]:
-    """Per-position corner probabilities over the family's full range."""
-    if method == "dp":
-        prob: Callable[[int], Fraction] = lambda k: corner_event_probability_dp(n, k, family)
-        least = 1
-    elif method == "formula":
-        prob = lambda k: corner_event_probability_formula(n, k, family)
-        least = 2
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    """Per-position corner probabilities over the family's full range,
+    keyed by ascending position, in one pass.
+
+    ``method="dp"`` computes the chain law once (:func:`_dp_chain_law`);
+    ``"formula"`` builds one fraction per position from the closed form.
+    Tree-like and symmetric positions read the chain law at the positions
+    :func:`_chain_position` maps them to, so the two halves of the
+    symmetric law share one chain law.  Each value equals
+    :func:`corner_event_probability_dp`, resp.
+    :func:`corner_event_probability_formula`, at its position.
+    """
+    if method not in ("dp", "formula"):
+        raise DomainError(f"unknown corner-law method {method!r}")
+    least = 1 if method == "dp" else 2
     if n < least:
         raise DomainError(f"the {method} corner law needs n >= {least}, got {n}")
-    if method == "dp":
-        _require_dp_size(n, family, "the DP corner law")
-    return {k: prob(k) for k in _corner_position_range(n, family)}
+    chain = _chain_of(family)
+    if method == "formula":
+        d = _doubling(family)
+        return _lay_out(n, family, lambda pos: _closed_form_corner(n, pos, d))
+    _require_dp_size(n, family, "the DP corner law")
+    law = _dp_chain_law(n, chain)
+    return _lay_out(n, family, lambda pos: law[pos - 1] if pos > 0 else _dp_boundary(n, pos, chain))
 
 
 def expected_corners(n: int, family: Family) -> Fraction:

@@ -60,8 +60,10 @@ class ChainBudget:
 
 
 # Set from runs on a 2-CPU host with Python 3.11: the DP law at n = 4000
-# takes about 5 s (11 s for the symmetric family, with its 2n + 1
-# positions); a cold 100-draw report at n = 300 about 2 s and 150 MB, as
-# the step table grows with n (n = 400: 4 s and 335 MB); 100 000 draws of
-# the smallest report about 1.7 s.
+# took about 5 s (11 s for the symmetric family, with its 2n + 1
+# positions) when it was built one position at a time, and takes about
+# 0.2 s (0.3 s symmetric) in one pass; a cold 100-draw report at n = 300
+# takes about 1.3 s and 150 MB, as the step table grows with n (n = 400
+# took 4 s and 335 MB before the rows were built from plain triples);
+# 100 000 draws of the smallest report about 1.7 s.
 CHAIN_BUDGET = ChainBudget(dp_size=4000, sample_size=300, sample_count=100_000)

@@ -11,10 +11,11 @@ level, which determines every corner statistic.
 
 One step table per (n, family) holds, for each visited position and
 state, the cumulative weights with their rejection bound and the step
-and target of each transition.  A draw is one loop over it with the
-rejection draw and the bisection inlined.  Tableau growth reads the same
-table and tracks the unrestricted rows as it goes, so it builds and
-validates one tableau at the end instead of one per step.
+and target of each transition, built from the chain's plain ``(step,
+target, weight)`` triples.  A draw is one loop over it with the rejection
+draw and the bisection inlined.  Tableau growth reads the same table and
+tracks the unrestricted rows as it goes, so it builds and validates one
+tableau at the end instead of one per step.
 
 Randomness contract (generator id ``sha256-stream/mt19937/v1``): sample
 ``i`` of a run seeded with ``seed`` uses a ``random.Random`` (Mersenne
@@ -38,15 +39,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 from typing import Iterator, Sequence
 
 from .chain import (
-    ChainSpec,
-    _corner_position_range,
     _fraction_text,
     _require_chain,
     _suffix_weight,
-    corner_event_probability_formula,
+    _transitions,
+    corner_distribution,
     expected_corners,
 )
 from .errors import BudgetExceededError, DomainError
@@ -133,7 +134,6 @@ class _StepSampler:
             )
         self.n = n
         self.family = family
-        self.spec = ChainSpec(family)
         #: ``table[k][u]``; a list per position, a dict per state.
         self.table: list[dict[int, _StepRow]] = [{} for _ in range(n)]
 
@@ -141,19 +141,19 @@ class _StepSampler:
         """The table row of ``(k, u)``, built if missing."""
         hit = self.table[k].get(u)
         if hit is None:
-            transitions = self.spec.transitions(u)
+            steps, targets, weights = zip(*_transitions(self.family, u))
             # completion weights m! (m + 1)**j (times 2**m): one power per target
             m = self.n - k - 1
             suffix = [_suffix_weight(self.family, m, 0)]
             for _ in range(u + 1):
                 suffix.append(suffix[-1] * (m + 1))
-            cumulative = list(accumulate(t.weight * suffix[t.target] for t in transitions))
+            cumulative = list(accumulate(map(mul, weights, map(suffix.__getitem__, targets))))
             hit = self.table[k][u] = (
                 cumulative,
                 cumulative[-1],
                 cumulative[-1].bit_length(),
-                "".join(t.step for t in transitions),
-                tuple(t.target for t in transitions),
+                "".join(steps),
+                targets,
             )
         return hit
 
@@ -360,8 +360,8 @@ def monte_carlo_corner_report(
             position_hits[k - 1],
             position_hits[k - 1],  # indicator: squares equal values
             sample_count,
-            corner_event_probability_formula(n, k, family),
+            reference,
         )
-        for k in _corner_position_range(n, family)
+        for k, reference in corner_distribution(n, family, method="formula").items()
     )
     return McReport(family, n, sample_count, seed, GENERATOR_ID, mean, per_position)

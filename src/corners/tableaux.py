@@ -369,10 +369,6 @@ def validate(t: Tableau) -> ValidationResult:
         violations = _validate_bit_tableau(t.rows, staircase, staircase)
     elif isinstance(t, TreeLikeTableau):
         violations = _validate_tree_like(t)
-        if isinstance(t, SymmetricTreeLikeTableau) and t.size % 2 == 0:
-            violations.append(
-                RuleViolation("even-size", None, f"symmetric size {t.size} is even")
-            )
     else:  # pragma: no cover - defensive
         raise TypeError(f"not a tableau: {t!r}")
     return ValidationResult(tuple(violations))

@@ -89,7 +89,7 @@ def _polynomial(row, x):
 
 @pytest.mark.parametrize("family", CHAIN)
 def test_rows_satisfy_the_functional_equation(family):
-    # the rows are grown from ChainSpec.transitions, the independent side
+    # the rows are grown from the transition triples, the independent side
     rows = chain._rows(family, 40)
     d = 2 if family is Family.TYPE_B else 1
     for k in range(1, 41):
@@ -174,6 +174,30 @@ def test_formula_values_fixed_points():
     assert corner_event_probability_formula(2, 1, Family.TYPE_B) == Fraction(3, 8)
     assert corner_event_probability_formula(2, 3, Family.SYMMETRIC) == Fraction(1, 2)
     assert corner_event_probability_formula(2, 5, Family.SYMMETRIC) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("family", ALL)
+@pytest.mark.parametrize("n", [*range(2, 61), 400])
+def test_one_pass_laws_equal_the_per_position_functions(family, n):
+    dp = corner_distribution(n, family, method="dp")
+    formula = corner_distribution(n, family, method="formula")
+    positions = list(chain._corner_position_range(n, family))
+    assert list(dp) == positions and list(formula) == positions
+    assert list(dp.values()) == [corner_event_probability_dp(n, k, family) for k in positions]
+    assert list(formula.values()) == [
+        corner_event_probability_formula(n, k, family) for k in positions
+    ]
+    for k in (positions[0] - 1, positions[-1] + 1):
+        with pytest.raises(IndexOutOfRangeError):
+            corner_event_probability_dp(n, k, family)
+        with pytest.raises(DomainError):
+            corner_event_probability_formula(n, k, family)
+
+
+@pytest.mark.parametrize("family", ALL)
+def test_corner_law_rejects_an_unknown_method(family):
+    with pytest.raises(DomainError, match="unknown corner-law method 'bogus'"):
+        corner_distribution(5, family, method="bogus")
 
 
 @pytest.mark.parametrize("family", ALL)

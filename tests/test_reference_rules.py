@@ -118,10 +118,7 @@ def ref_validate(t):
         return tuple(ref_validate_bit_tableau(t.rows, k, k))
     if isinstance(t, PermutationTableau):
         return tuple(ref_validate_bit_tableau(t.rows, t.path.column_count, 0))
-    violations = ref_validate_tree_like(t)
-    if isinstance(t, SymmetricTreeLikeTableau) and t.size % 2 == 0:
-        violations.append(RuleViolation("even-size", None, f"symmetric size {t.size} is even"))
-    return tuple(violations)
+    return tuple(ref_validate_tree_like(t))
 
 
 def ref_markers(t):

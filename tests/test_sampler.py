@@ -23,6 +23,7 @@ from corners.sampler import (
     sample_trajectory,
     substream,
     _step_sampler,
+    _StepSampler,
 )
 from corners.enumerator import parent_permutation
 from corners.shapes import BorderPath
@@ -187,6 +188,28 @@ def test_sample_stream_is_pinned():
     for t in sample_permutation_tableaux(30, seed=20150, count=32):
         digest.update((json.dumps(to_record(t), sort_keys=True) + "\n").encode())
     assert digest.hexdigest() == PINNED_STREAMS["tableaux/permutation"]
+
+
+@pytest.mark.parametrize("family", (P, B))
+def test_step_rows_match_rows_from_the_transitions(family):
+    for n in range(1, 31):
+        sampler = _StepSampler(n, family)
+        for k in range(n):
+            for u in range(k + 1):
+                transitions = ChainSpec(family).transitions(u)
+                cumulative = list(
+                    accumulate(
+                        t.weight * chain._suffix_weight(family, n - k - 1, t.target)
+                        for t in transitions
+                    )
+                )
+                assert sampler.row(k, u) == (
+                    cumulative,
+                    cumulative[-1],
+                    cumulative[-1].bit_length(),
+                    "".join(t.step for t in transitions),
+                    tuple(t.target for t in transitions),
+                ), (n, k, u)
 
 
 def test_step_sampler_cache_is_bounded():
