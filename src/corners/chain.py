@@ -201,10 +201,25 @@ def _chain_position(n: int, k: int, family: Family) -> int:
     return n + 1 - k if k <= n else k - n - 1
 
 
-def _lay_out(n: int, family: Family, value: Callable[[int], Fraction]) -> dict[int, Fraction]:
-    """``family``'s corner law at ``n``, keyed by ascending position, with
-    ``value(pos)`` the probability at chain position ``pos``."""
-    return {k: value(_chain_position(n, k, family)) for k in _corner_position_range(n, family)}
+def _lay_out(
+    n: int,
+    family: Family,
+    chain_law: list[Fraction],
+    per_position: Callable[[int, int, Family], Fraction],
+) -> dict[int, Fraction]:
+    """``family``'s corner law at ``n``, keyed by ascending position.
+
+    A position that :func:`_chain_position` maps to chain position
+    ``pos >= 1`` reads ``chain_law[pos - 1]``.  The boundary events
+    (``pos`` 0 and -1) have expressions of their own, which the
+    per-position function holds, so they are read through
+    ``per_position(n, k, family)``.
+    """
+    law = {}
+    for k in _corner_position_range(n, family):
+        pos = _chain_position(n, k, family)
+        law[k] = chain_law[pos - 1] if pos > 0 else per_position(n, k, family)
+    return law
 
 
 def count_tableaux(n: int, family: Family) -> int:
@@ -264,14 +279,6 @@ def rising_factorial_pgf(z: Union[int, Fraction], m: int) -> Fraction:
     return prod / factorial(m)
 
 
-def _dp_boundary(n: int, pos: int, chain: Family) -> Fraction:
-    """The DP value of boundary position ``pos`` (0 or -1, see
-    :func:`_chain_position`)."""
-    if pos == 0:
-        return last_step_south_probability(n, chain)
-    return first_step_west_probability(n, chain)
-
-
 def _dp_corner_weight(d: int, m: int, high: int, low: int) -> int:
     """The weight of a corner at chain position ``n - m``, over the factor
     ``d**(m - 1) m!`` of its total, from ``high`` = ``P_{pos-1}(m + 1)``
@@ -326,8 +333,10 @@ def corner_event_probability_dp(n: int, k: int, family: Family) -> Fraction:
         raise DomainError(f"size must be at least 1, got {n}")
     _require_position(n, k, family, IndexOutOfRangeError)
     chain, pos = _chain_of(family), _chain_position(n, k, family)
-    if pos < 1:
-        return _dp_boundary(n, pos, chain)
+    if pos == 0:
+        return last_step_south_probability(n, chain)
+    if pos == -1:
+        return first_step_west_probability(n, chain)
     m = n - pos
     d = _doubling(chain)
     weight = _dp_corner_weight(d, m, _diagonal(chain, n)[pos - 1], _diagonal(chain, n - 1)[pos - 1])
@@ -379,26 +388,27 @@ def corner_distribution(n: int, family: Family, *, method: str = "dp") -> dict[i
     """Per-position corner probabilities over the family's full range,
     keyed by ascending position, in one pass.
 
-    ``method="dp"`` computes the chain law once (:func:`_dp_chain_law`);
-    ``"formula"`` builds one fraction per position from the closed form.
-    Tree-like and symmetric positions read the chain law at the positions
+    Both methods compute the chain law at positions ``1..n-1`` once:
+    ``method="dp"`` in one pass over the diagonals (:func:`_dp_chain_law`),
+    ``"formula"`` as one fraction per position from the closed form.
+    Tree-like and symmetric positions read it at the positions
     :func:`_chain_position` maps them to, so the two halves of the
-    symmetric law share one chain law.  Each value equals
-    :func:`corner_event_probability_dp`, resp.
-    :func:`corner_event_probability_formula`, at its position.
+    symmetric law share one chain law; their boundary positions are read
+    through :func:`corner_event_probability_dp`, resp.
+    :func:`corner_event_probability_formula` (see :func:`_lay_out`).
+    Each value equals that function at its position.
     """
     if method not in ("dp", "formula"):
         raise DomainError(f"unknown corner-law method {method!r}")
     least = 1 if method == "dp" else 2
     if n < least:
         raise DomainError(f"the {method} corner law needs n >= {least}, got {n}")
-    chain = _chain_of(family)
     if method == "formula":
         d = _doubling(family)
-        return _lay_out(n, family, lambda pos: _closed_form_corner(n, pos, d))
+        chain_law = [_closed_form_corner(n, pos, d) for pos in range(1, n)]
+        return _lay_out(n, family, chain_law, corner_event_probability_formula)
     _require_dp_size(n, family, "the DP corner law")
-    law = _dp_chain_law(n, chain)
-    return _lay_out(n, family, lambda pos: law[pos - 1] if pos > 0 else _dp_boundary(n, pos, chain))
+    return _lay_out(n, family, _dp_chain_law(n, _chain_of(family)), corner_event_probability_dp)
 
 
 def expected_corners(n: int, family: Family) -> Fraction:

@@ -60,10 +60,7 @@ class ChainBudget:
 
 
 # Set from runs on a 2-CPU host with Python 3.11: the DP law at n = 4000
-# took about 5 s (11 s for the symmetric family, with its 2n + 1
-# positions) when it was built one position at a time, and takes about
-# 0.2 s (0.3 s symmetric) in one pass; a cold 100-draw report at n = 300
-# takes about 1.3 s and 150 MB, as the step table grows with n (n = 400
-# took 4 s and 335 MB before the rows were built from plain triples);
-# 100 000 draws of the smallest report about 1.7 s.
+# takes about 0.16 s (0.2 s for the symmetric family); a cold 100-draw
+# report at n = 300 about 1.1 s and 146 MB, as the step table grows with
+# n; 100 000 draws of the smallest report about 1.8 s.
 CHAIN_BUDGET = ChainBudget(dp_size=4000, sample_size=300, sample_count=100_000)

@@ -196,13 +196,7 @@ def test_step_rows_match_rows_from_the_transitions(family):
         sampler = _StepSampler(n, family)
         for k in range(n):
             for u in range(k + 1):
-                transitions = ChainSpec(family).transitions(u)
-                cumulative = list(
-                    accumulate(
-                        t.weight * chain._suffix_weight(family, n - k - 1, t.target)
-                        for t in transitions
-                    )
-                )
+                transitions, cumulative = _ref_options(n, family, k, u, {})
                 assert sampler.row(k, u) == (
                     cumulative,
                     cumulative[-1],
