@@ -6,6 +6,12 @@ writes to stdout or ``--out FILE``.  Outputs are deterministic byte for
 byte given the same flags (timing goes to stderr), big integers print as
 decimal strings and probabilities as ``p/q``.
 
+Tableau and trajectory lists are rendered one item at a time as the
+generator yields it: a JSON record becomes its final text, the same bytes
+as ``json.dumps(payload, indent=2)``, and a table or CSV item its row.
+Only those are kept, and nothing is written until the last item has been
+rendered, so a budget or domain error leaves stdout and ``--out`` empty.
+
 Exit codes: 0 success / all checks pass; 1 a verification or round-trip
 check failed (a witness is printed to stderr); 2 usage or domain error.
 """
@@ -18,7 +24,8 @@ import io
 import json
 import sys
 import time
-from typing import Iterable, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bijections import (
     symmetric_corner_decomposition,
@@ -43,16 +50,47 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    chunks = (text,) if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _record_text(value: object, depth: int) -> str:
+    """``json.dumps(value, indent=2)`` as it reads nested ``depth`` levels
+    deep, for the ``str``, ``int``, ``list`` and ``dict`` values records hold."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    inner = "\n" + "  " * (depth + 1)
+    outer = "\n" + "  " * depth
+    # strings, most of a record, are quoted in place rather than by a call
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [
+            encode_basestring_ascii(item) if type(item) is str else _record_text(item, depth + 1)
+            for item in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + outer + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": "
+            + (encode_basestring_ascii(item) if type(item) is str else _record_text(item, depth + 1))
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    raise TypeError(f"a record holds no {type(value).__name__}")
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -111,20 +149,52 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
+def _emit_list(
+    args: argparse.Namespace,
+    schema: str,
+    key: str,
+    items: Iterable,
+    record: Callable[[object], dict],
+    row: Callable[[object], tuple],
+    header: Sequence[str],
+    **extra: object,
+) -> int:
+    """Emit a list payload, rendering each item as it is yielded.
+
+    The JSON payload holds ``schema``, ``family``, ``n``, the ``extra``
+    keys, ``count`` and the list under ``key``, one ``record(item)`` each;
+    a table or CSV has one ``(index, *row(item))`` line per item.
+    """
+    if args.format != "json":
+        rows = [(i, *row(item)) for i, item in enumerate(items)]
+        _emit((_csv_text if args.format == "csv" else _table_text)(header, rows), args.out)
+        return 0
+    texts = [_record_text(record(item), 2) for item in items]
+    head = {"schema": schema, "family": args.family.value, "n": args.size, **extra}
+    text = _json_text({**head, "count": str(len(texts)), key: []})
+    if not texts:
+        _emit(text, args.out)
+        return 0
+
+    def chunks() -> Iterator[str]:
+        yield text[: -len("]\n}\n")]  # the head up to the list's "["
+        separator = "\n    "
+        for record_text in texts:
+            yield separator
+            yield record_text
+            separator = ",\n    "
+        yield "\n  ]\n}\n"
+
+    _emit(chunks(), args.out)
+    return 0
+
+
 def _emit_tableaux(args: argparse.Namespace, tableaux: Iterable[Tableau], **extra: object) -> int:
     """Emit a ``tableau-list/v1`` payload; ``extra`` keys go between ``n`` and ``count``."""
-    records = [to_record(t) for t in tableaux]
-    payload = {
-        "schema": "tableau-list/v1",
-        "family": args.family.value,
-        "n": args.size,
-        **extra,
-        "count": str(len(records)),
-        "tableaux": records,
-    }
-    rows = [] if args.format == "json" else [(i, r["path"], "|".join(r["rows"])) for i, r in enumerate(records)]
-    _emit(_render(args.format, payload, ("index", "path", "rows"), rows), args.out)
-    return 0
+    return _emit_list(
+        args, "tableau-list/v1", "tableaux", tableaux, to_record,
+        lambda t: (t.path.steps, "|".join(t.row_strings())), ("index", "path", "rows"), **extra,
+    )
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -254,20 +324,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             raise CornersError("tableau sampling is implemented for the permutation family")
         tableaux = sample_permutation_tableaux(args.size, args.seed, args.count)
         return _emit_tableaux(args, tableaux, seed=args.seed)
-    trajectories = list(sample_trajectories(args.size, args.family, args.seed, args.count))
-    payload = {
-        "schema": "trajectory-list/v1",
-        "family": args.family.value,
-        "n": args.size,
-        "seed": args.seed,
-        "count": str(len(trajectories)),
-        "trajectories": [
-            {"steps": tr.steps, "uSequence": list(tr.u_sequence)} for tr in trajectories
-        ],
-    }
-    rows = [(i, tr.steps, " ".join(map(str, tr.u_sequence))) for i, tr in enumerate(trajectories)]
-    _emit(_render(args.format, payload, ("index", "steps", "uSequence"), rows), args.out)
-    return 0
+    return _emit_list(
+        args, "trajectory-list/v1", "trajectories",
+        sample_trajectories(args.size, args.family, args.seed, args.count),
+        lambda tr: {"steps": tr.steps, "uSequence": list(tr.u_sequence)},
+        lambda tr: (tr.steps, " ".join(map(str, tr.u_sequence))),
+        ("index", "steps", "uSequence"), seed=args.seed,
+    )
 
 
 def _add_common(parser: argparse.ArgumentParser, *, family: Family | None = None, size: bool = True) -> None:

@@ -19,6 +19,10 @@ rows for the permutation and type-B families, point rows for tree-like
 tableaux and lower-triangle point rows for symmetric ones.  A filling is
 a choice of legal rows, top to bottom, that covers every column it
 must.  Enumeration walks these rows depth first and builds each tableau.
+Each row's legal rows are sorted by their cells, so the walk yields the
+fillings of a shape in canonical order and nothing is collected per
+shape, except in the symmetric family: its word also reads the mirrored
+points of later rows, so each symmetric shape's tableaux are sorted.
 The census of a 0/1 family walks them breadth first, merging fillings
 that cover the same columns with the same number of unrestricted rows,
 and builds nothing; the census of a pointed family builds its tableaux.
@@ -34,7 +38,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -184,21 +188,22 @@ def _shape_rows(family: Family, path: BorderPath) -> tuple[_Rule, list[tuple], i
 
 def _row_reader() -> _Reader:
     """Legal rows by function, key and the covered columns the row sees,
-    each computed once per reader."""
+    each computed once per reader and sorted by their cells."""
     legal: dict[tuple[_Rule, tuple, int], tuple[_Row, ...]] = {}
 
     def rows(rule: _Rule, key: tuple, above: int) -> tuple[_Row, ...]:
         seen = above & ((1 << key[0]) - 1)
         found = legal.get((rule, key, seen))
         if found is None:
-            found = legal[rule, key, seen] = rule(*key, seen)
+            found = legal[rule, key, seen] = tuple(sorted(rule(*key, seen), key=itemgetter(0)))
         return found
 
     return rows
 
 
 def _fillings(rows: _Reader, rule: _Rule, keys: list[tuple], need: int) -> Iterator[Bits]:
-    """Every filling of one shape, row by row depth first."""
+    """Every filling of one shape, row by row depth first; with rows
+    sorted by their cells, in the order of the filling read row by row."""
     fill: list[tuple[int, ...]] = [()] * len(keys)
 
     def walk(r: int, above: int) -> Iterator[Bits]:
@@ -269,9 +274,12 @@ def enumerate_tableaux(n: int, family: Family) -> Iterator[Tableau]:
     _require_size(n, family)
     rows = _row_reader()
     for path in _shapes(n, family):
-        batch = [_tableau(family, path, fill) for fill in _fillings(rows, *_shape_rows(family, path))]
-        batch.sort(key=canonical_key)
-        yield from batch
+        tableaux = (_tableau(family, path, fill) for fill in _fillings(rows, *_shape_rows(family, path)))
+        if family is Family.SYMMETRIC:
+            # the word also reads the mirrored points, which later rows decide
+            yield from sorted(tableaux, key=canonical_key)
+        else:
+            yield from tableaux
 
 
 def extend_permutation(t: PermutationTableau) -> tuple[PermutationTableau, ...]:

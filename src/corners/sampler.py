@@ -344,13 +344,13 @@ def monte_carlo_corner_report(
     position_hits = [0] * n  # index k-1 counts corners at position k
     sampler = _step_sampler(n, family)
     for index in range(sample_count):
-        trajectory = sampler.draw(substream(seed, index))
+        steps = sampler.draw(substream(seed, index)).steps
         corners = 0
-        steps = trajectory.steps
-        for k in range(n - 1):
-            if steps[k] == SOUTH and steps[k + 1] == WEST:
-                corners += 1
-                position_hits[k] += 1
+        k = steps.find(SOUTH + WEST)
+        while k >= 0:  # "SW" matches cannot overlap
+            corners += 1
+            position_hits[k] += 1
+            k = steps.find(SOUTH + WEST, k + 2)
         total += corners
         total_sq += corners * corners
     mean = _statistic("meanCorners", total, total_sq, sample_count, expected_corners(n, family))

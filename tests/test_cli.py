@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -16,8 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corners.chain import total_corners
-from corners.cli import run_command
+from corners.cli import _record_text, run_command
+from corners.enumerator import enumerate_tableaux
 from corners.families import CHAIN_BUDGET, Family
+from corners.sampler import sample_permutation_tableaux, sample_trajectories
+from corners.tableaux import POINT_CHAR, to_record
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SUBCOMMANDS = ("census", "enumerate", "verify", "formula", "bijection", "sample")
@@ -268,6 +272,95 @@ def test_enumerate_matches_cardinality(capsys):
     lines = out.splitlines()
     assert lines[0] == "index,path,rows"
     assert len(lines) == 7
+
+
+def _assert_renders_as_json_dumps(value):
+    # at the top level, and nested two levels deep as a list payload's items are
+    assert _record_text(value, 0) == json.dumps(value, indent=2)
+    nested = json.dumps({"items": [value]}, indent=2)
+    assert nested == '{\n  "items": [\n    ' + _record_text(value, 2) + "\n  ]\n}"
+
+
+@pytest.mark.parametrize(
+    "family,sizes",
+    [
+        (Family.PERMUTATION, range(1, 6)),
+        (Family.TREE_LIKE, range(1, 6)),
+        (Family.TYPE_B, range(1, 5)),
+        (Family.SYMMETRIC, range(1, 10, 2)),
+    ],
+)
+def test_record_text_equals_json_dumps_on_enumerated_records(family, sizes):
+    for size in sizes:
+        for t in enumerate_tableaux(size, family):
+            _assert_renders_as_json_dumps(to_record(t))
+
+
+def test_record_text_equals_json_dumps_on_sampled_records():
+    for t in sample_permutation_tableaux(30, 4, 20):
+        _assert_renders_as_json_dumps(to_record(t))
+    for tr in sample_trajectories(40, Family.TYPE_B, 4, 20):
+        _assert_renders_as_json_dumps({"steps": tr.steps, "uSequence": list(tr.u_sequence)})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [],
+        {},
+        "",
+        POINT_CHAR,
+        'a "quoted" row',
+        "back\\slash",
+        {"rows": [], "path": ""},
+        {"rows": ["", POINT_CHAR + ".", '"', "\\"], "n": 0},
+        [[], [[]], {"k": {}}],
+        2**70,
+        -3,
+    ],
+)
+def test_record_text_edge_cases(value):
+    _assert_renders_as_json_dumps(value)
+
+
+@pytest.mark.parametrize("value", [True, 0.5, None, ("a",)])
+def test_record_text_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _record_text(value, 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "enumerate --family type-b --size 3 --format json",
+        "enumerate --family symmetric --size 5 --format json",
+        "sample --kind trajectories --family type-b --size 7 --count 5 --seed 6 --format json",
+        "sample --kind trajectories --size 7 --count 0 --format json",
+        "sample --kind tableaux --size 6 --count 0 --format json",
+    ],
+)
+def test_list_json_out_file_matches_stdout(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    target = tmp_path / "list.json"
+    assert run(capsys, *argv.split(), "--out", str(target))[:2] == (0, "")
+    assert target.read_bytes() == out.encode()
+
+
+def test_enumerate_json_keeps_only_the_rendered_records(tmp_path):
+    # each record becomes its text as the tableau is yielded, so the traced
+    # peak stays near the output size: the tableaux, the record dicts and a
+    # second copy of the whole text are never all held at once
+    target = tmp_path / "b5.json"
+    argv = ["enumerate", "--family", "type-b", "--size", "5", "--format", "json", "--out", str(target)]
+    tracemalloc.start()
+    try:
+        assert run_command(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * target.stat().st_size
 
 
 # (argv, format) -> (exit code, sha256 of stdout) for every subcommand in
