@@ -5,7 +5,6 @@ folding bijection, and seeded uniform sampling.
 
 from .bijections import (
     CornerDecomposition,
-    ShapeCorrespondence,
     symmetric_corner_decomposition,
     symmetric_to_type_b,
     tree_like_to_permutation_shape,

@@ -16,9 +16,11 @@ into a 1 and every other point (necessarily leftmost in its row) into a
 forced values, computed by one top-to-bottom sweep.  Going up, 1s that
 are topmost in their column and 0s that are rightmost restricted zeros
 turn back into points, a new first column marks the unrestricted rows,
-and the result is mirrored.  Both directions finish with a full
-re-validation; any inconsistency raises :class:`BijectionError` instead
-of returning a wrong tableau.
+and the result is mirrored.  That marker-to-point rule lives in one
+place, ``_lower_points``: the fold validates its result and checks that
+it unfolds back to the input, and the unfold validates its result.  Any
+inconsistency raises :class:`BijectionError` instead of returning a
+wrong tableau.
 
 The size-1 symmetric tableau has no representable type-B partner (it
 would be the empty tableau of size 0, and border paths here are
@@ -49,7 +51,6 @@ from .tableaux import (
 )
 
 __all__ = [
-    "ShapeCorrespondence",
     "tree_like_to_permutation_shape",
     "symmetric_to_type_b",
     "type_b_to_symmetric",
@@ -66,22 +67,6 @@ def tree_like_to_permutation_shape(path: BorderPath) -> BorderPath:
     """
     path.require_tree_like()
     return BorderPath(path.steps[:-1])
-
-
-@dataclass(frozen=True)
-class ShapeCorrespondence:
-    """A tree-like shape paired with its permutation shape."""
-
-    tree_like_path: BorderPath
-    permutation_path: BorderPath
-
-    @classmethod
-    def of_tree_like(cls, path: BorderPath) -> "ShapeCorrespondence":
-        return cls(path, tree_like_to_permutation_shape(path))
-
-    @property
-    def corner_difference(self) -> int:
-        return self.tree_like_path.corner_count() - self.permutation_path.corner_count()
 
 
 def _require_valid(t, what: str) -> None:
@@ -104,50 +89,43 @@ def symmetric_to_type_b(t: SymmetricTreeLikeTableau) -> TypeBTableau:
 
     Point markers land on the lower triangle (column and row indices both
     shifted down by one after deleting row 1 and column 1); the remaining
-    cells take their unique consistent values.
+    cells take their unique consistent values.  The result must be valid
+    and unfold back to ``t``, or :class:`BijectionError` is raised.
     """
+    _require_valid(t, "fold input")
     if not isinstance(t, SymmetricTreeLikeTableau):
-        raise InvalidTableauError(f"expected a symmetric tree-like tableau, got {t!r}")
-    _require_valid(t, "symmetric input")
+        raise InvalidTableauError(f"fold expects a symmetric tree-like tableau, got a {type(t).__name__}")
     if t.size < 3:
         raise DomainError("size-1 tableaux fold to the empty tableau, which has no border path")
     n = (t.size - 1) // 2
-    steps = t.path.steps
-    b_path = BorderPath(steps[n + 1 : 2 * n + 1])
+    b_path = BorderPath(t.path.steps[n + 1 : 2 * n + 1])
     k = b_path.column_count
-    lengths = t.row_lengths
-    profile = b_path.shifted_row_lengths
-    if len(profile) != n or any(
-        min(lengths[r - 1], r) - 1 != profile[r - 2] for r in range(2, n + 2)
-    ):
-        raise BijectionError("lower triangle does not match the folded shape", witness=t)
 
     # a lower-triangle point (r, c) is covered when its column holds a
     # point higher up; above the diagonal the column mirrors row c, so the
     # column's topmost point decides
     tops = _column_tops(t.points)
+    lower: set[Cell] = set()
     ones: set[Cell] = set()
-    zeros: set[Cell] = set()
+    zero_marks: dict[int, int] = {}  # a valid input marks at most one 0 per row
+    unrestricted: set[int] = set()
     for r, c in t.points:
-        if c < 2 or c > r:
+        if c > r:
             continue
-        if tops[c] < r:
-            zeros.add((r - 1, c - 1))  # leftmost point of its row
+        lower.add((r, c))
+        if c == 1:
+            if r > 1:
+                unrestricted.add(r - 1)
+        elif tops[c] < r:
+            zero_marks[r - 1] = c - 1  # leftmost point of its row
         else:
             ones.add((r - 1, c - 1))  # topmost point of its column
-    unrestricted = frozenset(r - 1 for r, c in t.points if c == 1 and r >= 2)
-    zero_marks = dict(zeros)  # a valid input marks at most one 0 per row
 
     rows: list[tuple[int, ...]] = []
     col_has_one = [False] * (k + 1)
-    for big_r, length in enumerate(profile, start=1):
+    for big_r, length in enumerate(b_path.shifted_row_lengths, start=1):
         zero_mark = zero_marks.get(big_r)
         all_zero_row = big_r not in unrestricted and zero_mark is None
-        if all_zero_row and big_r > k:
-            raise BijectionError(
-                f"row {big_r} is restricted without a marked 0 and has no diagonal cell",
-                witness=t,
-            )
         row: list[int] = []
         for c in range(1, length + 1):
             if all_zero_row:
@@ -168,61 +146,46 @@ def symmetric_to_type_b(t: SymmetricTreeLikeTableau) -> TypeBTableau:
         rows.append(tuple(row))
 
     b = TypeBTableau(b_path, tuple(rows))
-    _check_fold(t, b, ones, zeros, unrestricted)
-    return b
-
-
-def _check_fold(
-    t: SymmetricTreeLikeTableau,
-    b: TypeBTableau,
-    ones: set[Cell],
-    zeros: set[Cell],
-    unrestricted: frozenset[int],
-) -> None:
-    """The folded tableau must be valid and re-derive the same markers."""
     result = validate(b)
     if not result.ok:
         raise BijectionError(
             f"folded filling breaks type-B rules: {result.violations[0].message}", witness=t
         )
+    # the path of a valid symmetric tableau is always S + conj(q) + q + W,
+    # so b unfolds back to t exactly when the lower points agree
+    if _lower_points(b) != lower:
+        raise BijectionError("folded tableau does not unfold back to its input", witness=t)
+    return b
+
+
+def _lower_points(b: TypeBTableau) -> set[Cell]:
+    """The points on and below the diagonal of ``b``'s unfolding: the root,
+    ``(r+1, 1)`` for each unrestricted row, and ``(r+1, c+1)`` for each
+    off-diagonal topmost 1 and each rightmost restricted 0 of a row
+    without a diagonal 0."""
     m = markers(b)
     k = b.path.column_count
-    derived_ones = {(r, c) for r, c in m.topmost_ones if not r == c <= k}
-    diag_zero_rows = {r for r, _ in m.diagonal_zeros}
-    derived_zeros = {
-        cell for cell in m.rightmost_restricted_zeros if cell[0] not in diag_zero_rows
-    }
-    if (
-        derived_ones != ones
-        or derived_zeros != zeros
-        or frozenset(m.unrestricted_rows) != unrestricted
-    ):
-        raise BijectionError("folded markers disagree with the point classification", witness=t)
-
-
-def type_b_to_symmetric(b: TypeBTableau) -> SymmetricTreeLikeTableau:
-    """Unfold a type-B tableau of size ``n`` into a symmetric tree-like
-    tableau of size ``2n + 1``; inverse of :func:`symmetric_to_type_b`."""
-    if not isinstance(b, TypeBTableau):
-        raise InvalidTableauError(f"expected a type-B tableau, got {b!r}")
-    _require_valid(b, "type-B input")
-    n = b.size
-    q = b.path.steps
-    mirrored = "".join(WEST if ch == SOUTH else SOUTH for ch in reversed(q))
-    sym_path = BorderPath(SOUTH + mirrored + q + WEST)
-
-    m = markers(b)
     diag_zero_rows = {r for r, _ in m.diagonal_zeros}
     lower: set[Cell] = {(1, 1)}
     lower.update((r + 1, 1) for r in m.unrestricted_rows)
     lower.update(
         (r + 1, c + 1) for r, c in m.rightmost_restricted_zeros if r not in diag_zero_rows
     )
-    k = b.path.column_count
     lower.update((r + 1, c + 1) for r, c in m.topmost_ones if not r == c <= k)
-    points = frozenset(lower) | frozenset((c, r) for r, c in lower)
+    return lower
 
-    t = SymmetricTreeLikeTableau(sym_path, points)
+
+def type_b_to_symmetric(b: TypeBTableau) -> SymmetricTreeLikeTableau:
+    """Unfold a type-B tableau of size ``n`` into a symmetric tree-like
+    tableau of size ``2n + 1``; inverse of :func:`symmetric_to_type_b`."""
+    _require_valid(b, "unfold input")
+    if not isinstance(b, TypeBTableau):
+        raise InvalidTableauError(f"unfold expects a type-B tableau, got a {type(b).__name__}")
+    lower = _lower_points(b)
+    t = SymmetricTreeLikeTableau(
+        BorderPath(SOUTH + b.path.conjugate().steps + b.path.steps + WEST),
+        frozenset(lower) | frozenset((c, r) for r, c in lower),
+    )
     result = validate(t)
     if not result.ok:
         raise BijectionError(

@@ -21,9 +21,9 @@ from math import factorial
 from typing import Callable, Union
 
 from .bijections import (
-    ShapeCorrespondence,
     symmetric_corner_decomposition,
     symmetric_to_type_b,
+    tree_like_to_permutation_shape,
     type_b_to_symmetric,
 )
 from .chain import (
@@ -425,9 +425,9 @@ def suite_bijections(max_size: int) -> list[VerificationRow]:
         projected: dict[tuple, int] = {}
         extra = 0
         for t in enumerate_tableaux(n, Family.TREE_LIKE):
-            corr = ShapeCorrespondence.of_tree_like(t.path)
-            projected[corr.permutation_path.steps] = projected.get(corr.permutation_path.steps, 0) + 1
-            extra += corr.corner_difference
+            p_path = tree_like_to_permutation_shape(t.path)
+            projected[p_path.steps] = projected.get(p_path.steps, 0) + 1
+            extra += t.path.corner_count() - p_path.corner_count()
         shape_counts: dict[tuple, int] = {}
         for t in enumerate_tableaux(n, Family.PERMUTATION):
             shape_counts[t.path.steps] = shape_counts.get(t.path.steps, 0) + 1

@@ -16,9 +16,9 @@ from math import factorial
 
 from conftest import cached_census, cached_tableaux, chi_square_survival
 from corners.bijections import (
-    ShapeCorrespondence,
     symmetric_corner_decomposition,
     symmetric_to_type_b,
+    tree_like_to_permutation_shape,
     type_b_to_symmetric,
 )
 from corners.chain import (
@@ -164,11 +164,12 @@ def test_criterion_09_bijections():
         projected: Counter = Counter()
         extra = 0
         for t in cached_tableaux(n, T):
-            corr = ShapeCorrespondence.of_tree_like(t.path)
-            assert corr.corner_difference in (0, 1)
-            assert corr.corner_difference == int(corr.permutation_path.last_step_south)
-            projected[corr.permutation_path.steps] += 1
-            extra += corr.corner_difference
+            p_path = tree_like_to_permutation_shape(t.path)
+            diff = t.path.corner_count() - p_path.corner_count()
+            assert diff in (0, 1)
+            assert diff == int(p_path.last_step_south)
+            projected[p_path.steps] += 1
+            extra += diff
         shapes = Counter(t.path.steps for t in cached_tableaux(n, P))
         assert projected == shapes
         assert extra == factorial(n - 1)

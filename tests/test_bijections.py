@@ -5,15 +5,15 @@ from math import factorial
 import pytest
 
 from conftest import cached_census, cached_tableaux
+from corners import bijections
 from corners.bijections import (
     CornerDecomposition,
-    ShapeCorrespondence,
     symmetric_corner_decomposition,
     symmetric_to_type_b,
     tree_like_to_permutation_shape,
     type_b_to_symmetric,
 )
-from corners.errors import DomainError, NotATreeLikeShapeError
+from corners.errors import BijectionError, DomainError, NotATreeLikeShapeError
 from corners.families import Family
 from corners.shapes import BorderPath
 from corners.tableaux import (
@@ -40,6 +40,13 @@ def test_worked_pair_folds_both_ways():
     assert type_b_to_symmetric(TYPE_B_5) == SYMMETRIC_11
 
 
+def test_fold_checks_that_its_result_unfolds_back(monkeypatch):
+    lower_points = bijections._lower_points
+    monkeypatch.setattr(bijections, "_lower_points", lambda b: set(sorted(lower_points(b))[:-1]))
+    with pytest.raises(BijectionError, match="does not unfold back"):
+        symmetric_to_type_b(SYMMETRIC_11)
+
+
 def test_size_three_cases():
     l_shape = SymmetricTreeLikeTableau(
         BorderPath("SWSW"), frozenset([(1, 1), (1, 2), (2, 1)])
@@ -61,7 +68,7 @@ def test_fold_rejects_size_one():
         symmetric_to_type_b(t)
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 6))
 def test_unfold_then_fold_is_identity_on_type_b(n):
     for b in cached_tableaux(n, Family.TYPE_B):
         t = type_b_to_symmetric(b)
@@ -69,7 +76,7 @@ def test_unfold_then_fold_is_identity_on_type_b(n):
         assert symmetric_to_type_b(t) == b
 
 
-@pytest.mark.parametrize("size", (3, 5, 7, 9))
+@pytest.mark.parametrize("size", (3, 5, 7, 9, 11))
 def test_fold_then_unfold_is_identity_and_bijective(size):
     images = set()
     for t in cached_tableaux(size, Family.SYMMETRIC):
@@ -103,11 +110,10 @@ def test_shape_projection_examples():
 def test_shape_projection_corner_difference():
     for n in range(1, 7):
         for t in cached_tableaux(n, Family.TREE_LIKE):
-            corr = ShapeCorrespondence.of_tree_like(t.path)
-            assert corr.permutation_path.half_perimeter == n
-            diff = corr.tree_like_path.corner_count() - corr.permutation_path.corner_count()
-            assert corr.corner_difference == diff
-            assert diff == int(corr.permutation_path.last_step_south)
+            p_path = tree_like_to_permutation_shape(t.path)
+            assert p_path.half_perimeter == n
+            diff = t.path.corner_count() - p_path.corner_count()
+            assert diff == int(p_path.last_step_south)
 
 
 def test_shape_projection_aggregate_at_3():

@@ -143,6 +143,26 @@ def test_bijection_fold_wrong_family_is_domain_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_bijection_unfold_wrong_family_is_domain_error(capsys, monkeypatch):
+    code, out, _ = run(capsys, "enumerate", "--family", "symmetric", "--size", "3", "--format", "json")
+    record = json.loads(out)["tableaux"][0]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(record)))
+    code, out, err = run(capsys, "bijection", "unfold")
+    assert (code, out) == (2, "")
+    assert "unfold expects" in err
+
+
+@pytest.mark.parametrize("direction", ("fold", "unfold"))
+def test_bijection_names_the_broken_rule(capsys, monkeypatch, direction):
+    # both points of the diagonal have an empty column above and an empty
+    # row to their left, so the map's own input check rejects the record
+    text = '{"family":"symmetric","path":"SSWW","rows":["\u25cf.",".\u25cf"]}'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, "bijection", direction)
+    assert (code, out) == (2, "")
+    assert "point (2, 2): column-above empty=True, row-left empty=True" in err
+
+
 MALFORMED_RECORDS = (
     '"x"',
     "[1,2]",
@@ -361,6 +381,22 @@ def test_enumerate_json_keeps_only_the_rendered_records(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * target.stat().st_size
+
+
+def test_enumerate_table_keeps_no_second_copy_of_the_text(tmp_path):
+    # the table is written line by line, so beside the items and their cell
+    # strings it holds neither the list of padded lines nor their joined text;
+    # a first run fills the row caches so the traced peak is the render's own
+    target = tmp_path / "b5.txt"
+    argv = ["enumerate", "--family", "type-b", "--size", "5", "--format", "table", "--out", str(target)]
+    assert run_command(argv) == 0
+    tracemalloc.start()
+    try:
+        assert run_command(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * target.stat().st_size
 
 
 # (argv, format) -> (exit code, sha256 of stdout) for every subcommand in
