@@ -31,15 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import (
-    _fold_boundary_terms,
-    _require_dp_size,
-    corner_distribution,
-    count_tableaux,
-    first_step_west_probability,
-    last_step_south_probability,
-    total_corners,
-)
 from .errors import BijectionError, DomainError, InvalidTableauError
 from .families import Family
 from .shapes import SOUTH, WEST, BorderPath, Cell
@@ -231,6 +222,17 @@ def symmetric_corner_decomposition(n: int) -> CornerDecomposition:
     symmetric corner total, which it takes from the symmetric DP law, so
     ``n`` is capped at ``CHAIN_BUDGET.dp_size``.
     """
+    # imported here so that the fold and unfold never load the chain
+    from .chain import (
+        _fold_boundary_terms,
+        _require_dp_size,
+        corner_distribution,
+        count_tableaux,
+        first_step_west_probability,
+        last_step_south_probability,
+        total_corners,
+    )
+
     if n < 1:
         raise DomainError(f"index must be at least 1, got {n}")
     _require_dp_size(n, Family.SYMMETRIC, "the corner decomposition")

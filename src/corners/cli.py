@@ -12,6 +12,11 @@ as ``json.dumps(payload, indent=2)``, and a table or CSV item its row.
 Only those are kept, and nothing is written until the last item has been
 rendered, so a budget or domain error leaves stdout and ``--out`` empty.
 
+Each command handler imports the engines it runs when it is called, so a
+process loads only what its subcommand needs: parsing, ``--help`` and the
+``verify --suite`` choices need only ``errors`` and ``families``.  Without
+a bytecode cache every imported module is compiled afresh in each process.
+
 Exit codes: 0 success / all checks pass; 1 a verification or round-trip
 check failed (a witness is printed to stderr); 2 usage or domain error.
 """
@@ -25,20 +30,13 @@ import json
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .bijections import (
-    symmetric_corner_decomposition,
-    symmetric_to_type_b,
-    type_b_to_symmetric,
-)
-from .chain import _fraction_text, corner_distribution, expected_corners, total_corners
-from .enumerator import census, enumerate_tableaux
 from .errors import BijectionError, CornersError
-from .families import Family
-from .sampler import monte_carlo_corner_report, sample_permutation_tableaux, sample_trajectories
-from .tableaux import Tableau, from_record, to_record
-from .verification import SUITES, run_suite
+from .families import SUITE_NAMES, Family
+
+if TYPE_CHECKING:
+    from .tableaux import Tableau
 
 __all__ = ["main", "run_command"]
 
@@ -102,16 +100,19 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 
 def _table_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> Iterator[str]:
-    """The aligned table, one line at a time; the widths need every cell first."""
-    cells = [[str(x) for x in row] for row in rows]
+    """The aligned table, one line at a time.
+
+    A first pass over ``rows`` takes the column widths and a second renders
+    each line, so no text of a cell is kept beyond its own line.
+    """
     widths = [len(h) for h in header]
-    for row in cells:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    for row in rows:
+        for i, x in enumerate(row):
+            widths[i] = max(widths[i], len(str(x)))
     yield "  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip() + "\n"
     yield "  ".join("-" * w for w in widths) + "\n"
-    for row in cells:
-        yield "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() + "\n"
+    for row in rows:
+        yield "  ".join(str(x).ljust(widths[i]) for i, x in enumerate(row)).rstrip() + "\n"
 
 
 def _render(
@@ -144,6 +145,8 @@ def _census_pairs(data: dict) -> list[tuple[str, str]]:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    from .enumerator import census
+
     data = census(args.size, args.family, method=args.method).to_json_dict()
     _emit(_render(args.format, data, ("field", "value"), _census_pairs(data)), args.out)
     return 0
@@ -191,6 +194,8 @@ def _emit_list(
 
 def _emit_tableaux(args: argparse.Namespace, tableaux: Iterable[Tableau], **extra: object) -> int:
     """Emit a ``tableau-list/v1`` payload; ``extra`` keys go between ``n`` and ``count``."""
+    from .tableaux import to_record
+
     return _emit_list(
         args, "tableau-list/v1", "tableaux", tableaux, to_record,
         lambda t: (t.path.steps, "|".join(t.row_strings())), ("index", "path", "rows"), **extra,
@@ -198,10 +203,14 @@ def _emit_tableaux(args: argparse.Namespace, tableaux: Iterable[Tableau], **extr
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .enumerator import enumerate_tableaux
+
     return _emit_tableaux(args, enumerate_tableaux(args.size, args.family))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verification import run_suite
+
     started = time.perf_counter()
     report = run_suite(args.suite, args.max_size)
     elapsed = time.perf_counter() - started
@@ -217,6 +226,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_formula(args: argparse.Namespace) -> int:
+    from .chain import _fraction_text, corner_distribution, expected_corners, total_corners
+
     family, n = args.family, args.size
     if args.kind == "corners":
         values = corner_distribution(n, family, method=args.method)
@@ -246,6 +257,8 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 
 
 def _read_record(path: str | None):
+    from .tableaux import from_record
+
     if path in (None, "-"):
         text = sys.stdin.read()
     else:
@@ -255,6 +268,9 @@ def _read_record(path: str | None):
 
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
+    from .bijections import symmetric_corner_decomposition, symmetric_to_type_b, type_b_to_symmetric
+    from .tableaux import to_record
+
     if args.direction in ("fold", "unfold"):
         image_of = symmetric_to_type_b if args.direction == "fold" else type_b_to_symmetric
         _emit(_json_text(to_record(image_of(_read_record(args.infile)))), args.out)
@@ -262,6 +278,8 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     if args.direction == "roundtrip":
         if args.family not in (Family.TYPE_B, Family.SYMMETRIC):
             raise CornersError("roundtrip sweeps run on type-b or symmetric families")
+        from .enumerator import enumerate_tableaux
+
         checked = 0
         for t in enumerate_tableaux(args.size, args.family):
             if args.family is Family.TYPE_B:
@@ -299,6 +317,8 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    from .sampler import monte_carlo_corner_report, sample_permutation_tableaux, sample_trajectories
+
     if args.kind == "report":
         report = monte_carlo_corner_report(args.size, args.family, args.count, args.seed)
         payload = report.to_json_dict()
@@ -353,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="check closed-form identities against enumeration and DP")
-    p.add_argument("--suite", choices=("all", *SUITES), default="all")
+    p.add_argument("--suite", choices=("all", *SUITE_NAMES), default="all")
     p.add_argument("--max-size", type=int, default=6)
     p.add_argument("--format", choices=_FORMATS, default="table")
     p.add_argument("--out", metavar="FILE", default=None)

@@ -1,11 +1,11 @@
-"""Tableau family identifiers and enumeration budgets."""
+"""Tableau family identifiers, enumeration budgets and the verify suite names."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 
-__all__ = ["Family", "BRUTE_FORCE_BUDGET", "ChainBudget", "CHAIN_BUDGET"]
+__all__ = ["Family", "BRUTE_FORCE_BUDGET", "ChainBudget", "CHAIN_BUDGET", "SUITE_NAMES"]
 
 
 class Family(str, enum.Enum):
@@ -64,3 +64,8 @@ class ChainBudget:
 # report at n = 300 about 1.1 s and 146 MB, as the step table grows with
 # n; 100 000 draws of the smallest report about 1.8 s.
 CHAIN_BUDGET = ChainBudget(dp_size=4000, sample_size=300, sample_count=100_000)
+
+# The `verify` suites in run order.  `verification.SUITES` maps each name to
+# its function; the names live here so the CLI parser can offer them as
+# choices without importing the suites and every engine they call.
+SUITE_NAMES = ("counts", "corner-law", "corner-totals", "boundary", "extension", "pgf", "bijections")

@@ -44,7 +44,7 @@ from .chain import (
 )
 from .enumerator import census, enumerate_tableaux, extend_permutation, parent_permutation
 from .errors import DomainError
-from .families import Family
+from .families import SUITE_NAMES, Family
 from .tableaux import PermutationTableau, canonical_key, corner_stats, unrestricted_row_count
 
 __all__ = [
@@ -491,15 +491,21 @@ def pushforward_check(
     return PushforwardReport(n, left, right)
 
 
-SUITES: dict[str, Callable[[int], list[VerificationRow]]] = {
-    "counts": suite_counts,
-    "corner-law": suite_corner_law,
-    "corner-totals": suite_corner_totals,
-    "boundary": suite_boundary,
-    "extension": suite_extension,
-    "pgf": suite_pgf,
-    "bijections": suite_bijections,
-}
+SUITES: dict[str, Callable[[int], list[VerificationRow]]] = dict(
+    zip(
+        SUITE_NAMES,
+        (
+            suite_counts,
+            suite_corner_law,
+            suite_corner_totals,
+            suite_boundary,
+            suite_extension,
+            suite_pgf,
+            suite_bijections,
+        ),
+        strict=True,
+    )
+)
 
 
 def run_suite(name: str, max_size: int = 6) -> VerificationReport:

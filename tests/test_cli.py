@@ -16,10 +16,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corners import verification
 from corners.chain import total_corners
 from corners.cli import _record_text, run_command
 from corners.enumerator import enumerate_tableaux
-from corners.families import CHAIN_BUDGET, Family
+from corners.families import CHAIN_BUDGET, SUITE_NAMES, Family
 from corners.sampler import sample_permutation_tableaux, sample_trajectories
 from corners.tableaux import POINT_CHAR, to_record
 
@@ -114,6 +115,11 @@ def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run_command(["verify", "--suite", "nonsense"])
     assert excinfo.value.code == 2
+
+
+def test_suite_names_are_the_verification_suites():
+    # the parser offers these names without importing the suites
+    assert SUITE_NAMES == tuple(verification.SUITES)
 
 
 def test_bijection_fold_unfold_pipe(capsys, monkeypatch, tmp_path):
@@ -399,6 +405,22 @@ def test_enumerate_table_keeps_no_second_copy_of_the_text(tmp_path):
     assert peak < 12 * target.stat().st_size
 
 
+def test_enumerate_table_keeps_no_copy_of_the_cells(tmp_path):
+    # the widths come from a first pass over the rows and each line is
+    # rendered from the row itself, so no string copy of the cells is held
+    # beside the rows; a first run fills the row caches
+    target = tmp_path / "b5.txt"
+    argv = ["enumerate", "--family", "type-b", "--size", "5", "--format", "table", "--out", str(target)]
+    assert run_command(argv) == 0
+    tracemalloc.start()
+    try:
+        assert run_command(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * target.stat().st_size
+
+
 # (argv, format) -> (exit code, sha256 of stdout) for every subcommand in
 # every format: a refactor must leave each output byte for byte as it was.
 PINNED_OUTPUTS = {
@@ -603,6 +625,52 @@ def test_python_dash_m_runs_the_cli():
 def test_console_script_on_path():
     proc = subprocess.run(["corners", "--help"], capture_output=True, text=True, timeout=60)
     _assert_help(proc)
+
+
+# Prints the exit code, the loaded ``corners.*`` modules and whether
+# ``fractions`` is loaded, after ``run_command(argv)`` or, with no
+# arguments, after ``build_parser()``.
+_IMPORT_PROBE = """
+import json, sys
+from corners.cli import build_parser, run_command
+if len(sys.argv) > 1:
+    code = run_command(sys.argv[1:])
+else:
+    build_parser()
+    code = 0
+loaded = sorted(m for m in sys.modules if m.startswith("corners."))
+print(json.dumps([code, loaded, "fractions" in sys.modules]))
+"""
+
+_PARSE_MODULES = {"corners.cli", "corners.errors", "corners.families"}
+
+
+@pytest.mark.parametrize("argv, engines", [
+    ((), ()),
+    (("formula", "corners", "--family", "type-b", "--size", "4"), ("chain", "shapes")),
+    (("census", "--family", "permutation", "--size", "3"), ("enumerator", "tableaux", "shapes")),
+    (("sample", "--kind", "report", "--size", "4", "--count", "100"),
+     ("sampler", "chain", "tableaux", "shapes")),
+    (("bijection", "unfold", "--in", "{record}"), ("bijections", "tableaux", "shapes")),
+    (("verify", "--suite", "counts", "--max-size", "2"),
+     ("verification", "bijections", "chain", "enumerator", "tableaux", "shapes")),
+], ids=["build_parser", "formula", "census", "sample", "bijection-unfold", "verify"])
+def test_each_command_imports_only_the_modules_it_runs(tmp_path, argv, engines):
+    record = tmp_path / "b.json"
+    record.write_text('{"schema":"tableau/v1","family":"type-b","path":"SW","rows":["0","1"]}')
+    argv = [a.format(record=record) for a in argv]
+    if argv:
+        argv += ["--out", str(tmp_path / "out.txt")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded, fractions_loaded = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    assert set(loaded) == _PARSE_MODULES | {f"corners.{m}" for m in engines}
+    if "chain" not in engines:
+        assert not fractions_loaded
 
 
 def test_bijection_closes_its_input_file(tmp_path):
