@@ -152,7 +152,12 @@ def _diagonal(family: Family, s: int) -> tuple[int, ...]:
     ``x P(x)``, the binomial West steps ``x (P(x + 1) - P(x))`` and the
     extra type-B West step another ``x P(x)``.  So each value is the one
     before times ``d (s - k)``.
+
+    A request at ``n`` reads diagonals up to ``s = n + 1``, so ``s`` is
+    capped at ``CHAIN_BUDGET.dp_size + 1``.  Every caller reads its
+    largest diagonal first, so a request past the cap builds none.
     """
+    _require_dp_size(s - 1, family, "a chain table")
     d = _doubling(family)
     values = [1]
     for k in range(1, s + 1):
@@ -311,8 +316,8 @@ def _dp_chain_law(n: int, chain: Family) -> list[Fraction]:
     if n < 2:
         return []
     d = _doubling(chain)
-    high, low = _diagonal(chain, n), _diagonal(chain, n - 1)
     scale = _dp_denominator(n, n - 1, chain)
+    high, low = _diagonal(chain, n), _diagonal(chain, n - 1)
     law = []
     for pos in range(1, n):
         m = n - pos
@@ -339,8 +344,9 @@ def corner_event_probability_dp(n: int, k: int, family: Family) -> Fraction:
         return first_step_west_probability(n, chain)
     m = n - pos
     d = _doubling(chain)
+    denominator = _dp_denominator(n, m, chain)
     weight = _dp_corner_weight(d, m, _diagonal(chain, n)[pos - 1], _diagonal(chain, n - 1)[pos - 1])
-    return Fraction(weight, _dp_denominator(n, m, chain))
+    return Fraction(weight, denominator)
 
 
 def _closed_form_corner(n: int, pos: int, d: int) -> Fraction:
@@ -439,7 +445,8 @@ def last_step_south_probability(n: int, family: Family) -> Fraction:
     _require_chain(family)
     if n < 1:
         raise DomainError(f"size must be at least 1, got {n}")
-    return Fraction(_diagonal(family, n)[n - 1], _diagonal(family, n + 1)[n])
+    total = _diagonal(family, n + 1)[n]
+    return Fraction(_diagonal(family, n)[n - 1], total)
 
 
 def first_step_west_probability(n: int, family: Family) -> Fraction:

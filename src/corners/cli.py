@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import BijectionError, CornersError
@@ -91,12 +91,12 @@ def _record_text(value: object, depth: int) -> str:
     raise TypeError(f"a record holds no {type(value).__name__}")
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterator[str]:
+    """The CSV text, one line at a time: ``writerow`` returns what its
+    file's ``write`` returns, here the line itself."""
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    yield writer.writerow(header)
+    yield from map(writer.writerow, rows)
 
 
 def _table_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> Iterator[str]:

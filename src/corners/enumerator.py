@@ -15,14 +15,15 @@ non-empty subset of the unrestricted rows).
 
 Each family states its filling rules once, as a function listing the
 legal rows of one row given the columns already covered above it: bit
-rows for the permutation and type-B families, point rows for tree-like
-tableaux and lower-triangle point rows for symmetric ones.  A filling is
-a choice of legal rows, top to bottom, that covers every column it
-must.  Enumeration walks these rows depth first and builds each tableau.
-Each row's legal rows are sorted by their cells, so the walk yields the
-fillings of a shape in canonical order and nothing is collected per
-shape, except in the symmetric family: its word also reads the mirrored
-points of later rows, so each symmetric shape's tableaux are sorted.
+rows for the permutation and type-B families, point rows for the pointed
+ones, where a symmetric row is its upper part, from the diagonal cell
+rightwards.  A filling is a choice of legal rows, top to bottom, that
+covers every column it must.  Enumeration walks these rows depth first
+and builds each tableau.  Each row's legal rows are sorted by their
+cells, so the walk yields the fillings of a shape in canonical order and
+nothing is collected per shape.  That holds for symmetric tableaux too:
+each cell left of the diagonal mirrors a cell of an earlier upper row,
+so the row-major word is decided upper row by upper row.
 The census of a 0/1 family walks them breadth first, merging fillings
 that cover the same columns with the same number of unrestricted rows,
 and builds nothing; the census of a pointed family builds its tableaux.
@@ -55,7 +56,6 @@ from .tableaux import (
     Tableau,
     TreeLikeTableau,
     TypeBTableau,
-    canonical_key,
     corner_stats,
     unrestricted_row_count,
     unrestricted_rows,
@@ -123,43 +123,30 @@ def _legal_rows(length: int, diagonal: bool, above: int) -> tuple[_Row, ...]:
     return tuple(out)
 
 
-def _point_rows(length: int, root: bool, above: int) -> tuple[_Row, ...]:
-    """Every legal point row of a tree-like filling.
+def _point_rows(length: int, start: int, root: bool, above: int) -> tuple[_Row, ...]:
+    """Every legal point row of a tree-like filling, or upper row of a
+    symmetric one: its cells from column ``start`` on.
 
-    ``above`` masks the columns of the row with a point above.  A row
-    holds a point; its first point is the root (cell ``(1, 1)`` of the
-    ``root`` row) or sits under a point, and every later point sits under
-    a column without one.
+    ``above`` masks the columns of the row with a point above.  The row's
+    first point is the root (cell ``(1, 1)`` of the ``root`` row) or sits
+    under a point, and every later point sits under a column without one.
+    A symmetric row ``r`` starts at its diagonal cell, and its cells to the
+    left mirror column ``r`` above it: with a point there (``start > 1``
+    and bit ``start - 1`` set) the row may be empty and all its points are
+    later ones.  A non-empty row covers column ``start``, its mirror (for a
+    tree-like row column 1, which the root covers anyway).  A row with no
+    cell from ``start`` on is empty; the final cover check reads its mirror.
     """
-    out = []
-    for bits in range(1, 1 << length):
-        first = bits & -bits
-        if not (first & above or root and first == 1):
+    mirror = 1 << (start - 1)
+    left = length < start or start > 1 and above & mirror
+    out = [(_cells(0, length), 0)] if left else []
+    for bits in range(mirror, 1 << length, mirror):
+        first = 0 if left else bits & -bits  # the point with none to its left
+        if first and not (first & above or root and first == 1):
             continue
         if bits & above != first & above:
             continue  # a later point under a point
-        out.append((_cells(bits, length), bits))
-    return tuple(out)
-
-
-def _lower_point_rows(length: int, row: int, above: int) -> tuple[_Row, ...]:
-    """Every legal lower-triangle row ``row`` of a symmetric filling.
-
-    The row holds the cells ``(row, c)`` with ``c <= row``; their mirrors
-    ``(c, row)`` lie in column ``row``, so a non-empty row covers that
-    column too, and ``above`` counts mirrored points as well.  Transposing
-    swaps the two arms of the point rule, so the lower triangle obeys the
-    tree-like rule.  A row may be empty, as its full row can take points
-    from the lower part of column ``row``.  A point on the diagonal is its
-    own mirror, with points both above and to its left unless it is the
-    root.
-    """
-    mirror = 1 << (row - 1)
-    out = [(_cells(0, length), 0)]
-    for cells, bits in _point_rows(length, row == 1, above):
-        if row > 1 and bits & mirror:
-            continue  # a diagonal point that is not the root
-        out.append((cells, bits | mirror))
+        out.append((_cells(bits, length), bits | mirror))
     return tuple(out)
 
 
@@ -169,7 +156,7 @@ def _shape_rows(family: Family, path: BorderPath) -> tuple[_Rule, list[tuple], i
 
     A key is the arguments of the legal-row function except ``above``,
     row length first.  Type-B rows are those of the shifted shape, and a
-    symmetric row is its lower triangle.
+    symmetric row starts at its diagonal cell.
     """
     if family is Family.PERMUTATION:
         keys = [(length, False) for length in path.row_lengths]
@@ -180,10 +167,9 @@ def _shape_rows(family: Family, path: BorderPath) -> tuple[_Rule, list[tuple], i
         keys = [(length, r <= k) for r, length in enumerate(lengths, start=1)]
         return _legal_rows, keys, (1 << k) - 1
     lengths = path.row_lengths
-    need = (1 << lengths[0]) - 1
-    if family is Family.TREE_LIKE:
-        return _point_rows, [(length, r == 1) for r, length in enumerate(lengths, start=1)], need
-    return _lower_point_rows, [(min(r, length), r) for r, length in enumerate(lengths, start=1)], need
+    upper = family is Family.SYMMETRIC
+    keys = [(length, r if upper else 1, r == 1) for r, length in enumerate(lengths, start=1)]
+    return _point_rows, keys, (1 << lengths[0]) - 1
 
 
 def _row_reader() -> _Reader:
@@ -274,12 +260,8 @@ def enumerate_tableaux(n: int, family: Family) -> Iterator[Tableau]:
     _require_size(n, family)
     rows = _row_reader()
     for path in _shapes(n, family):
-        tableaux = (_tableau(family, path, fill) for fill in _fillings(rows, *_shape_rows(family, path)))
-        if family is Family.SYMMETRIC:
-            # the word also reads the mirrored points, which later rows decide
-            yield from sorted(tableaux, key=canonical_key)
-        else:
-            yield from tableaux
+        for fill in _fillings(rows, *_shape_rows(family, path)):
+            yield _tableau(family, path, fill)
 
 
 def extend_permutation(t: PermutationTableau) -> tuple[PermutationTableau, ...]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["Family", "BRUTE_FORCE_BUDGET", "ChainBudget", "CHAIN_BUDGET", "SUITE_NAMES"]
 
@@ -45,8 +45,7 @@ BRUTE_FORCE_BUDGET: dict[Family, int] = {
 }
 
 
-@dataclass(frozen=True)
-class ChainBudget:
+class ChainBudget(NamedTuple):
     """Caps on the weighted-chain work one call may ask for.
 
     ``dp_size`` bounds ``n`` of the DP corner law (the symmetric index for

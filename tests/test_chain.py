@@ -23,8 +23,8 @@ from corners.chain import (
     u_distribution,
     u_pgf,
 )
-from corners.errors import DomainError, IndexOutOfRangeError
-from corners.families import Family
+from corners.errors import BudgetExceededError, DomainError, IndexOutOfRangeError
+from corners.families import CHAIN_BUDGET, Family
 from corners.tableaux import corner_stats, unrestricted_row_count
 from corners.verification import pushforward_check
 
@@ -109,6 +109,29 @@ def test_diagonals_are_row_values(family):
 @pytest.mark.parametrize("family", ALL)
 def test_dp_equals_formula_at_1000(family):
     assert corner_distribution(1000, family) == corner_distribution(1000, family, method="formula")
+
+
+# each function that reads the chain tables, with its closed form at size n
+TABLE_READERS = {
+    "count": (lambda n: count_tableaux(n, Family.TYPE_B), lambda n: factorial(n) << n),
+    "corner": (
+        lambda n: corner_event_probability_dp(n, 1, Family.TYPE_B),
+        lambda n: corner_event_probability_formula(n, 1, Family.TYPE_B),
+    ),
+    "south": (lambda n: last_step_south_probability(n, Family.TYPE_B), lambda n: Fraction(1, 2 * n)),
+    "west": (lambda n: first_step_west_probability(n, Family.TYPE_B), lambda n: Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_READERS)
+def test_chain_tables_stop_at_the_dp_budget(name):
+    read, closed_form = TABLE_READERS[name]
+    cap = CHAIN_BUDGET.dp_size
+    assert read(cap) == closed_form(cap)
+    chain._diagonal.cache_clear()
+    with pytest.raises(BudgetExceededError, match=f"at n={cap + 1} exceeds the budget of {cap}"):
+        read(cap + 1)
+    assert chain._diagonal.cache_info().currsize == 0  # refused before any table was built
 
 
 @pytest.mark.parametrize("family", CHAIN)

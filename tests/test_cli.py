@@ -421,6 +421,22 @@ def test_enumerate_table_keeps_no_copy_of_the_cells(tmp_path):
     assert peak < 7 * target.stat().st_size
 
 
+def test_enumerate_csv_keeps_no_copy_of_the_text(tmp_path):
+    # the CSV is written line by line, so beside the rows it holds neither a
+    # buffer of the lines nor their joined text; the writer's own buffer is
+    # a fixed 128 KiB or so; a first run fills the row caches
+    target = tmp_path / "b5.csv"
+    argv = ["enumerate", "--family", "type-b", "--size", "5", "--format", "csv", "--out", str(target)]
+    assert run_command(argv) == 0
+    tracemalloc.start()
+    try:
+        assert run_command(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * target.stat().st_size
+
+
 # (argv, format) -> (exit code, sha256 of stdout) for every subcommand in
 # every format: a refactor must leave each output byte for byte as it was.
 PINNED_OUTPUTS = {
@@ -628,8 +644,8 @@ def test_console_script_on_path():
 
 
 # Prints the exit code, the loaded ``corners.*`` modules and whether
-# ``fractions`` is loaded, after ``run_command(argv)`` or, with no
-# arguments, after ``build_parser()``.
+# ``fractions`` and ``dataclasses`` are loaded, after ``run_command(argv)``
+# or, with no arguments, after ``build_parser()``.
 _IMPORT_PROBE = """
 import json, sys
 from corners.cli import build_parser, run_command
@@ -639,7 +655,7 @@ else:
     build_parser()
     code = 0
 loaded = sorted(m for m in sys.modules if m.startswith("corners."))
-print(json.dumps([code, loaded, "fractions" in sys.modules]))
+print(json.dumps([code, loaded, "fractions" in sys.modules, "dataclasses" in sys.modules]))
 """
 
 _PARSE_MODULES = {"corners.cli", "corners.errors", "corners.families"}
@@ -666,11 +682,14 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, argv, engines):
         capture_output=True, text=True, env=_src_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    code, loaded, fractions_loaded = json.loads(proc.stdout)
+    code, loaded, fractions_loaded, dataclasses_loaded = json.loads(proc.stdout)
     assert code == 0, proc.stderr
     assert set(loaded) == _PARSE_MODULES | {f"corners.{m}" for m in engines}
     if "chain" not in engines:
         assert not fractions_loaded
+    if not engines:
+        # parsing alone loads no dataclass machinery (``inspect``, ``ast``, ``dis``)
+        assert not dataclasses_loaded
 
 
 def test_bijection_closes_its_input_file(tmp_path):

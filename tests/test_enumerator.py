@@ -9,6 +9,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import cached_census, cached_tableaux
 from corners.chain import _closed_form_count, corner_distribution, total_corners, u_distribution
 from corners.enumerator import (
+    _fillings,
+    _row_reader,
+    _shape_rows,
+    _tableau,
     census,
     enumerate_shapes,
     enumerate_tableaux,
@@ -66,6 +70,19 @@ def test_enumeration_is_sorted_and_duplicate_free():
         assert keys == sorted(keys)
         index = (size - 1) // 2 if family is Family.SYMMETRIC else size
         assert len(set(keys)) == len(keys) == _closed_form_count(index, family)
+
+
+def test_symmetric_walk_yields_canonical_order_unsorted():
+    # a symmetric row is walked from its diagonal cell rightwards and each
+    # cell left of the diagonal mirrors a cell of an earlier row, so the
+    # depth-first walk alone puts each shape's tableaux in canonical order
+    rows = _row_reader()
+    for size in range(1, 12, 2):
+        for path in enumerate_shapes(size + 1, Family.SYMMETRIC):
+            fills = _fillings(rows, *_shape_rows(Family.SYMMETRIC, path))
+            keys = [canonical_key(_tableau(Family.SYMMETRIC, path, fill)) for fill in fills]
+            assert keys, (size, path.steps)
+            assert all(a < b for a, b in zip(keys, keys[1:])), (size, path.steps)
 
 
 def test_hand_census_type_b_2():
