@@ -18,8 +18,6 @@ _EXPORTS = {
         "type_b_to_symmetric",
     ),
     "chain": (
-        "ChainSpec",
-        "Transition",
         "corner_distribution",
         "corner_event_probability_dp",
         "corner_event_probability_formula",
@@ -73,13 +71,9 @@ _EXPORTS = {
         "ValidationResult",
         "canonical_key",
         "corner_stats",
-        "family_of",
         "from_record",
         "markers",
         "to_record",
-        "transpose",
-        "unrestricted_row_count",
-        "unrestricted_rows",
         "validate",
     ),
     "verification": (

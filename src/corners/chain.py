@@ -21,8 +21,8 @@ for type B), which never leaves an anti-diagonal ``k + x = s``; counts and
 the corner DP read only values ``P_k(s - k)`` from such diagonals, built
 in O(n) steps each; a whole DP corner law reads three of them once.  The
 coefficient rows themselves, grown from the plain ``(step, target,
-weight)`` triples that :meth:`ChainSpec.transitions` wraps, serve only
-the law of ``u``; the sampler's step-table rows read the same triples.
+weight)`` triples of :func:`_transitions`, serve only the law of ``u``;
+the sampler's step-table rows read the same triples.
 Completion weights use the closed form ``m! (m + 1)**u`` (times ``2**m``
 for type B).
 
@@ -41,7 +41,6 @@ All arithmetic is exact: integers are unbounded and probabilities are
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Union
@@ -51,8 +50,6 @@ from .families import CHAIN_BUDGET, Family
 from .shapes import SOUTH, WEST
 
 __all__ = [
-    "Transition",
-    "ChainSpec",
     "count_tableaux",
     "u_distribution",
     "u_pgf",
@@ -93,13 +90,6 @@ def _fraction_text(value: Union[int, Fraction]) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
-class Transition:
-    step: str
-    target: int
-    weight: int
-
-
 def _transitions(family: Family, u: int) -> list[tuple[str, int, int]]:
     """``(step, target, weight)`` of each transition out of state ``u``."""
     doubling = _doubling(family)
@@ -108,19 +98,6 @@ def _transitions(family: Family, u: int) -> list[tuple[str, int, int]]:
     if family is Family.TYPE_B:
         out.append((WEST, u + 1, 1))
     return out
-
-
-class ChainSpec:
-    """Transition weights out of state ``u`` for one chain family."""
-
-    def __init__(self, family: Family):
-        _require_chain(family)
-        self.family = family
-
-    def transitions(self, u: int) -> tuple[Transition, ...]:
-        if u < 0:
-            raise DomainError(f"state must be non-negative, got {u}")
-        return tuple(Transition(*t) for t in _transitions(self.family, u))
 
 
 def _suffix_weight(family: Family, m: int, u: int) -> int:

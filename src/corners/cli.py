@@ -32,7 +32,7 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .errors import BijectionError, CornersError
+from .errors import BijectionError, CornersError, InvalidTableauError
 from .families import SUITE_NAMES, Family
 
 if TYPE_CHECKING:
@@ -264,7 +264,11 @@ def _read_record(path: str | None):
     else:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    return from_record(json.loads(text))
+    try:
+        record = json.loads(text)
+    except RecursionError:
+        raise InvalidTableauError("a tableau record nests too deeply to parse") from None
+    return from_record(record)
 
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
@@ -341,10 +345,19 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     )
 
 
+def _family(text: str) -> Family:
+    """:meth:`Family.parse` for argparse, which prints the message of an
+    ``ArgumentTypeError`` but drops that of a ``ValueError``."""
+    try:
+        return Family.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common(parser: argparse.ArgumentParser, *, family: Family | None = None, size: bool = True) -> None:
     parser.add_argument(
         "--family",
-        type=Family.parse,
+        type=_family,
         default=family,
         required=family is None,
         help="tree-like, permutation, type-b or symmetric",
@@ -387,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bijection", help="fold/unfold between symmetric and type-B tableaux")
     p.add_argument("direction", choices=("fold", "unfold", "roundtrip", "decompose"))
-    p.add_argument("--family", type=Family.parse, default=None)
+    p.add_argument("--family", type=_family, default=None)
     p.add_argument("--size", "-n", "--n", dest="size", type=int, default=None)
     p.add_argument("--in", dest="infile", metavar="FILE", default=None,
                    help="tableau record JSON (defaults to stdin) for fold/unfold")

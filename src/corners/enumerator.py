@@ -57,8 +57,7 @@ from .tableaux import (
     TreeLikeTableau,
     TypeBTableau,
     corner_stats,
-    unrestricted_row_count,
-    unrestricted_rows,
+    markers,
 )
 
 __all__ = [
@@ -276,7 +275,7 @@ def extend_permutation(t: PermutationTableau) -> tuple[PermutationTableau, ...]:
     """
     south = PermutationTableau(BorderPath(t.path.steps + SOUTH), t.rows + ((),))
     out = [south]
-    unrest = unrestricted_rows(t)
+    unrest = markers(t).unrestricted_rows
     west_path = BorderPath(t.path.steps + WEST)
     for mask in range(1, 1 << len(unrest)):
         chosen = {unrest[i] for i in range(len(unrest)) if mask >> i & 1}
@@ -382,7 +381,7 @@ def _tableau_tallies(
     pointed = family in (Family.TREE_LIKE, Family.SYMMETRIC)
     for path, group in groupby(tableaux, key=attrgetter("path")):
         yield path, Counter(
-            corner_stats(t).occupied_corner_count if pointed else unrestricted_row_count(t)
+            corner_stats(t).occupied_corner_count if pointed else len(markers(t).unrestricted_rows)
             for t in group
         )
 

@@ -3,8 +3,8 @@
 The southeast border of a Ferrers diagram with half-perimeter ``h`` is
 encoded as a word of length ``h`` over the alphabet ``S`` (south step) and
 ``W`` (west step), read from the northeast end of the border.  Positions
-are 1-based throughout the public API: ``path.step(1)`` is the
-northeast-most border edge.
+are 1-based throughout the public API: position ``k`` is the step
+``path.steps[k - 1]``, and position 1 the northeast-most border edge.
 
 Geometry of the encoding:
 
@@ -81,14 +81,6 @@ class BorderPath:
     @property
     def half_perimeter(self) -> int:
         return len(self.steps)
-
-    def step(self, k: int) -> str:
-        """Return the step at 1-based position ``k``."""
-        if not 1 <= k <= len(self.steps):
-            raise IndexOutOfRangeError(
-                f"position {k} outside 1..{len(self.steps)}"
-            )
-        return self.steps[k - 1]
 
     @cached_property
     def row_lengths(self) -> tuple[int, ...]:

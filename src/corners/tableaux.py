@@ -15,15 +15,18 @@ Families
   {all cells above empty, all cells to its left empty}.  A tableau with
   half-perimeter ``n + 1`` has size ``n`` and exactly ``n`` points; there
   are ``n!`` of them.
-* :class:`SymmetricTreeLikeTableau` -- a tree-like tableau equal to its
-  transpose.  Sizes are odd, ``2n + 1``, and there are ``2**n * n!``.
+* :class:`SymmetricTreeLikeTableau` -- a tree-like tableau symmetric
+  about its main diagonal.  Sizes are odd, ``2n + 1``, and there are
+  ``2**n * n!``.
 
-Every shape is a :class:`~corners.shapes.BorderPath`; a type-B tableau
-fills the shifted diagram of its path (``path.shifted_row_lengths``).
-Constructors check only structure (the filling must cover the shape with
-``int`` bits 0 and 1, or points inside it), from the row lengths the path
-caches; family rules are checked by :func:`validate` so that fillings that
-break them can still be represented.
+Each class names its :class:`~corners.families.Family` as the class
+attribute ``family``.  Every shape is a :class:`~corners.shapes.BorderPath`;
+a type-B tableau fills the shifted diagram of its path
+(``path.shifted_row_lengths``).  Constructors check only structure (the
+filling must cover the shape with ``int`` bits 0 and 1, or points inside
+it), from the row lengths the path caches; family rules are checked by
+:func:`validate` so that fillings that break them can still be
+represented.
 
 Each per-tableau pass is one linear sweep: a row check tests the whole
 filling at once and words an error row by row only when that test fails;
@@ -56,12 +59,7 @@ __all__ = [
     "CornerStats",
     "validate",
     "markers",
-    "unrestricted_rows",
-    "unrestricted_row_count",
     "corner_stats",
-    "is_symmetric",
-    "transpose",
-    "family_of",
     "canonical_key",
     "to_record",
     "from_record",
@@ -146,6 +144,8 @@ class _BitTableau:
 class PermutationTableau(_BitTableau):
     """A 0/1 filling of a Ferrers diagram, one bit per cell."""
 
+    family = Family.PERMUTATION
+
 
 class TypeBTableau(_BitTableau):
     """A 0/1 filling of a shifted Ferrers diagram.
@@ -154,6 +154,7 @@ class TypeBTableau(_BitTableau):
     rows of the shifted diagram, staircase rows first (top to bottom).
     """
 
+    family = Family.TYPE_B
     _what = "shifted filling"
 
     @property
@@ -167,6 +168,8 @@ class TreeLikeTableau:
 
     path: BorderPath
     points: frozenset[Cell] = field(default_factory=frozenset)
+
+    family = Family.TREE_LIKE
 
     def __post_init__(self) -> None:
         points = frozenset(self.points)
@@ -199,7 +202,9 @@ class TreeLikeTableau:
 
 
 class SymmetricTreeLikeTableau(TreeLikeTableau):
-    """A tree-like tableau that equals its transpose."""
+    """A tree-like tableau symmetric about its main diagonal."""
+
+    family = Family.SYMMETRIC
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -243,7 +248,9 @@ class MarkerMap:
     * ``diagonal_zeros`` -- diagonal cells holding 0 (type-B only, empty
       otherwise);
     * ``unrestricted_rows`` -- 1-based indices, ascending, of the rows
-      with no restricted 0 and no diagonal 0.
+      with no restricted 0 and no diagonal 0.  Zero-length rows are
+      unrestricted; staircase rows of a type-B tableau take part like any
+      other row.
     """
 
     topmost_ones: frozenset[Cell]
@@ -407,19 +414,6 @@ def markers(t: PermutationTableau | TypeBTableau) -> MarkerMap:
     )
 
 
-def unrestricted_rows(t: PermutationTableau | TypeBTableau) -> tuple[int, ...]:
-    """1-based indices of rows with no restricted 0 and no diagonal 0.
-
-    Zero-length rows are unrestricted; staircase rows of a type-B tableau
-    take part like any other row.
-    """
-    return markers(t).unrestricted_rows
-
-
-def unrestricted_row_count(t: PermutationTableau | TypeBTableau) -> int:
-    return len(unrestricted_rows(t))
-
-
 def corner_stats(t: Tableau) -> CornerStats:
     """Corner count of the border path, plus pointed-corner count for the
     pointed families (``None`` for 0/1 fillings)."""
@@ -428,28 +422,6 @@ def corner_stats(t: Tableau) -> CornerStats:
         occupied = sum(1 for cell in t.path.corner_cells() if cell in t.points)
         return CornerStats(count, occupied)
     return CornerStats(count, None)
-
-
-def transpose(t: TreeLikeTableau) -> TreeLikeTableau:
-    return TreeLikeTableau(t.path.conjugate(), frozenset((c, r) for r, c in t.points))
-
-
-def is_symmetric(t: TreeLikeTableau) -> bool:
-    if not t.path.is_self_conjugate:
-        return False
-    return all((c, r) in t.points for r, c in t.points)
-
-
-def family_of(t: Tableau) -> Family:
-    if isinstance(t, PermutationTableau):
-        return Family.PERMUTATION
-    if isinstance(t, TypeBTableau):
-        return Family.TYPE_B
-    if isinstance(t, SymmetricTreeLikeTableau):
-        return Family.SYMMETRIC
-    if isinstance(t, TreeLikeTableau):
-        return Family.TREE_LIKE
-    raise TypeError(f"not a tableau: {t!r}")
 
 
 def _filling_bits(t: Tableau) -> tuple[int, ...]:
@@ -472,7 +444,7 @@ def to_record(t: Tableau) -> dict:
     """Serialize to the canonical JSON-friendly record."""
     return {
         "schema": "tableau/v1",
-        "family": family_of(t).value,
+        "family": t.family.value,
         "path": t.path.steps,
         "rows": list(t.row_strings()),
     }

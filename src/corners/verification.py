@@ -27,11 +27,11 @@ from .bijections import (
     type_b_to_symmetric,
 )
 from .chain import (
-    ChainSpec,
     _closed_form_count,
     _corner_position_range,
     _fold_boundary_terms,
     _fraction_text,
+    _transitions,
     corner_distribution,
     count_tableaux,
     expected_corners,
@@ -45,7 +45,7 @@ from .chain import (
 from .enumerator import census, enumerate_tableaux, extend_permutation, parent_permutation
 from .errors import DomainError
 from .families import SUITE_NAMES, Family
-from .tableaux import PermutationTableau, canonical_key, corner_stats, unrestricted_row_count
+from .tableaux import PermutationTableau, canonical_key, corner_stats, markers
 
 __all__ = [
     "PushforwardReport",
@@ -305,20 +305,18 @@ def suite_extension(max_size: int) -> list[VerificationRow]:
         children: list = []
         multiplicity_ok = True
         transition_ok = True
-        spec = ChainSpec(Family.PERMUTATION)
         for t in parents:
             images = extend_permutation(t)
-            u = unrestricted_row_count(t)
+            u = len(markers(t).unrestricted_rows)
             if len(images) != 1 << u:
                 multiplicity_ok = False
             seen: dict[tuple[str, int], int] = {}
             for child in images:
                 if parent_permutation(child) != t:
                     multiplicity_ok = False
-                step = child.path.steps[-1]
-                key = (step, unrestricted_row_count(child))
+                key = (child.path.steps[-1], len(markers(child).unrestricted_rows))
                 seen[key] = seen.get(key, 0) + 1
-            expected = {(tr.step, tr.target): tr.weight for tr in spec.transitions(u)}
+            expected = {(s, v): w for s, v, w in _transitions(Family.PERMUTATION, u)}
             if seen != expected:
                 transition_ok = False
             children.extend(images)
@@ -331,7 +329,7 @@ def suite_extension(max_size: int) -> list[VerificationRow]:
         rows.append(_row("extension-transition-law", f"n={n}", transition_ok, True))
     statistics: list[tuple[str, Callable]] = [
         ("one", lambda t: 1),
-        ("two-power-u", lambda t: 1 << unrestricted_row_count(t)),
+        ("two-power-u", lambda t: 1 << len(markers(t).unrestricted_rows)),
         ("corner-count", lambda t: corner_stats(t).corner_count),
     ]
     for n in range(2, cap + 1):
@@ -462,10 +460,6 @@ class PushforwardReport:
     left: Fraction
     right: Fraction
 
-    @property
-    def equal(self) -> bool:
-        return self.left == self.right
-
 
 def pushforward_check(
     n: int,
@@ -484,7 +478,7 @@ def pushforward_check(
     )
     left = left_sum / factorial(n)
     right_sum = sum(
-        Fraction(statistic(s)) * (1 << unrestricted_row_count(s))
+        Fraction(statistic(s)) * (1 << len(markers(s).unrestricted_rows))
         for s in enumerate_tableaux(n - 1, Family.PERMUTATION)
     )
     right = right_sum / (n * factorial(n - 1))

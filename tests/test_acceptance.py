@@ -22,7 +22,7 @@ from corners.bijections import (
     type_b_to_symmetric,
 )
 from corners.chain import (
-    ChainSpec,
+    _transitions,
     corner_distribution,
     corner_event_probability_formula,
     expected_corners,
@@ -34,7 +34,7 @@ from corners.chain import (
 from corners.enumerator import census, extend_permutation, parent_permutation
 from corners.families import Family
 from corners.sampler import monte_carlo_corner_report, sample_permutation_tableaux
-from corners.tableaux import canonical_key, unrestricted_row_count
+from corners.tableaux import canonical_key, markers
 from corners.verification import pushforward_check
 from test_bijections import SYMMETRIC_11, TYPE_B_5
 
@@ -178,28 +178,27 @@ def test_criterion_09_bijections():
 
 
 def test_criterion_10_extension_machinery():
-    spec = ChainSpec(P)
     for n in range(2, 8):
         children = []
         for t in cached_tableaux(n - 1, P):
-            u = unrestricted_row_count(t)
+            u = len(markers(t).unrestricted_rows)
             images = extend_permutation(t)
             assert len(images) == 1 << u
             seen: Counter = Counter()
             for child in images:
                 assert parent_permutation(child) == t
-                seen[(child.path.steps[-1], unrestricted_row_count(child))] += 1
-            assert dict(seen) == {(tr.step, tr.target): tr.weight for tr in spec.transitions(u)}
+                seen[(child.path.steps[-1], len(markers(child).unrestricted_rows))] += 1
+            assert dict(seen) == {(s, v): w for s, v, w in _transitions(P, u)}
             children.extend(images)
         keys = {canonical_key(c) for c in children}
         assert len(children) == len(keys) == factorial(n)
         assert keys == {canonical_key(t) for t in cached_tableaux(n, P)}
     for n in range(2, 8):
-        assert pushforward_check(n, lambda t: 1).equal
-        assert pushforward_check(n, lambda t: 1 << unrestricted_row_count(t)).equal
-        for k in range(1, n - 1):
-            indicator = lambda t, k=k: int(k in t.path.corner_positions())
-            assert pushforward_check(n, indicator).equal
+        statistics = [lambda t: 1, lambda t: 1 << len(markers(t).unrestricted_rows)]
+        statistics += [lambda t, k=k: int(k in t.path.corner_positions()) for k in range(1, n - 1)]
+        for statistic in statistics:
+            report = pushforward_check(n, statistic)
+            assert report.left == report.right
     _line(10, "extension partitions P_n with 2^U images, push-forward identity, n<=7")
 
 

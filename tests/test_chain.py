@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import cached_census
 from corners import chain
 from corners.chain import (
-    ChainSpec,
     corner_distribution,
     corner_event_probability_dp,
     corner_event_probability_formula,
@@ -25,7 +24,7 @@ from corners.chain import (
 )
 from corners.errors import BudgetExceededError, DomainError, IndexOutOfRangeError
 from corners.families import CHAIN_BUDGET, Family
-from corners.tableaux import corner_stats, unrestricted_row_count
+from corners.tableaux import corner_stats, markers
 from corners.verification import pushforward_check
 
 CHAIN = (Family.PERMUTATION, Family.TYPE_B)
@@ -33,14 +32,12 @@ ALL = (Family.TREE_LIKE, Family.PERMUTATION, Family.TYPE_B, Family.SYMMETRIC)
 
 
 def test_transition_weights_and_totals():
-    spec = ChainSpec(Family.PERMUTATION)
-    assert {(t.step, t.target): t.weight for t in spec.transitions(2)} == {
+    assert {(s, v): w for s, v, w in chain._transitions(Family.PERMUTATION, 2)} == {
         ("S", 3): 1,
         ("W", 1): 1,
         ("W", 2): 2,
     }
-    spec_b = ChainSpec(Family.TYPE_B)
-    assert {(t.step, t.target): t.weight for t in spec_b.transitions(2)} == {
+    assert {(s, v): w for s, v, w in chain._transitions(Family.TYPE_B, 2)} == {
         ("S", 3): 1,
         ("W", 1): 2,
         ("W", 2): 4,
@@ -51,11 +48,11 @@ def test_transition_weights_and_totals():
 @pytest.mark.parametrize("family", CHAIN)
 @pytest.mark.parametrize("u", range(6))
 def test_normalized_law_is_one_plus_binomial(family, u):
-    transitions = ChainSpec(family).transitions(u)
-    total = sum(t.weight for t in transitions)
+    transitions = chain._transitions(family, u)
+    total = sum(w for _, _, w in transitions)
     law = {}
-    for t in transitions:
-        law[t.target] = law.get(t.target, 0) + Fraction(t.weight, total)
+    for _, v, w in transitions:
+        law[v] = law.get(v, 0) + Fraction(w, total)
     assert law == {1 + j: Fraction(comb(u, j), 2**u) for j in range(u + 1)}
     assert sum(law.values()) == 1
 
@@ -75,10 +72,9 @@ def test_counts_match_closed_forms(family, n):
 @pytest.mark.parametrize("family", CHAIN)
 @pytest.mark.parametrize("m", range(13))
 def test_suffix_weight_solves_the_transition_recursion(family, m):
-    spec = ChainSpec(family)
     for u in range(13):
         expected = 1 if m == 0 else sum(
-            t.weight * chain._suffix_weight(family, m - 1, t.target) for t in spec.transitions(u)
+            w * chain._suffix_weight(family, m - 1, v) for _, v, w in chain._transitions(family, u)
         )
         assert chain._suffix_weight(family, m, u) == expected
 
@@ -270,11 +266,11 @@ def test_boundary_step_probabilities():
 def test_pushforward_identity(n):
     for stat in (
         lambda t: 1,
-        lambda t: 1 << unrestricted_row_count(t),
+        lambda t: 1 << len(markers(t).unrestricted_rows),
         lambda t: corner_stats(t).corner_count,
     ):
         report = pushforward_check(n, stat)
-        assert report.equal, (n, report)
+        assert report.left == report.right, (n, report)
 
 
 def test_pushforward_guards():

@@ -95,9 +95,16 @@ def test_formula_expected_and_total(capsys):
 
 
 def test_unknown_family_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        run_command(["census", "--family", "martian", "--size", "2"])
-    assert excinfo.value.code == 2
+    for argv in (
+        ["census", "--family", "martian", "--size", "2"],
+        ["bijection", "roundtrip", "--family", "martian", "--size", "2"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            run_command(argv)
+        assert excinfo.value.code == 2
+        # the parse error names the four families
+        err = capsys.readouterr().err
+        assert "unknown family 'martian'; expected one of: tree-like, permutation, type-b, symmetric" in err
 
 
 def test_verify_passes_and_reports(capsys):
@@ -193,6 +200,23 @@ def test_bijection_rejects_malformed_records(capsys, monkeypatch, direction, tex
     code, out, err = run(capsys, "bijection", direction)
     assert code == 2
     assert out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("source", ("stdin", "file"))
+@pytest.mark.parametrize("direction", ("fold", "unfold"))
+def test_bijection_rejects_too_deeply_nested_input(tmp_path, direction, source):
+    text = "[" * 100_000
+    argv = [sys.executable, "-m", "corners", "bijection", direction]
+    if source == "file":
+        infile = tmp_path / "deep.json"
+        infile.write_text(text)
+        argv += ["--in", str(infile)]
+    proc = subprocess.run(
+        argv, input=text if source == "stdin" else "",
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def _run_quietly(argv, stdin_text):

@@ -21,7 +21,7 @@ from corners.enumerator import (
 )
 from corners.errors import BudgetExceededError, DomainError
 from corners.families import BRUTE_FORCE_BUDGET, Family
-from corners.tableaux import canonical_key, family_of, unrestricted_row_count, validate
+from corners.tableaux import canonical_key, markers, validate
 from corners.verification import _CENSUS_CAP
 
 # every size the verify census sweeps reach, symmetric sizes odd
@@ -58,7 +58,7 @@ def test_enumerate_shapes_filters_admissible_paths():
 def test_every_enumerated_tableau_validates():
     for family, size in SWEPT_SIZES:
         for t in enumerate_tableaux(size, family):
-            assert family_of(t) is family
+            assert t.family is family
             assert validate(t).ok
 
 
@@ -214,7 +214,7 @@ def test_extension_images_partition_next_size():
         count = 0
         for t in cached_tableaux(n - 1, Family.PERMUTATION):
             children = extend_permutation(t)
-            assert len(children) == 2 ** unrestricted_row_count(t)
+            assert len(children) == 2 ** len(markers(t).unrestricted_rows)
             for child in children:
                 assert validate(child).ok
                 assert parent_permutation(child) == t

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import cached_tableaux, chi_square_survival
 from corners import chain
-from corners.chain import ChainSpec, count_tableaux
+from corners.chain import count_tableaux
 from corners.errors import BudgetExceededError, DomainError
 from corners.families import CHAIN_BUDGET, Family
 from corners.sampler import (
@@ -30,8 +30,8 @@ from corners.shapes import BorderPath
 from corners.tableaux import (
     PermutationTableau,
     canonical_key,
+    markers,
     to_record,
-    unrestricted_rows,
     validate,
 )
 
@@ -40,17 +40,16 @@ ALPHA = 1e-3
 
 
 def all_trajectory_weights(n, family):
-    spec = ChainSpec(family)
     out = {}
 
     def rec(k, u, steps, states, weight):
         if k == n:
             out[("".join(steps), tuple(states))] = weight
             return
-        for t in spec.transitions(u):
-            steps.append(t.step)
-            states.append(t.target)
-            rec(k + 1, t.target, steps, states, weight * t.weight)
+        for step, target, w in chain._transitions(family, u):
+            steps.append(step)
+            states.append(target)
+            rec(k + 1, target, steps, states, weight * w)
             steps.pop()
             states.pop()
 
@@ -201,8 +200,8 @@ def test_step_rows_match_rows_from_the_transitions(family):
                     cumulative,
                     cumulative[-1],
                     cumulative[-1].bit_length(),
-                    "".join(t.step for t in transitions),
-                    tuple(t.target for t in transitions),
+                    "".join(step for step, _, _ in transitions),
+                    tuple(target for _, target, _ in transitions),
                 ), (n, k, u)
 
 
@@ -243,11 +242,11 @@ def _ref_choose_index(rng, cumulative):
 
 def _ref_options(n, family, k, u, cache):
     if (k, u) not in cache:
-        transitions = ChainSpec(family).transitions(u)
+        transitions = chain._transitions(family, u)
         m = n - k - 1
         cache[k, u] = (
             transitions,
-            list(accumulate(t.weight * chain._suffix_weight(family, m, t.target) for t in transitions)),
+            list(accumulate(w * chain._suffix_weight(family, m, v) for _, v, w in transitions)),
         )
     return cache[k, u]
 
@@ -258,9 +257,8 @@ def _ref_draw(n, family, rng, cache):
     steps = []
     for k in range(n):
         transitions, cumulative = _ref_options(n, family, k, u, cache)
-        t = transitions[_ref_choose_index(rng, cumulative)]
-        steps.append(t.step)
-        u = t.target
+        step, u, _ = transitions[_ref_choose_index(rng, cumulative)]
+        steps.append(step)
         states.append(u)
     return Trajectory(family, tuple(states), "".join(steps))
 
@@ -289,16 +287,16 @@ def _ref_grow_tableau(rng, n, cache):
     u = 1
     for k in range(1, n):
         transitions, cumulative = _ref_options(n, P, k, u, cache)
-        t = transitions[_ref_choose_index(rng, cumulative)]
-        if t.step == "S":
+        step, target, _ = transitions[_ref_choose_index(rng, cumulative)]
+        if step == "S":
             path += "S"
             rows = rows + ((),)
         else:
-            unrest = unrestricted_rows(PermutationTableau(BorderPath(path), rows))
-            chosen = _ref_draw_column_subset(rng, unrest, t.target)
+            unrest = markers(PermutationTableau(BorderPath(path), rows)).unrestricted_rows
+            chosen = _ref_draw_column_subset(rng, unrest, target)
             path += "W"
             rows = tuple((1 if r in chosen else 0,) + row for r, row in enumerate(rows, start=1))
-        u = t.target
+        u = target
     return PermutationTableau(BorderPath(path), rows)
 
 

@@ -21,15 +21,6 @@ def test_rejects_empty_and_illegal():
         BorderPath("SXW")
 
 
-def test_step_indexing_is_one_based():
-    p = BorderPath("SW")
-    assert p.step(1) == "S" and p.step(2) == "W"
-    with pytest.raises(IndexOutOfRangeError):
-        p.step(0)
-    with pytest.raises(IndexOutOfRangeError):
-        p.step(3)
-
-
 def test_row_lengths_of_figure_paths():
     assert BorderPath("SWWSSWWWSSWS").row_lengths == (6, 4, 4, 1, 1, 0)
     assert BorderPath("SSWWSSWWWSSWSW").row_lengths == (7, 7, 5, 5, 2, 2, 1)
@@ -71,7 +62,7 @@ def test_corner_positions_mirror_under_conjugation(p):
 
 @given(paths)
 def test_corners_are_south_west_step_pairs(p):
-    expected = [k for k in range(1, len(p)) if p.step(k) == "S" and p.step(k + 1) == "W"]
+    expected = [k for k in range(1, len(p)) if p.steps[k - 1] == "S" and p.steps[k] == "W"]
     assert list(p.corner_positions()) == expected
     assert p.corner_count() == len(expected)
 

@@ -14,14 +14,9 @@ from corners.tableaux import (
     TypeBTableau,
     canonical_key,
     corner_stats,
-    family_of,
     from_record,
-    is_symmetric,
     markers,
     to_record,
-    transpose,
-    unrestricted_row_count,
-    unrestricted_rows,
     validate,
 )
 
@@ -52,9 +47,8 @@ def test_tree_like_example_is_valid():
 def test_permutation_example_is_valid():
     assert validate(PERMUTATION_12).ok
     assert PERMUTATION_12.path.corner_positions() == (1, 5, 10)
-    assert unrestricted_rows(PERMUTATION_12) == (1, 3, 4, 5, 6)
-    assert unrestricted_row_count(PERMUTATION_12) == 5
     m = markers(PERMUTATION_12)
+    assert m.unrestricted_rows == (1, 3, 4, 5, 6)
     assert m.restricted_zeros == frozenset({(2, 2)})
     assert m.rightmost_restricted_zeros == frozenset({(2, 2)})
     assert m.diagonal_zeros == frozenset()
@@ -66,7 +60,7 @@ def test_type_b_example_is_valid():
     assert TYPE_B_6.row_lengths == (1, 2, 3, 2, 2, 0)
     m = markers(TYPE_B_6)
     assert m.diagonal_zeros == frozenset({(2, 2)})
-    assert unrestricted_rows(TYPE_B_6) == (1, 6)
+    assert m.unrestricted_rows == (1, 6)
     assert TYPE_B_6.path.corner_positions() == (3,)
 
 
@@ -145,14 +139,14 @@ def test_validation_catches_each_rule():
 
 
 def test_transpose_and_symmetry():
-    assert not is_symmetric(TREE_LIKE_13)
-    twice = transpose(transpose(TREE_LIKE_13))
-    assert twice.path == TREE_LIKE_13.path and twice.points == TREE_LIKE_13.points
+    from corners.errors import NotSymmetricError
+
+    with pytest.raises(NotSymmetricError):
+        SymmetricTreeLikeTableau(TREE_LIKE_13.path, TREE_LIKE_13.points)
     square = SymmetricTreeLikeTableau(
         BorderPath("SSWW"), frozenset([(1, 1), (1, 2), (2, 1)])
     )
     assert validate(square).ok
-    assert is_symmetric(square)
 
 
 def test_symmetric_construction_guards():
@@ -165,9 +159,9 @@ def test_symmetric_construction_guards():
 
 
 def test_family_of():
-    assert family_of(TREE_LIKE_13) is Family.TREE_LIKE
-    assert family_of(PERMUTATION_12) is Family.PERMUTATION
-    assert family_of(TYPE_B_6) is Family.TYPE_B
+    assert TREE_LIKE_13.family is Family.TREE_LIKE
+    assert PERMUTATION_12.family is Family.PERMUTATION
+    assert TYPE_B_6.family is Family.TYPE_B
 
 
 @pytest.mark.parametrize(
@@ -176,7 +170,7 @@ def test_family_of():
 def test_record_roundtrip(t):
     back = from_record(to_record(t))
     assert back == t
-    assert family_of(back) is family_of(t)
+    assert back.family is t.family
 
 
 @given(st.integers(2, 5), st.data())
