@@ -11,13 +11,12 @@ import importlib
 
 _EXPORTS = {
     "bijections": (
-        "CornerDecomposition",
-        "symmetric_corner_decomposition",
         "symmetric_to_type_b",
         "tree_like_to_permutation_shape",
         "type_b_to_symmetric",
     ),
     "chain": (
+        "CornerDecomposition",
         "corner_distribution",
         "corner_event_probability_dp",
         "corner_event_probability_formula",
@@ -26,6 +25,7 @@ _EXPORTS = {
         "first_step_west_probability",
         "last_step_south_probability",
         "rising_factorial_pgf",
+        "symmetric_corner_decomposition",
         "total_corners",
         "u_distribution",
         "u_pgf",

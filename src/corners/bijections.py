@@ -25,14 +25,15 @@ wrong tableau.
 The size-1 symmetric tableau has no representable type-B partner (it
 would be the empty tableau of size 0, and border paths here are
 non-empty), so both directions start at size 3 / size 1.
+
+The corner total that the fold splits is checked at the chain level by
+:func:`corners.chain.symmetric_corner_decomposition`, which reads only
+chain counts; this module never loads the chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BijectionError, DomainError, InvalidTableauError
-from .families import Family
 from .shapes import SOUTH, WEST, BorderPath, Cell
 from .tableaux import (
     SymmetricTreeLikeTableau,
@@ -45,8 +46,6 @@ __all__ = [
     "tree_like_to_permutation_shape",
     "symmetric_to_type_b",
     "type_b_to_symmetric",
-    "CornerDecomposition",
-    "symmetric_corner_decomposition",
 ]
 
 
@@ -184,67 +183,3 @@ def type_b_to_symmetric(b: TypeBTableau) -> SymmetricTreeLikeTableau:
             witness=b,
         )
     return t
-
-
-@dataclass(frozen=True)
-class CornerDecomposition:
-    """Corner total of symmetric tableaux split along the fold.
-
-    Corners of the symmetric border path at positions ``2..n`` and
-    ``n+2..2n`` come in mirror pairs from type-B corners (``twice_type_b``),
-    positions ``1`` and ``2n+1`` fire when the type-B path ends South
-    (``south_term``), and position ``n+1`` when it starts West
-    (``west_term``).
-    """
-
-    index: int
-    twice_type_b: int
-    south_term: int
-    west_term: int
-
-    @property
-    def total(self) -> int:
-        return self.twice_type_b + self.south_term + self.west_term
-
-
-def _exact_count(probability, cardinality: int) -> int:
-    scaled = probability * cardinality
-    if scaled.denominator != 1:
-        raise BijectionError(f"non-integer event count {scaled}")  # pragma: no cover
-    return scaled.numerator
-
-
-def symmetric_corner_decomposition(n: int) -> CornerDecomposition:
-    """Split ``c(T^sym_{2n+1})`` into its type-B contributions, exactly.
-
-    Asserts the component identities (``south_term = 2^n (n-1)!`` and
-    ``west_term = 2^{n-1} n!``) and that the three parts sum to the
-    symmetric corner total, which it takes from the symmetric DP law, so
-    ``n`` is capped at ``CHAIN_BUDGET.dp_size``.
-    """
-    # imported here so that the fold and unfold never load the chain
-    from .chain import (
-        _fold_boundary_terms,
-        _require_dp_size,
-        corner_distribution,
-        count_tableaux,
-        first_step_west_probability,
-        last_step_south_probability,
-        total_corners,
-    )
-
-    if n < 1:
-        raise DomainError(f"index must be at least 1, got {n}")
-    _require_dp_size(n, Family.SYMMETRIC, "the corner decomposition")
-    b_count = count_tableaux(n, Family.TYPE_B)
-    twice_b = 2 * total_corners(n, Family.TYPE_B) if n >= 2 else 0
-    south = 2 * _exact_count(last_step_south_probability(n, Family.TYPE_B), b_count)
-    west = _exact_count(first_step_west_probability(n, Family.TYPE_B), b_count)
-    deco = CornerDecomposition(n, twice_b, south, west)
-
-    sym_total = sum(
-        _exact_count(p, b_count) for p in corner_distribution(n, Family.SYMMETRIC).values()
-    )
-    if (deco.south_term, deco.west_term) != _fold_boundary_terms(n) or deco.total != sym_total:
-        raise BijectionError(f"corner decomposition mismatch at n={n}: {deco}")
-    return deco

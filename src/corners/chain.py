@@ -32,7 +32,9 @@ permutation shapes, and the symmetric border path of size ``2n + 1``
 decomposes as ``S + mirror(q) + q + W`` where ``q`` is the type-B path.
 
 The closed forms live here too (counts, corner laws and totals, corner
-position ranges); :mod:`corners.verification` checks them by enumeration.
+position ranges), as does the split of the symmetric corner total along
+the fold (:func:`symmetric_corner_decomposition`);
+:mod:`corners.verification` checks them by enumeration.
 
 All arithmetic is exact: integers are unbounded and probabilities are
 :class:`fractions.Fraction` values.  No floating point exists here.
@@ -43,9 +45,15 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
-from .errors import BudgetExceededError, CornersError, DomainError, IndexOutOfRangeError
+from .errors import (
+    BijectionError,
+    BudgetExceededError,
+    CornersError,
+    DomainError,
+    IndexOutOfRangeError,
+)
 from .families import CHAIN_BUDGET, Family
 from .shapes import SOUTH, WEST
 
@@ -61,6 +69,8 @@ __all__ = [
     "total_corners",
     "last_step_south_probability",
     "first_step_west_probability",
+    "CornerDecomposition",
+    "symmetric_corner_decomposition",
 ]
 
 _CHAIN_FAMILIES = (Family.PERMUTATION, Family.TYPE_B)
@@ -229,6 +239,58 @@ def _fold_boundary_terms(n: int) -> tuple[int, int]:
     tableaux of size ``n`` whose path ends South) and the west term
     ``2**(n-1) n!`` (those whose path starts West)."""
     return factorial(n - 1) << n, factorial(n) << (n - 1)
+
+
+class CornerDecomposition(NamedTuple):
+    """Corner total of symmetric tableaux split along the fold.
+
+    Corners of the symmetric border path at positions ``2..n`` and
+    ``n+2..2n`` come in mirror pairs from type-B corners (``twice_type_b``),
+    positions ``1`` and ``2n+1`` fire when the type-B path ends South
+    (``south_term``), and position ``n+1`` when it starts West
+    (``west_term``).
+    """
+
+    index: int
+    twice_type_b: int
+    south_term: int
+    west_term: int
+
+    @property
+    def total(self) -> int:
+        return self.twice_type_b + self.south_term + self.west_term
+
+
+def _exact_count(probability: Fraction, cardinality: int) -> int:
+    scaled = probability * cardinality
+    if scaled.denominator != 1:
+        raise BijectionError(f"non-integer event count {scaled}")  # pragma: no cover
+    return scaled.numerator
+
+
+def symmetric_corner_decomposition(n: int) -> CornerDecomposition:
+    """Split ``c(T^sym_{2n+1})`` into its type-B contributions, exactly.
+
+    Asserts the component identities (``south_term = 2^n (n-1)!`` and
+    ``west_term = 2^{n-1} n!``, :func:`_fold_boundary_terms`) and that the
+    three parts sum to the symmetric corner total, which it takes from the
+    symmetric DP law, so ``n`` is capped at ``CHAIN_BUDGET.dp_size``.
+    """
+    if n < 1:
+        raise DomainError(f"index must be at least 1, got {n}")
+    _require_dp_size(n, Family.SYMMETRIC, "the corner decomposition")
+    b_count = count_tableaux(n, Family.TYPE_B)
+    twice_b = 2 * total_corners(n, Family.TYPE_B) if n >= 2 else 0
+    south = 2 * _exact_count(last_step_south_probability(n, Family.TYPE_B), b_count)
+    west = _exact_count(first_step_west_probability(n, Family.TYPE_B), b_count)
+    deco = CornerDecomposition(n, twice_b, south, west)
+
+    sym_total = sum(
+        _exact_count(p, b_count) for p in corner_distribution(n, Family.SYMMETRIC).values()
+    )
+    if (deco.south_term, deco.west_term) != _fold_boundary_terms(n) or deco.total != sym_total:
+        raise BijectionError(f"corner decomposition mismatch at n={n}: {deco}")
+    return deco
 
 
 def u_distribution(n: int, family: Family) -> dict[int, Fraction]:

@@ -272,50 +272,52 @@ def _read_record(path: str | None):
 
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
-    from .bijections import symmetric_corner_decomposition, symmetric_to_type_b, type_b_to_symmetric
+    if args.direction == "decompose":
+        from .chain import symmetric_corner_decomposition
+
+        d = symmetric_corner_decomposition(args.size)
+        payload = {
+            "schema": "corner-decomposition/v1",
+            "n": d.index,
+            "twiceB": str(d.twice_type_b),
+            "southTerm": str(d.south_term),
+            "westTerm": str(d.west_term),
+            "total": str(d.total),
+        }
+        rows = [(k, payload[k]) for k in ("n", "twiceB", "southTerm", "westTerm", "total")]
+        _emit(_render(args.format, payload, ("field", "value"), rows), args.out)
+        return 0
+    from .bijections import symmetric_to_type_b, type_b_to_symmetric
     from .tableaux import to_record
 
     if args.direction in ("fold", "unfold"):
         image_of = symmetric_to_type_b if args.direction == "fold" else type_b_to_symmetric
         _emit(_json_text(to_record(image_of(_read_record(args.infile)))), args.out)
         return 0
-    if args.direction == "roundtrip":
-        if args.family not in (Family.TYPE_B, Family.SYMMETRIC):
-            raise CornersError("roundtrip sweeps run on type-b or symmetric families")
-        from .enumerator import enumerate_tableaux
+    # roundtrip
+    if args.family not in (Family.TYPE_B, Family.SYMMETRIC):
+        raise CornersError("roundtrip sweeps run on type-b or symmetric families")
+    from .enumerator import enumerate_tableaux
 
-        checked = 0
-        for t in enumerate_tableaux(args.size, args.family):
-            if args.family is Family.TYPE_B:
-                back = symmetric_to_type_b(type_b_to_symmetric(t))
-            else:
-                back = type_b_to_symmetric(symmetric_to_type_b(t))
-            checked += 1
-            if back != t:
-                print("round-trip failure, witness:", file=sys.stderr)
-                print(json.dumps(to_record(t)), file=sys.stderr)
-                return 1
-        payload = {
-            "schema": "bijection-roundtrip/v1",
-            "family": args.family.value,
-            "n": args.size,
-            "checked": str(checked),
-            "failures": "0",
-        }
-        rows = [("family", args.family.value), ("n", str(args.size)), ("checked", str(checked)), ("failures", "0")]
-        _emit(_render(args.format, payload, ("field", "value"), rows), args.out)
-        return 0
-    # decompose
-    d = symmetric_corner_decomposition(args.size)
+    checked = 0
+    for t in enumerate_tableaux(args.size, args.family):
+        if args.family is Family.TYPE_B:
+            back = symmetric_to_type_b(type_b_to_symmetric(t))
+        else:
+            back = type_b_to_symmetric(symmetric_to_type_b(t))
+        checked += 1
+        if back != t:
+            print("round-trip failure, witness:", file=sys.stderr)
+            print(json.dumps(to_record(t)), file=sys.stderr)
+            return 1
     payload = {
-        "schema": "corner-decomposition/v1",
-        "n": d.index,
-        "twiceB": str(d.twice_type_b),
-        "southTerm": str(d.south_term),
-        "westTerm": str(d.west_term),
-        "total": str(d.total),
+        "schema": "bijection-roundtrip/v1",
+        "family": args.family.value,
+        "n": args.size,
+        "checked": str(checked),
+        "failures": "0",
     }
-    rows = [(k, payload[k]) for k in ("n", "twiceB", "southTerm", "westTerm", "total")]
+    rows = [("family", args.family.value), ("n", str(args.size)), ("checked", str(checked)), ("failures", "0")]
     _emit(_render(args.format, payload, ("field", "value"), rows), args.out)
     return 0
 

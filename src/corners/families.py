@@ -29,7 +29,10 @@ class Family(str, enum.Enum):
             return cls(text)
         except ValueError:
             names = ", ".join(f.value for f in cls)
-            raise ValueError(f"unknown family {text!r}; expected one of: {names}") from None
+            shown = repr(text)  # a record may carry any JSON value here
+            if len(shown) > 40:
+                shown = shown[:40] + "..."
+            raise ValueError(f"unknown family {shown}; expected one of: {names}") from None
 
 
 # Largest size accepted by the exhaustive enumerators, per family.  The caps
@@ -61,7 +64,9 @@ class ChainBudget(NamedTuple):
 # Set from runs on a 2-CPU host with Python 3.11: the DP law at n = 4000
 # takes about 0.16 s (0.2 s for the symmetric family); a cold 100-draw
 # report at n = 300 about 1.1 s and 146 MB, as the step table grows with
-# n; 100 000 draws of the smallest report about 1.8 s.
+# n; 100 000 draws of the smallest report about 1.8 s.  Each chain family
+# keeps one step table for every size, so `sample_size` also bounds its
+# positions.
 CHAIN_BUDGET = ChainBudget(dp_size=4000, sample_size=300, sample_count=100_000)
 
 # The `verify` suites in run order.  `verification.SUITES` maps each name to

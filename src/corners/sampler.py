@@ -9,13 +9,14 @@ filling-level (the chosen column subsets are drawn uniformly among those
 reaching the chosen next state); type-B sampling stays at the path
 level, which determines every corner statistic.
 
-One step table per (n, family) holds, for each visited position and
-state, the cumulative weights with their rejection bound and the step
-and target of each transition, built from the chain's plain ``(step,
-target, weight)`` triples.  A draw is one loop over it with the rejection
-draw and the bisection inlined.  Tableau growth reads the same table and
-tracks the unrestricted rows as it goes, so it builds and validates one
-tableau at the end instead of one per step.
+One step table per family, shared by every size, holds for each visited
+number of steps left ``m`` and state ``u`` the cumulative weights with
+their rejection bound and the step and target of each transition, built
+from the chain's plain ``(step, target, weight)`` triples.  A draw is one
+loop over it, from ``m = n - 1`` down to 0, with the rejection draw and
+the bisection inlined.  Tableau growth reads the same table and tracks
+the unrestricted rows as it goes, so it builds and validates one tableau
+at the end instead of one per step.
 
 Randomness contract (generator id ``sha256-stream/mt19937/v1``): sample
 ``i`` of a run seeded with ``seed`` uses a ``random.Random`` (Mersenne
@@ -31,7 +32,6 @@ point touches the sampling path.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import random
@@ -97,92 +97,82 @@ class Trajectory:
     u_sequence: tuple[int, ...]
     steps: str
 
-    @property
-    def n(self) -> int:
-        return len(self.steps)
-
-    def path(self) -> BorderPath:
-        return BorderPath(self.steps)
-
-    def corner_count(self) -> int:
-        return self.steps.count(SOUTH + WEST)
-
 
 #: One row of a step table: the cumulative weights of the transitions out
-#: of one ``(k, u)``, their total (the rejection bound) and its bit length,
-#: and each transition's step and target state.
+#: of state ``u`` with ``m`` steps left, their total (the rejection bound)
+#: and its bit length, and each transition's step and target state.
 _StepRow = tuple[list[int], int, int, str, tuple[int, ...]]
+#: ``table[m][u]``: a list per number of steps left, a dict per state.
+_StepTable = list[dict[int, _StepRow]]
+
+#: Each chain family's step table, shared by every size: a row depends
+#: only on the family, ``m`` and ``u``.
+_STEP_TABLES: dict[Family, _StepTable] = {}
 
 
-class _StepSampler:
-    """The step table of one (n, family).
+def _step_table(n: int, family: Family) -> _StepTable:
+    """Check a request for size-``n`` draws of ``family`` and return the
+    family's step table, grown to at least ``n`` positions.  The size
+    check keeps it within ``CHAIN_BUDGET.sample_size`` positions."""
+    _require_chain(family)
+    if n < 1:
+        raise DomainError(f"size must be at least 1, got {n}")
+    if n > CHAIN_BUDGET.sample_size:
+        raise BudgetExceededError(
+            n, family, CHAIN_BUDGET.sample_size, f"sampling {family.value} at n={n}"
+        )
+    table = _STEP_TABLES.setdefault(family, [])
+    table.extend({} for _ in range(len(table), n))
+    return table
 
-    At position ``k`` (steps taken so far) in state ``u``, transition
-    ``t`` is chosen with weight ``t.weight`` times its completion weight.
-    The table holds one :data:`_StepRow` per ``(k, u)``, built on first
-    visit and reused across samples; trajectories and tableau growth both
-    read it.
+
+def _row(family: Family, m: int, u: int) -> _StepRow:
+    """The row of state ``u`` with ``m`` steps left, built on first visit.
+
+    Each transition weighs its chain weight times its completion weight
+    ``m! (m + 1)**target`` (times ``2**m`` for type B).
     """
+    rows = _STEP_TABLES[family][m]
+    hit = rows.get(u)
+    if hit is None:
+        steps, targets, weights = zip(*_transitions(family, u))
+        # completion weights: one power of m + 1 per target
+        suffix = [_suffix_weight(family, m, 0)]
+        for _ in range(u + 1):
+            suffix.append(suffix[-1] * (m + 1))
+        cumulative = list(accumulate(map(mul, weights, map(suffix.__getitem__, targets))))
+        hit = rows[u] = (
+            cumulative,
+            cumulative[-1],
+            cumulative[-1].bit_length(),
+            "".join(steps),
+            targets,
+        )
+    return hit
 
-    def __init__(self, n: int, family: Family):
-        _require_chain(family)
-        if n < 1:
-            raise DomainError(f"size must be at least 1, got {n}")
-        if n > CHAIN_BUDGET.sample_size:
-            raise BudgetExceededError(
-                n, family, CHAIN_BUDGET.sample_size, f"sampling {family.value} at n={n}"
-            )
-        self.n = n
-        self.family = family
-        #: ``table[k][u]``; a list per position, a dict per state.
-        self.table: list[dict[int, _StepRow]] = [{} for _ in range(n)]
 
-    def row(self, k: int, u: int) -> _StepRow:
-        """The table row of ``(k, u)``, built if missing."""
-        hit = self.table[k].get(u)
-        if hit is None:
-            steps, targets, weights = zip(*_transitions(self.family, u))
-            # completion weights m! (m + 1)**j (times 2**m): one power per target
-            m = self.n - k - 1
-            suffix = [_suffix_weight(self.family, m, 0)]
-            for _ in range(u + 1):
-                suffix.append(suffix[-1] * (m + 1))
-            cumulative = list(accumulate(map(mul, weights, map(suffix.__getitem__, targets))))
-            hit = self.table[k][u] = (
-                cumulative,
-                cumulative[-1],
-                cumulative[-1].bit_length(),
-                "".join(steps),
-                targets,
-            )
-        return hit
-
-    def draw(self, rng: random.Random) -> Trajectory:
-        getrandbits = rng.getrandbits
-        table = self.table
-        u = 0
-        states = [0]
-        steps: list[str] = []
-        for k in range(self.n):
-            cumulative, bound, bits, step_of, target_of = table[k].get(u) or self.row(k, u)
+def _draw(rng: random.Random, n: int, family: Family, table: _StepTable) -> Trajectory:
+    """One size-``n`` trajectory, walking ``m`` from ``n - 1`` down to 0."""
+    getrandbits = rng.getrandbits
+    u = 0
+    states = [0]
+    steps: list[str] = []
+    for m in range(n - 1, -1, -1):
+        cumulative, bound, bits, step_of, target_of = table[m].get(u) or _row(family, m, u)
+        x = getrandbits(bits)
+        while x >= bound:
             x = getrandbits(bits)
-            while x >= bound:
-                x = getrandbits(bits)
-            i = bisect_right(cumulative, x)
-            steps.append(step_of[i])
-            u = target_of[i]
-            states.append(u)
-        return Trajectory(self.family, tuple(states), "".join(steps))
-
-
-@functools.lru_cache(maxsize=16)
-def _step_sampler(n: int, family: Family) -> _StepSampler:
-    return _StepSampler(n, family)
+        i = bisect_right(cumulative, x)
+        steps.append(step_of[i])
+        u = target_of[i]
+        states.append(u)
+    return Trajectory(family, tuple(states), "".join(steps))
 
 
 def sample_trajectory(n: int, family: Family, seed: int, index: int = 0) -> Trajectory:
     """Draw trajectory ``index`` of the run seeded with ``seed``."""
-    return _step_sampler(n, family).draw(substream(seed, index))
+    table = _step_table(n, family)
+    return _draw(substream(seed, index), n, family, table)
 
 
 def _require_count(count: int, family: Family) -> None:
@@ -196,9 +186,9 @@ def _require_count(count: int, family: Family) -> None:
 
 def sample_trajectories(n: int, family: Family, seed: int, count: int) -> Iterator[Trajectory]:
     _require_count(count, family)
-    sampler = _step_sampler(n, family)
+    table = _step_table(n, family)
     for index in range(count):
-        yield sampler.draw(substream(seed, index))
+        yield _draw(substream(seed, index), n, family, table)
 
 
 def _draw_column_subset(rng: random.Random, unrest: Sequence[int], j: int) -> set[int]:
@@ -222,8 +212,9 @@ def _draw_column_subset(rng: random.Random, unrest: Sequence[int], j: int) -> se
     return chosen
 
 
-def _grow_tableau(rng: random.Random, sampler: _StepSampler) -> PermutationTableau:
-    """Grow one tableau along a trajectory drawn from the step table.
+def _grow_tableau(rng: random.Random, n: int, table: _StepTable) -> PermutationTableau:
+    """Grow one size-``n`` tableau along a trajectory drawn from the
+    permutation step table, walking ``m`` from ``n - 2`` down to 0.
 
     The first step is always South.  The unrestricted rows are tracked as
     the tableau grows: a South step adds an empty, unrestricted bottom
@@ -236,8 +227,8 @@ def _grow_tableau(rng: random.Random, sampler: _StepSampler) -> PermutationTable
     unrest = [1]
     columns: list[tuple[int, set[int]]] = []
     u = 1
-    for k in range(1, sampler.n):
-        cumulative, bound, bits, step_of, target_of = sampler.row(k, u)
+    for m in range(n - 2, -1, -1):
+        cumulative, bound, bits, step_of, target_of = table[m].get(u) or _row(Family.PERMUTATION, m, u)
         x = rng.getrandbits(bits)
         while x >= bound:
             x = rng.getrandbits(bits)
@@ -261,14 +252,15 @@ def _grow_tableau(rng: random.Random, sampler: _StepSampler) -> PermutationTable
 
 def sample_permutation_tableau(n: int, seed: int, index: int = 0) -> PermutationTableau:
     """Exactly uniform element of the size-``n`` permutation family."""
-    return _grow_tableau(substream(seed, index), _step_sampler(n, Family.PERMUTATION))
+    table = _step_table(n, Family.PERMUTATION)
+    return _grow_tableau(substream(seed, index), n, table)
 
 
 def sample_permutation_tableaux(n: int, seed: int, count: int) -> Iterator[PermutationTableau]:
-    sampler = _step_sampler(n, Family.PERMUTATION)
+    table = _step_table(n, Family.PERMUTATION)
     _require_count(count, Family.PERMUTATION)
     for index in range(count):
-        yield _grow_tableau(substream(seed, index), sampler)
+        yield _grow_tableau(substream(seed, index), n, table)
 
 
 @dataclass(frozen=True)
@@ -342,9 +334,9 @@ def monte_carlo_corner_report(
     total = 0
     total_sq = 0
     position_hits = [0] * n  # index k-1 counts corners at position k
-    sampler = _step_sampler(n, family)
+    table = _step_table(n, family)
     for index in range(sample_count):
-        steps = sampler.draw(substream(seed, index)).steps
+        steps = _draw(substream(seed, index), n, family, table).steps
         corners = 0
         k = steps.find(SOUTH + WEST)
         while k >= 0:  # "SW" matches cannot overlap

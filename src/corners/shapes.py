@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Iterator
 
 from .errors import (
@@ -182,9 +183,5 @@ def all_paths(half_perimeter: int) -> Iterator[BorderPath]:
     with ``S`` before ``W``."""
     if half_perimeter < 1:
         raise EmptyPathError("half-perimeter must be at least 1")
-    for mask in range(1 << half_perimeter):
-        word = "".join(
-            WEST if mask >> (half_perimeter - 1 - i) & 1 else SOUTH
-            for i in range(half_perimeter)
-        )
-        yield BorderPath(word)
+    for word in product((SOUTH, WEST), repeat=half_perimeter):
+        yield BorderPath("".join(word))

@@ -20,12 +20,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable, Union
 
-from .bijections import (
-    symmetric_corner_decomposition,
-    symmetric_to_type_b,
-    tree_like_to_permutation_shape,
-    type_b_to_symmetric,
-)
+from .bijections import symmetric_to_type_b, tree_like_to_permutation_shape, type_b_to_symmetric
 from .chain import (
     _closed_form_count,
     _corner_position_range,
@@ -38,6 +33,7 @@ from .chain import (
     first_step_west_probability,
     last_step_south_probability,
     rising_factorial_pgf,
+    symmetric_corner_decomposition,
     total_corners,
     u_distribution,
     u_pgf,

@@ -15,18 +15,14 @@ from fractions import Fraction
 from math import factorial
 
 from conftest import cached_census, cached_tableaux, chi_square_survival
-from corners.bijections import (
-    symmetric_corner_decomposition,
-    symmetric_to_type_b,
-    tree_like_to_permutation_shape,
-    type_b_to_symmetric,
-)
+from corners.bijections import symmetric_to_type_b, tree_like_to_permutation_shape, type_b_to_symmetric
 from corners.chain import (
     _transitions,
     corner_distribution,
     corner_event_probability_formula,
     expected_corners,
     rising_factorial_pgf,
+    symmetric_corner_decomposition,
     total_corners,
     u_distribution,
     u_pgf,

@@ -7,21 +7,15 @@ import pytest
 from conftest import cached_census, cached_tableaux
 from corners import bijections
 from corners.bijections import (
-    CornerDecomposition,
-    symmetric_corner_decomposition,
     symmetric_to_type_b,
     tree_like_to_permutation_shape,
     type_b_to_symmetric,
 )
+from corners.chain import CornerDecomposition, symmetric_corner_decomposition
 from corners.errors import BijectionError, DomainError, NotATreeLikeShapeError
 from corners.families import Family
 from corners.shapes import BorderPath
-from corners.tableaux import (
-    SymmetricTreeLikeTableau,
-    TypeBTableau,
-    canonical_key,
-    corner_stats,
-)
+from corners.tableaux import SymmetricTreeLikeTableau, TypeBTableau, canonical_key
 
 # a worked pair: the size-11 staircase symmetric tableau folds onto a
 # two-column element of B_5

@@ -165,6 +165,16 @@ def test_bijection_unfold_wrong_family_is_domain_error(capsys, monkeypatch):
     assert "unfold expects" in err
 
 
+@pytest.mark.parametrize("family", ['"' + "x" * 200_000 + '"', "[" * 900 + "]" * 900], ids=["long", "nested"])
+def test_bijection_quotes_only_a_prefix_of_an_unknown_family(capsys, monkeypatch, family):
+    # the family field of a record is any JSON value; the message quotes its start
+    text = '{"family": ' + family + ', "path": "SW", "rows": ["0", "1"]}'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, "bijection", "fold")
+    assert (code, out) == (2, "")
+    assert "unknown family" in err and len(err.encode()) < 300
+
+
 @pytest.mark.parametrize("direction", ("fold", "unfold"))
 def test_bijection_names_the_broken_rule(capsys, monkeypatch, direction):
     # both points of the diagonal have an empty column above and an empty
@@ -692,9 +702,10 @@ _PARSE_MODULES = {"corners.cli", "corners.errors", "corners.families"}
     (("sample", "--kind", "report", "--size", "4", "--count", "100"),
      ("sampler", "chain", "tableaux", "shapes")),
     (("bijection", "unfold", "--in", "{record}"), ("bijections", "tableaux", "shapes")),
+    (("bijection", "decompose", "--size", "3"), ("chain", "shapes")),
     (("verify", "--suite", "counts", "--max-size", "2"),
      ("verification", "bijections", "chain", "enumerator", "tableaux", "shapes")),
-], ids=["build_parser", "formula", "census", "sample", "bijection-unfold", "verify"])
+], ids=["build_parser", "formula", "census", "sample", "bijection-unfold", "bijection-decompose", "verify"])
 def test_each_command_imports_only_the_modules_it_runs(tmp_path, argv, engines):
     record = tmp_path / "b.json"
     record.write_text('{"schema":"tableau/v1","family":"type-b","path":"SW","rows":["0","1"]}')

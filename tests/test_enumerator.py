@@ -1,7 +1,7 @@
 """Exhaustive enumeration, extension tree, censuses."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st

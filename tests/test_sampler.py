@@ -9,7 +9,7 @@ from itertools import accumulate
 import pytest
 
 from conftest import cached_tableaux, chi_square_survival
-from corners import chain
+from corners import chain, sampler
 from corners.chain import count_tableaux
 from corners.errors import BudgetExceededError, DomainError
 from corners.families import CHAIN_BUDGET, Family
@@ -22,8 +22,8 @@ from corners.sampler import (
     sample_trajectories,
     sample_trajectory,
     substream,
-    _step_sampler,
-    _StepSampler,
+    _row,
+    _step_table,
 )
 from corners.enumerator import parent_permutation
 from corners.shapes import BorderPath
@@ -83,8 +83,7 @@ def test_trajectories_are_chain_consistent(family):
                 assert 1 <= v <= (u if family is P else u + 1)
         if family is P:
             assert tr.steps[0] == "S"
-        assert tr.path().half_perimeter == 8
-        assert tr.corner_count() == tr.steps.count("SW")
+        assert BorderPath(tr.steps).half_perimeter == 8
 
 
 @pytest.mark.parametrize("family,n", [(P, 5), (B, 4)])
@@ -191,12 +190,12 @@ def test_sample_stream_is_pinned():
 
 @pytest.mark.parametrize("family", (P, B))
 def test_step_rows_match_rows_from_the_transitions(family):
+    _step_table(30, family)
     for n in range(1, 31):
-        sampler = _StepSampler(n, family)
         for k in range(n):
             for u in range(k + 1):
                 transitions, cumulative = _ref_options(n, family, k, u, {})
-                assert sampler.row(k, u) == (
+                assert _row(family, n - k - 1, u) == (
                     cumulative,
                     cumulative[-1],
                     cumulative[-1].bit_length(),
@@ -205,10 +204,12 @@ def test_step_rows_match_rows_from_the_transitions(family):
                 ), (n, k, u)
 
 
-def test_step_sampler_cache_is_bounded():
+def test_every_size_shares_one_step_table(monkeypatch):
+    monkeypatch.setattr(sampler, "_STEP_TABLES", {})
     for n in range(1, 41):
         sample_trajectory(n, B, seed=7)
-    assert _step_sampler.cache_info().currsize <= 16
+    assert list(sampler._STEP_TABLES) == [B]
+    assert len(sampler._STEP_TABLES[B]) == 40
     test_sample_stream_is_pinned()
 
 
@@ -328,4 +329,4 @@ def test_sampling_beyond_the_chain_budget_is_refused():
     ):
         with pytest.raises(BudgetExceededError):
             call()
-    assert sample_trajectory(CHAIN_BUDGET.sample_size, B, seed=1).n == CHAIN_BUDGET.sample_size
+    assert len(sample_trajectory(CHAIN_BUDGET.sample_size, B, seed=1).steps) == CHAIN_BUDGET.sample_size
