@@ -20,7 +20,9 @@ and the result is mirrored.  That marker-to-point rule lives in one
 place, ``_lower_points``: the fold validates its result and checks that
 it unfolds back to the input, and the unfold validates its result.  Any
 inconsistency raises :class:`BijectionError` instead of returning a
-wrong tableau.
+wrong tableau.  The image's path is read from the source path
+(``BorderPath.folded_half``, ``BorderPath.unfolded``), which caches it,
+so every tableau of one shape maps to one shared path object.
 
 The size-1 symmetric tableau has no representable type-B partner (it
 would be the empty tableau of size 0, and border paths here are
@@ -34,7 +36,7 @@ chain counts; this module never loads the chain.
 from __future__ import annotations
 
 from .errors import BijectionError, DomainError, InvalidTableauError
-from .shapes import SOUTH, WEST, BorderPath, Cell
+from .shapes import BorderPath, Cell
 from .tableaux import (
     SymmetricTreeLikeTableau,
     TypeBTableau,
@@ -87,8 +89,7 @@ def symmetric_to_type_b(t: SymmetricTreeLikeTableau) -> TypeBTableau:
         raise InvalidTableauError(f"fold expects a symmetric tree-like tableau, got a {type(t).__name__}")
     if t.size < 3:
         raise DomainError("size-1 tableaux fold to the empty tableau, which has no border path")
-    n = (t.size - 1) // 2
-    b_path = BorderPath(t.path.steps[n + 1 : 2 * n + 1])
+    b_path = t.path.folded_half
     k = b_path.column_count
 
     # a lower-triangle point (r, c) is covered when its column holds a
@@ -173,7 +174,7 @@ def type_b_to_symmetric(b: TypeBTableau) -> SymmetricTreeLikeTableau:
         raise InvalidTableauError(f"unfold expects a type-B tableau, got a {type(b).__name__}")
     lower = _lower_points(b)
     t = SymmetricTreeLikeTableau(
-        BorderPath(SOUTH + b.path.conjugate().steps + b.path.steps + WEST),
+        b.path.unfolded,
         frozenset(lower) | frozenset((c, r) for r, c in lower),
     )
     result = validate(t)

@@ -11,6 +11,12 @@ generator yields it: a JSON record becomes its final text, the same bytes
 as ``json.dumps(payload, indent=2)``, and a table or CSV item its row.
 Only those are kept, and nothing is written until the last item has been
 rendered, so a budget or domain error leaves stdout and ``--out`` empty.
+A tableau's record text is filled straight into one template from its
+family, its path and its quoted row texts; the text of a bit row comes
+from a small cache keyed by the row, since a listing repeats few distinct
+rows.  A trajectory's record is built as a dict and rendered by
+``_record_text``, the general renderer the tableau template is tested
+against.
 
 Each command handler imports the engines it runs when it is called, so a
 process loads only what its subcommand needs: parsing, ``--help`` and the
@@ -28,6 +34,7 @@ import csv
 import json
 import sys
 import time
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -89,6 +96,28 @@ def _record_text(value: object, depth: int) -> str:
         ]
         return "{" + inner + ("," + inner).join(items) + outer + "}"
     raise TypeError(f"a record holds no {type(value).__name__}")
+
+
+# A tableau record as ``_record_text(to_record(t), 2)`` renders it inside
+# a list.  The family and path go between quotes unescaped: a family value
+# and an S/W word hold no character that JSON escapes.
+_TABLEAU_TEXT = '{\n      "schema": "tableau/v1",\n      "family": "%s",\n      "path": "%s",\n      "rows": %s\n    }'
+
+
+@lru_cache(maxsize=256)  # every bit row of length 0..7, the longest rows within the enumeration budgets
+def _bit_row_text(row: tuple[int, ...]) -> str:
+    """The JSON text of one 0/1 row, such as ``"0110"``."""
+    return '"' + "".join(map(str, row)) + '"'
+
+
+def _tableau_text(t: Tableau) -> str:
+    """``_record_text(to_record(t), 2)``, filled into one template."""
+    if t.family in (Family.TREE_LIKE, Family.SYMMETRIC):
+        rows = list(map(encode_basestring_ascii, t.row_strings()))
+    else:
+        rows = list(map(_bit_row_text, t.rows))
+    rows_text = "[\n        " + ",\n        ".join(rows) + "\n      ]" if rows else "[]"
+    return _TABLEAU_TEXT % (t.family.value, t.path.steps, rows_text)
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterator[str]:
@@ -157,7 +186,7 @@ def _emit_list(
     schema: str,
     key: str,
     items: Iterable,
-    record: Callable[[object], dict],
+    render: Callable[[object], str],
     row: Callable[[object], tuple],
     header: Sequence[str],
     **extra: object,
@@ -165,14 +194,15 @@ def _emit_list(
     """Emit a list payload, rendering each item as it is yielded.
 
     The JSON payload holds ``schema``, ``family``, ``n``, the ``extra``
-    keys, ``count`` and the list under ``key``, one ``record(item)`` each;
-    a table or CSV has one ``(index, *row(item))`` line per item.
+    keys, ``count`` and the list under ``key``, whose items read
+    ``render(item)``: a record's text as it reads nested in the list; a
+    table or CSV has one ``(index, *row(item))`` line per item.
     """
     if args.format != "json":
         rows = [(i, *row(item)) for i, item in enumerate(items)]
         _emit((_csv_text if args.format == "csv" else _table_text)(header, rows), args.out)
         return 0
-    texts = [_record_text(record(item), 2) for item in items]
+    texts = list(map(render, items))
     head = {"schema": schema, "family": args.family.value, "n": args.size, **extra}
     text = _json_text({**head, "count": str(len(texts)), key: []})
     if not texts:
@@ -194,10 +224,8 @@ def _emit_list(
 
 def _emit_tableaux(args: argparse.Namespace, tableaux: Iterable[Tableau], **extra: object) -> int:
     """Emit a ``tableau-list/v1`` payload; ``extra`` keys go between ``n`` and ``count``."""
-    from .tableaux import to_record
-
     return _emit_list(
-        args, "tableau-list/v1", "tableaux", tableaux, to_record,
+        args, "tableau-list/v1", "tableaux", tableaux, _tableau_text,
         lambda t: (t.path.steps, "|".join(t.row_strings())), ("index", "path", "rows"), **extra,
     )
 
@@ -341,7 +369,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return _emit_list(
         args, "trajectory-list/v1", "trajectories",
         sample_trajectories(args.size, args.family, args.seed, args.count),
-        lambda tr: {"steps": tr.steps, "uSequence": list(tr.u_sequence)},
+        lambda tr: _record_text({"steps": tr.steps, "uSequence": list(tr.u_sequence)}, 2),
         lambda tr: (tr.steps, " ".join(map(str, tr.u_sequence))),
         ("index", "steps", "uSequence"), seed=args.seed,
     )

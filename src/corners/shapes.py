@@ -27,6 +27,12 @@ rows of the two diagrams.
 A *corner* sits at position ``k`` whenever step ``k`` is South and step
 ``k + 1`` is West; the corner cell is the last cell of the row whose right
 edge is step ``k``.
+
+A path is immutable, so what it derives is cached on the path object
+itself: row lengths, column heights, self-conjugacy, the corner cells,
+and the two paths of the symmetric/type-B fold (``folded_half`` and
+``unfolded``).  Tableaux built on one path object share all of it, and
+the cache lives exactly as long as the path does.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ WEST = "W"
 #: A cell is a 1-based (row, column) pair; row 1 is the top row.
 Cell = tuple[int, int]
 
-_FLIP = {SOUTH: WEST, WEST: SOUTH}
+_FLIP = str.maketrans(SOUTH + WEST, WEST + SOUTH)
 
 
 @dataclass(frozen=True)
@@ -144,16 +150,33 @@ class BorderPath:
         row = self.steps[:k].count(SOUTH)
         return (row, self.row_lengths[row - 1])
 
-    def corner_cells(self) -> tuple[Cell, ...]:
+    @cached_property
+    def _corner_cells(self) -> tuple[Cell, ...]:
         return tuple(self.corner_cell(k) for k in self.corner_positions())
+
+    def corner_cells(self) -> tuple[Cell, ...]:
+        return self._corner_cells
 
     def conjugate(self) -> "BorderPath":
         """Reflect the diagram through its main diagonal."""
-        return BorderPath("".join(_FLIP[ch] for ch in reversed(self.steps)))
+        return BorderPath(self.steps[::-1].translate(_FLIP))
 
     @cached_property
     def is_self_conjugate(self) -> bool:
-        return self.conjugate().steps == self.steps
+        return self.steps[::-1].translate(_FLIP) == self.steps
+
+    @cached_property
+    def folded_half(self) -> "BorderPath":
+        """The type-B path that a symmetric tableau of this shape folds
+        to: of a self-conjugate tree-like path ``S + conj(q) + q + W``,
+        the half ``q``."""
+        return BorderPath(self.steps[len(self.steps) // 2 : -1])
+
+    @cached_property
+    def unfolded(self) -> "BorderPath":
+        """The symmetric path that a type-B tableau of this shape unfolds
+        to, ``S + conj(self) + self + W``."""
+        return BorderPath(SOUTH + self.conjugate().steps + self.steps + WEST)
 
     @property
     def first_step_west(self) -> bool:

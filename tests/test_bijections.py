@@ -56,6 +56,18 @@ def test_size_three_cases():
     assert type_b_to_symmetric(one_column) == square
 
 
+def test_tableaux_of_one_shape_share_their_image_path():
+    # the image path is cached on the source path, so one shape's
+    # tableaux fold and unfold to one path object
+    b_path = BorderPath("SWSWS")
+    b1 = TypeBTableau(b_path, TYPE_B_5.rows)
+    b2 = TypeBTableau(b_path, ((1,), (1, 1), (1, 1), (0,), ()))
+    t1, t2 = type_b_to_symmetric(b1), type_b_to_symmetric(b2)
+    assert t1 != t2
+    assert t1.path is t2.path
+    assert symmetric_to_type_b(t1).path is symmetric_to_type_b(t2).path
+
+
 def test_fold_rejects_size_one():
     t = SymmetricTreeLikeTableau(BorderPath("SW"), frozenset([(1, 1)]))
     with pytest.raises(DomainError):

@@ -18,11 +18,18 @@ from hypothesis import given, settings, strategies as st
 
 from corners import verification
 from corners.chain import total_corners
-from corners.cli import _record_text, run_command
+from corners.cli import _bit_row_text, _record_text, _tableau_text, run_command
 from corners.enumerator import enumerate_tableaux
-from corners.families import CHAIN_BUDGET, SUITE_NAMES, Family
+from corners.families import BRUTE_FORCE_BUDGET, CHAIN_BUDGET, SUITE_NAMES, Family
 from corners.sampler import sample_permutation_tableaux, sample_trajectories
-from corners.tableaux import POINT_CHAR, to_record
+from corners.shapes import BorderPath
+from corners.tableaux import (
+    POINT_CHAR,
+    PermutationTableau,
+    TreeLikeTableau,
+    TypeBTableau,
+    to_record,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SUBCOMMANDS = ("census", "enumerate", "verify", "formula", "bijection", "sample")
@@ -361,6 +368,38 @@ def test_record_text_equals_json_dumps_on_sampled_records():
         _assert_renders_as_json_dumps(to_record(t))
     for tr in sample_trajectories(40, Family.TYPE_B, 4, 20):
         _assert_renders_as_json_dumps({"steps": tr.steps, "uSequence": list(tr.u_sequence)})
+
+
+@pytest.mark.parametrize(
+    "family,sizes",
+    [
+        (Family.PERMUTATION, range(1, 6)),
+        (Family.TREE_LIKE, range(1, 6)),
+        (Family.TYPE_B, range(1, 5)),
+        (Family.SYMMETRIC, range(1, 10, 2)),
+    ],
+)
+def test_tableau_text_equals_record_text_on_enumerated_tableaux(family, sizes):
+    for size in sizes:
+        for t in enumerate_tableaux(size, family):
+            assert _tableau_text(t) == _record_text(to_record(t), 2)
+
+
+def test_tableau_text_equals_record_text_on_sampled_and_edge_tableaux():
+    edge = [
+        PermutationTableau.from_strings("SWSS", ["1", "", ""]),  # zero-length rows
+        TypeBTableau.from_strings("SWSWS", ["1", "00", "01", "1", ""]),
+        TreeLikeTableau(BorderPath("SSWW"), frozenset([(1, 1), (1, 2), (2, 1)])),  # POINT_CHAR rows
+    ]
+    assert "" in to_record(edge[0])["rows"]
+    assert any(POINT_CHAR in row for row in to_record(edge[2])["rows"])
+    for t in [*edge, *sample_permutation_tableaux(30, 4, 20)]:
+        assert _tableau_text(t) == _record_text(to_record(t), 2)
+
+
+def test_bit_row_text_cache_holds_every_row_within_the_budgets():
+    longest = max(BRUTE_FORCE_BUDGET[Family.TYPE_B], BRUTE_FORCE_BUDGET[Family.PERMUTATION] - 1)
+    assert _bit_row_text.cache_info().maxsize == 256 >= sum(2**length for length in range(longest + 1))
 
 
 @pytest.mark.parametrize(

@@ -77,6 +77,34 @@ def test_corner_cells_sit_at_row_ends(p):
         p.corner_cell(len(p) + 1)
 
 
+@pytest.mark.parametrize("h", range(1, 13))
+def test_self_conjugacy_matches_the_conjugate_path(h):
+    for p in all_paths(h):
+        assert p.is_self_conjugate == (p.conjugate().steps == p.steps)
+
+
+@pytest.mark.parametrize("h", range(1, 11))
+def test_corner_cells_match_the_step_counts(h):
+    for p in all_paths(h):
+        expected = tuple(
+            (p.steps[:k].count("S"), p.row_lengths[p.steps[:k].count("S") - 1])
+            for k in p.corner_positions()
+        )
+        assert p.corner_cells() == expected
+        assert tuple(map(p.corner_cell, p.corner_positions())) == expected
+        assert p.corner_cells() is p.corner_cells()
+
+
+@pytest.mark.parametrize("h", range(1, 9))
+def test_fold_paths_are_derived_once_per_path(h):
+    for p in all_paths(h):
+        u = p.unfolded
+        assert u.steps == "S" + p.conjugate().steps + p.steps + "W"
+        assert u.is_self_conjugate and u.is_tree_like_shape()
+        assert u.folded_half == p
+        assert p.unfolded is u and u.folded_half is u.folded_half
+
+
 def test_admissibility_flags():
     assert BorderPath("SW").is_permutation_shape()
     assert not BorderPath("WS").is_permutation_shape()
