@@ -102,12 +102,13 @@ def _record_text(value: object, depth: int) -> str:
 # a list.  The family and path go between quotes unescaped: a family value
 # and an S/W word hold no character that JSON escapes.
 _TABLEAU_TEXT = '{\n      "schema": "tableau/v1",\n      "family": "%s",\n      "path": "%s",\n      "rows": %s\n    }'
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bit value -> its digit
 
 
 @lru_cache(maxsize=256)  # every bit row of length 0..7, the longest rows within the enumeration budgets
 def _bit_row_text(row: tuple[int, ...]) -> str:
     """The JSON text of one 0/1 row, such as ``"0110"``."""
-    return '"' + "".join(map(str, row)) + '"'
+    return '"' + bytes(row).translate(_BIT_DIGITS).decode() + '"'
 
 
 def _tableau_text(t: Tableau) -> str:

@@ -358,43 +358,33 @@ def _assert_renders_as_json_dumps(value):
     ],
 )
 def test_record_text_equals_json_dumps_on_enumerated_records(family, sizes):
+    # and the tableau template renders each record as _record_text does
     for size in sizes:
         for t in enumerate_tableaux(size, family):
             _assert_renders_as_json_dumps(to_record(t))
+            assert _tableau_text(t) == _record_text(to_record(t), 2)
 
 
 def test_record_text_equals_json_dumps_on_sampled_records():
     for t in sample_permutation_tableaux(30, 4, 20):
         _assert_renders_as_json_dumps(to_record(t))
+        assert _tableau_text(t) == _record_text(to_record(t), 2)
     for tr in sample_trajectories(40, Family.TYPE_B, 4, 20):
         _assert_renders_as_json_dumps({"steps": tr.steps, "uSequence": list(tr.u_sequence)})
 
 
 @pytest.mark.parametrize(
-    "family,sizes",
+    "t",
     [
-        (Family.PERMUTATION, range(1, 6)),
-        (Family.TREE_LIKE, range(1, 6)),
-        (Family.TYPE_B, range(1, 5)),
-        (Family.SYMMETRIC, range(1, 10, 2)),
+        PermutationTableau.from_strings("SWSS", ["1", "", ""]),
+        TypeBTableau.from_strings("SWSWS", ["1", "00", "01", "1", ""]),
+        TreeLikeTableau(BorderPath("SSWW"), frozenset([(1, 1), (1, 2), (2, 1)])),
     ],
 )
-def test_tableau_text_equals_record_text_on_enumerated_tableaux(family, sizes):
-    for size in sizes:
-        for t in enumerate_tableaux(size, family):
-            assert _tableau_text(t) == _record_text(to_record(t), 2)
-
-
-def test_tableau_text_equals_record_text_on_sampled_and_edge_tableaux():
-    edge = [
-        PermutationTableau.from_strings("SWSS", ["1", "", ""]),  # zero-length rows
-        TypeBTableau.from_strings("SWSWS", ["1", "00", "01", "1", ""]),
-        TreeLikeTableau(BorderPath("SSWW"), frozenset([(1, 1), (1, 2), (2, 1)])),  # POINT_CHAR rows
-    ]
-    assert "" in to_record(edge[0])["rows"]
-    assert any(POINT_CHAR in row for row in to_record(edge[2])["rows"])
-    for t in [*edge, *sample_permutation_tableaux(30, 4, 20)]:
-        assert _tableau_text(t) == _record_text(to_record(t), 2)
+def test_tableau_text_of_zero_length_and_point_rows(t):
+    rows = to_record(t)["rows"]
+    assert "" in rows or any(POINT_CHAR in row for row in rows)
+    assert _tableau_text(t) == _record_text(to_record(t), 2)
 
 
 def test_bit_row_text_cache_holds_every_row_within_the_budgets():
