@@ -98,10 +98,6 @@ def _record_text(value: object, depth: int) -> str:
     raise TypeError(f"a record holds no {type(value).__name__}")
 
 
-# A tableau record as ``_record_text(to_record(t), 2)`` renders it inside
-# a list.  The family and path go between quotes unescaped: a family value
-# and an S/W word hold no character that JSON escapes.
-_TABLEAU_TEXT = '{\n      "schema": "tableau/v1",\n      "family": "%s",\n      "path": "%s",\n      "rows": %s\n    }'
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bit value -> its digit
 
 
@@ -112,13 +108,22 @@ def _bit_row_text(row: tuple[int, ...]) -> str:
 
 
 def _tableau_text(t: Tableau) -> str:
-    """``_record_text(to_record(t), 2)``, filled into one template."""
+    """``_record_text(to_record(t), 2)``, filled into one template.
+
+    The family and path go between quotes unescaped: a family value and
+    an S/W word hold no character that JSON escapes.  An f-string sizes
+    its result exactly; ``%`` formatting may leave each kept text in a
+    larger memory block than it needs.
+    """
     if t.family in (Family.TREE_LIKE, Family.SYMMETRIC):
         rows = list(map(encode_basestring_ascii, t.row_strings()))
     else:
         rows = list(map(_bit_row_text, t.rows))
     rows_text = "[\n        " + ",\n        ".join(rows) + "\n      ]" if rows else "[]"
-    return _TABLEAU_TEXT % (t.family.value, t.path.steps, rows_text)
+    return (
+        f'{{\n      "schema": "tableau/v1",\n      "family": "{t.family.value}",'
+        f'\n      "path": "{t.path.steps}",\n      "rows": {rows_text}\n    }}'
+    )
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterator[str]:
