@@ -200,9 +200,9 @@ def _emit_list(
     """Emit a list payload, rendering each item as it is yielded.
 
     The JSON payload holds ``schema``, ``family``, ``n``, the ``extra``
-    keys, ``count`` and the list under ``key``, whose items read
-    ``render(item)``: a record's text as it reads nested in the list; a
-    table or CSV has one ``(index, *row(item))`` line per item.
+    keys, ``count`` and the list under ``key``, one ``render(item)`` each:
+    the text of the item's record as it reads nested in the list; a table
+    or CSV has one ``(index, *row(item))`` line per item.
     """
     if args.format != "json":
         rows = [(i, *row(item)) for i, item in enumerate(items)]
