@@ -6,17 +6,20 @@ writes to stdout or ``--out FILE``.  Outputs are deterministic byte for
 byte given the same flags (timing goes to stderr), big integers print as
 decimal strings and probabilities as ``p/q``.
 
+Each output is stated once, as its JSON payload, and a table or CSV
+reads its rows off it: one ``(field, value)`` row per field after
+``schema`` and per entry of a nested map, or one row per entry of a list
+or law, such as the verify rows.
+
 Tableau and trajectory lists are rendered one item at a time as the
 generator yields it: a JSON record becomes its final text, the same bytes
 as ``json.dumps(payload, indent=2)``, and a table or CSV item its row.
 Only those are kept, and nothing is written until the last item has been
 rendered, so a budget or domain error leaves stdout and ``--out`` empty.
-A tableau's record text is filled straight into one template from its
-family, its path and its quoted row texts; the text of a bit row comes
-from a small cache keyed by the row, since a listing repeats few distinct
-rows.  A trajectory's record is built as a dict and rendered by
-``_record_text``, the general renderer the tableau template is tested
-against.
+Each record's text is filled straight into one template: a tableau's from
+the listing's family, its path and its quoted row texts, a trajectory's
+from its steps and its ``u`` values.  The text of a bit row comes from a
+small cache keyed by the row, since a listing repeats few distinct rows.
 
 Each command handler imports the engines it runs when it is called, so a
 process loads only what its subcommand needs: parsing, ``--help`` and the
@@ -34,7 +37,7 @@ import csv
 import json
 import sys
 import time
-from functools import lru_cache
+from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -43,6 +46,7 @@ from .errors import BijectionError, CornersError, InvalidTableauError
 from .families import SUITE_NAMES, Family
 
 if TYPE_CHECKING:
+    from .sampler import Trajectory
     from .tableaux import Tableau
 
 __all__ = ["main", "run_command"]
@@ -68,36 +72,6 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _record_text(value: object, depth: int) -> str:
-    """``json.dumps(value, indent=2)`` as it reads nested ``depth`` levels
-    deep, for the ``str``, ``int``, ``list`` and ``dict`` values records hold."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value)
-    inner = "\n" + "  " * (depth + 1)
-    outer = "\n" + "  " * depth
-    # strings, most of a record, are quoted in place rather than by a call
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        items = [
-            encode_basestring_ascii(item) if type(item) is str else _record_text(item, depth + 1)
-            for item in value
-        ]
-        return "[" + inner + ("," + inner).join(items) + outer + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            encode_basestring_ascii(key) + ": "
-            + (encode_basestring_ascii(item) if type(item) is str else _record_text(item, depth + 1))
-            for key, item in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
-    raise TypeError(f"a record holds no {type(value).__name__}")
-
-
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bit value -> its digit
 
 
@@ -107,8 +81,9 @@ def _bit_row_text(row: tuple[int, ...]) -> str:
     return '"' + bytes(row).translate(_BIT_DIGITS).decode() + '"'
 
 
-def _tableau_text(t: Tableau) -> str:
-    """``_record_text(to_record(t), 2)``, filled into one template.
+def _tableau_text(family: str, t: Tableau) -> str:
+    """``to_record(t)`` as it reads in a list payload, filled into one template;
+    ``family`` is ``t.family.value``, the same for every record of a listing.
 
     The family and path go between quotes unescaped: a family value and
     an S/W word hold no character that JSON escapes.  An f-string sizes
@@ -121,9 +96,16 @@ def _tableau_text(t: Tableau) -> str:
         rows = list(map(_bit_row_text, t.rows))
     rows_text = "[\n        " + ",\n        ".join(rows) + "\n      ]" if rows else "[]"
     return (
-        f'{{\n      "schema": "tableau/v1",\n      "family": "{t.family.value}",'
+        f'{{\n      "schema": "tableau/v1",\n      "family": "{family}",'
         f'\n      "path": "{t.path.steps}",\n      "rows": {rows_text}\n    }}'
     )
+
+
+def _trajectory_text(tr: Trajectory) -> str:
+    """``{"steps": tr.steps, "uSequence": [...]}`` as it reads in a list payload;
+    the S/W word and the never empty list of ints need no escaping."""
+    u_text = ",\n        ".join(map(str, tr.u_sequence))
+    return f'{{\n      "steps": "{tr.steps}",\n      "uSequence": [\n        {u_text}\n      ]\n    }}'
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterator[str]:
@@ -160,30 +142,26 @@ def _render(
     return _table_text(header, rows)
 
 
-def _census_pairs(data: dict) -> list[tuple[str, str]]:
-    pairs = [
-        ("family", data["family"]),
-        ("n", str(data["n"])),
-        ("cardinality", data["cardinality"]),
-        ("totalCorners", data["totalCorners"]),
-    ]
-    pairs += [(f"corners@{k}", v) for k, v in data["cornerCountsByK"].items()]
-    pairs += [
-        ("lastStepSouthCount", data["lastStepSouthCount"]),
-        ("firstStepWestCount", data["firstStepWestCount"]),
-    ]
-    if "uHistogram" in data:
-        pairs += [(f"u={u}", v) for u, v in data["uHistogram"].items()]
-    if "totalOccupiedCorners" in data:
-        pairs.append(("totalOccupiedCorners", data["totalOccupiedCorners"]))
-    return pairs
+#: The row prefix of each nested map in a payload: one row per entry.
+_ROW_PREFIX = {"cornerCountsByK": "corners@", "uHistogram": "u="}
+
+
+def _field_rows(payload: dict) -> list[tuple[str, object]]:
+    """The ``(field, value)`` rows of a payload's fields after ``schema``."""
+    rows: list[tuple[str, object]] = []
+    for field, value in list(payload.items())[1:]:
+        if isinstance(value, dict):
+            rows += [(_ROW_PREFIX[field] + k, v) for k, v in value.items()]
+        else:
+            rows.append((field, value))
+    return rows
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
     from .enumerator import census
 
     data = census(args.size, args.family, method=args.method).to_json_dict()
-    _emit(_render(args.format, data, ("field", "value"), _census_pairs(data)), args.out)
+    _emit(_render(args.format, data, ("field", "value"), _field_rows(data)), args.out)
     return 0
 
 
@@ -231,7 +209,7 @@ def _emit_list(
 def _emit_tableaux(args: argparse.Namespace, tableaux: Iterable[Tableau], **extra: object) -> int:
     """Emit a ``tableau-list/v1`` payload; ``extra`` keys go between ``n`` and ``count``."""
     return _emit_list(
-        args, "tableau-list/v1", "tableaux", tableaux, _tableau_text,
+        args, "tableau-list/v1", "tableaux", tableaux, partial(_tableau_text, args.family.value),
         lambda t: (t.path.steps, "|".join(t.row_strings())), ("index", "path", "rows"), **extra,
     )
 
@@ -248,9 +226,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     report = run_suite(args.suite, args.max_size)
     elapsed = time.perf_counter() - started
+    payload = report.to_json_dict()
     header = ("identity", "parameters", "lhs", "rhs", "status")
-    rows = [(r.identity, r.parameters, r.lhs, r.rhs, r.status) for r in report.rows]
-    _emit(_render(args.format, report.to_json_dict(), header, rows), args.out)
+    rows = [tuple(row.values()) for row in payload["rows"]]
+    _emit(_render(args.format, payload, header, rows), args.out)
     print(f"verify: suite={report.suite} rows={len(report.rows)} elapsed={elapsed:.2f}s", file=sys.stderr)
     if not report.passed:
         for row in report.failures():
@@ -263,31 +242,31 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     from .chain import _fraction_text, corner_distribution, expected_corners, total_corners
 
     family, n = args.family, args.size
+    payload = {"schema": "formula/v1", "kind": args.kind, "family": family.value, "n": n}
     if args.kind == "corners":
         values = corner_distribution(n, family, method=args.method)
-        payload = {
-            "schema": "formula/v1",
-            "kind": "corners",
-            "family": family.value,
-            "n": n,
-            "values": {str(k): _fraction_text(v) for k, v in sorted(values.items())},
-        }
-        rows = [(k, _fraction_text(v)) for k, v in sorted(values.items())]
-        _emit(_render(args.format, payload, ("k", "probability"), rows), args.out)
-        return 0
-    if args.kind == "expected":
-        value = _fraction_text(expected_corners(n, family))
-    else:  # total
-        value = str(total_corners(n, family))
-    payload = {
-        "schema": "formula/v1",
-        "kind": args.kind,
-        "family": family.value,
-        "n": n,
-        "value": value,
-    }
-    _emit(_render(args.format, payload, ("field", "value"), [(args.kind, value)]), args.out)
+        payload["values"] = {str(k): _fraction_text(v) for k, v in sorted(values.items())}
+        header, rows = ("k", "probability"), payload["values"].items()
+    else:
+        if args.kind == "expected":
+            payload["value"] = _fraction_text(expected_corners(n, family))
+        else:  # total
+            payload["value"] = str(total_corners(n, family))
+        header, rows = ("field", "value"), [(args.kind, payload["value"])]
+    _emit(_render(args.format, payload, header, rows), args.out)
     return 0
+
+
+#: Python's default bound on the digits of an ``int`` read from text.
+#: ``run_command`` lifts it for exact totals, and parsing a longer
+#: literal takes quadratic time, so a record's integers keep it.
+_RECORD_INT_DIGITS = 4300
+
+
+def _record_int(text: str) -> int:
+    if len(text) - text.startswith("-") > _RECORD_INT_DIGITS:
+        raise InvalidTableauError(f"a tableau record holds an integer over {_RECORD_INT_DIGITS} digits")
+    return int(text)
 
 
 def _read_record(path: str | None):
@@ -299,13 +278,17 @@ def _read_record(path: str | None):
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     try:
-        record = json.loads(text)
+        record = json.loads(text, parse_int=_record_int)
     except RecursionError:
         raise InvalidTableauError("a tableau record nests too deeply to parse") from None
     return from_record(record)
 
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
+    if args.direction in ("roundtrip", "decompose") and args.size is None:
+        raise CornersError(f"bijection {args.direction} needs --size")
+    if args.direction == "roundtrip" and args.family is None:
+        raise CornersError("bijection roundtrip needs --family")
     if args.direction == "decompose":
         from .chain import symmetric_corner_decomposition
 
@@ -318,8 +301,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
             "westTerm": str(d.west_term),
             "total": str(d.total),
         }
-        rows = [(k, payload[k]) for k in ("n", "twiceB", "southTerm", "westTerm", "total")]
-        _emit(_render(args.format, payload, ("field", "value"), rows), args.out)
+        _emit(_render(args.format, payload, ("field", "value"), _field_rows(payload)), args.out)
         return 0
     from .bijections import symmetric_to_type_b, type_b_to_symmetric
     from .tableaux import to_record
@@ -351,8 +333,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         "checked": str(checked),
         "failures": "0",
     }
-    rows = [("family", args.family.value), ("n", str(args.size)), ("checked", str(checked)), ("failures", "0")]
-    _emit(_render(args.format, payload, ("field", "value"), rows), args.out)
+    _emit(_render(args.format, payload, ("field", "value"), _field_rows(payload)), args.out)
     return 0
 
 
@@ -363,8 +344,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         report = monte_carlo_corner_report(args.size, args.family, args.count, args.seed)
         payload = report.to_json_dict()
         header = ("name", "estimate", "standardError", "reference", "zScore")
-        stats = [payload["meanCorners"], *payload["perPosition"]]
-        rows = [(s["name"], s["estimate"], s["standardError"], s["reference"], s["zScore"]) for s in stats]
+        rows = [tuple(s.values()) for s in (payload["meanCorners"], *payload["perPosition"])]
         _emit(_render(args.format, payload, header, rows), args.out)
         return 0
     if args.kind == "tableaux":
@@ -375,7 +355,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return _emit_list(
         args, "trajectory-list/v1", "trajectories",
         sample_trajectories(args.size, args.family, args.seed, args.count),
-        lambda tr: _record_text({"steps": tr.steps, "uSequence": list(tr.u_sequence)}, 2),
+        _trajectory_text,
         lambda tr: (tr.steps, " ".join(map(str, tr.u_sequence))),
         ("index", "steps", "uSequence"), seed=args.seed,
     )
@@ -459,11 +439,6 @@ def run_command(argv: Sequence[str]) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "bijection":
-        if args.direction in ("roundtrip", "decompose") and args.size is None:
-            return _fail_usage(f"bijection {args.direction} needs --size")
-        if args.direction == "roundtrip" and args.family is None:
-            return _fail_usage("bijection roundtrip needs --family")
     try:
         return args.func(args)
     except BijectionError as exc:
