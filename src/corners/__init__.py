@@ -11,6 +11,7 @@ import importlib
 
 _EXPORTS = {
     "bijections": (
+        "round_trip",
         "symmetric_to_type_b",
         "tree_like_to_permutation_shape",
         "type_b_to_symmetric",

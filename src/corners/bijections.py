@@ -23,6 +23,8 @@ inconsistency raises :class:`BijectionError` instead of returning a
 wrong tableau.  The image's path is read from the source path
 (``BorderPath.folded_half``, ``BorderPath.unfolded``), which caches it,
 so every tableau of one shape maps to one shared path object.
+``round_trip`` composes the two maps, in the order the input's family
+needs, for every round-trip check (``bijection roundtrip``, ``verify``).
 
 The size-1 symmetric tableau has no representable type-B partner (it
 would be the empty tableau of size 0, and border paths here are
@@ -48,6 +50,7 @@ __all__ = [
     "tree_like_to_permutation_shape",
     "symmetric_to_type_b",
     "type_b_to_symmetric",
+    "round_trip",
 ]
 
 
@@ -184,3 +187,16 @@ def type_b_to_symmetric(b: TypeBTableau) -> SymmetricTreeLikeTableau:
             witness=b,
         )
     return t
+
+
+def round_trip(t: TypeBTableau | SymmetricTreeLikeTableau) -> tuple:
+    """``(partner, back)``: a type-B tableau's unfolding and that folded back,
+    or a symmetric tableau's fold and that unfolded back.
+
+    The maps are mutually inverse on ``t`` exactly when ``back == t``.
+    """
+    if isinstance(t, TypeBTableau):
+        partner = type_b_to_symmetric(t)
+        return partner, symmetric_to_type_b(partner)
+    partner = symmetric_to_type_b(t)
+    return partner, type_b_to_symmetric(partner)

@@ -42,11 +42,7 @@ from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    InvalidTableauError,
-)
+from .errors import BudgetExceededError, DomainError
 from .families import BRUTE_FORCE_BUDGET, Family
 from .shapes import SOUTH, WEST, BorderPath, all_paths
 from .tableaux import (
@@ -288,15 +284,15 @@ def extend_permutation(t: PermutationTableau) -> tuple[PermutationTableau, ...]:
 
 def parent_permutation(t: PermutationTableau) -> PermutationTableau:
     """Undo the extension step: drop the empty bottom row after a final
-    South step, or the leftmost column after a final West step."""
+    South step, or the leftmost column after a final West step.
+
+    Rows hold their path's lengths, so a final South step always leaves
+    the bottom row empty and a final West step leaves no row empty.
+    """
     if t.size < 2:
         raise DomainError("a size-1 tableau has no parent")
     if t.path.steps[-1] == SOUTH:
-        if t.rows[-1]:
-            raise InvalidTableauError("final South step demands an empty bottom row")
         return PermutationTableau(BorderPath(t.path.steps[:-1]), t.rows[:-1])
-    if any(not row for row in t.rows):
-        raise InvalidTableauError("final West step demands a full-height first column")
     return PermutationTableau(BorderPath(t.path.steps[:-1]), tuple(row[1:] for row in t.rows))
 
 

@@ -7,6 +7,13 @@ instance.  Rows carry both sides pre-rendered as strings (decimal
 integers, ``p/q`` rationals, or ``k:p/q`` position laws), so a failing
 row is its own witness and the serialized report is byte-stable.
 
+Each sweep is written once.  ``_census_rows`` checks a census statistic
+against its closed form at every enumerated size of a family, and
+``_chain_rows`` a DP quantity against its closed form at every ``n`` of
+``_CHAIN_RANGE``; a suite names its identities as ``(name, lhs, rhs)``
+checks.  The round-trip rows read :func:`corners.bijections.round_trip`,
+as ``bijection roundtrip`` does.
+
 Enumeration-backed checks honor ``max_size`` and the per-family brute
 budgets; chain-level checks run over fixed cheap ranges so the default
 invocation stays well under a minute.
@@ -16,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
+from operator import attrgetter
 from typing import Callable, Union
 
-from .bijections import symmetric_to_type_b, tree_like_to_permutation_shape, type_b_to_symmetric
+from .bijections import round_trip, tree_like_to_permutation_shape
 from .chain import (
     _closed_form_count,
     _corner_position_range,
@@ -38,7 +46,7 @@ from .chain import (
     u_distribution,
     u_pgf,
 )
-from .enumerator import census, enumerate_tableaux, extend_permutation, parent_permutation
+from .enumerator import Census, census, enumerate_tableaux, extend_permutation, parent_permutation
 from .errors import DomainError
 from .families import SUITE_NAMES, Family
 from .tableaux import PermutationTableau, canonical_key, corner_stats, markers
@@ -90,7 +98,11 @@ class VerificationRow:
 
 
 def _row(identity: str, parameters: str, lhs: object, rhs: object) -> VerificationRow:
-    left, right = str(lhs), str(rhs)
+    """A row of both sides as text: a law as ``k:p/q`` pairs, a fraction as ``p/q``."""
+    left, right = (
+        _law(x) if isinstance(x, dict) else _fraction_text(x) if isinstance(x, Fraction) else str(x)
+        for x in (lhs, rhs)
+    )
     return VerificationRow(identity, parameters, left, right, "pass" if left == right else "fail")
 
 
@@ -131,86 +143,64 @@ def _index(family: Family, size: int) -> int:
     return (size - 1) // 2 if family is Family.SYMMETRIC else size
 
 
+def _census_rows(family: Family, max_size: int, *checks: tuple, least: int = 1) -> list[VerificationRow]:
+    """Rows for each enumerated size of ``family`` whose index is at least
+    ``least``, one per check ``(name, lhs, rhs)`` in turn:
+    ``lhs(census)`` against ``rhs(index, family)``, as ``name/family``."""
+    return [
+        _row(
+            f"{name}/{family.value}", f"size={size}",
+            lhs(_census(size, family)), rhs(_index(family, size), family),
+        )
+        for size in _sizes(family, max_size)
+        if _index(family, size) >= least
+        for name, lhs, rhs in checks
+    ]
+
+
+def _chain_rows(*checks: tuple) -> list[VerificationRow]:
+    """Rows for each ``n`` in ``_CHAIN_RANGE``, one per check
+    ``(name, family, lhs, rhs)`` in turn: ``lhs(n, family)`` against
+    ``rhs(n, family)``, as ``name/family``."""
+    return [
+        _row(f"{name}/{family.value}", f"n={n}", lhs(n, family), rhs(n, family))
+        for n in _CHAIN_RANGE
+        for name, family, lhs, rhs in checks
+    ]
+
+
 def suite_counts(max_size: int) -> list[VerificationRow]:
     rows = []
     for family in _FAMILIES:
-        for size in _sizes(family, max_size):
-            rows.append(
-                _row(
-                    f"cardinality/{family.value}",
-                    f"size={size}",
-                    _census(size, family).cardinality,
-                    _closed_form_count(_index(family, size), family),
-                )
-            )
+        rows += _census_rows(family, max_size, ("cardinality", attrgetter("cardinality"), _closed_form_count))
     for family in (Family.PERMUTATION, Family.TYPE_B):
-        for n in _CHAIN_RANGE:
-            rows.append(
-                _row(
-                    f"chain-count/{family.value}",
-                    f"n={n}",
-                    count_tableaux(n, family),
-                    _closed_form_count(n, family),
-                )
-            )
+        rows += _chain_rows(("chain-count", family, count_tableaux, _closed_form_count))
     return rows
 
 
-def _census_corner_law(family: Family, size: int) -> dict[int, Fraction]:
-    c = _census(size, family)
-    support = _corner_position_range(_index(family, size), family)
+def _census_corner_law(c: Census) -> dict[int, Fraction]:
+    support = _corner_position_range(_index(c.family, c.n), c.family)
     return {k: Fraction(c.corner_counts_by_k.get(k, 0), c.cardinality) for k in support}
 
 
 def suite_corner_law(max_size: int) -> list[VerificationRow]:
     rows = []
+    formula_law = partial(corner_distribution, method="formula")
     for family in _FAMILIES:
-        for size in _sizes(family, max_size):
-            if _index(family, size) < 2:
-                continue  # closed forms start at index 2
-            rows.append(
-                _row(
-                    f"corner-law-census/{family.value}",
-                    f"size={size}",
-                    _law(_census_corner_law(family, size)),
-                    _law(corner_distribution(_index(family, size), family, method="formula")),
-                )
-            )
-        for n in _CHAIN_RANGE:
-            rows.append(
-                _row(
-                    f"corner-law-dp/{family.value}",
-                    f"n={n}",
-                    _law(corner_distribution(n, family, method="dp")),
-                    _law(corner_distribution(n, family, method="formula")),
-                )
-            )
+        # closed forms start at index 2
+        rows += _census_rows(family, max_size, ("corner-law-census", _census_corner_law, formula_law), least=2)
+        rows += _chain_rows(("corner-law-dp", family, partial(corner_distribution, method="dp"), formula_law))
     return rows
 
 
 def suite_corner_totals(max_size: int) -> list[VerificationRow]:
     rows = []
     for family in _FAMILIES:
-        for size in _sizes(family, max_size):
-            if _index(family, size) < 2:
-                continue
-            rows.append(
-                _row(
-                    f"corner-total/{family.value}",
-                    f"size={size}",
-                    _census(size, family).total_corners,
-                    total_corners(_index(family, size), family),
-                )
-            )
-        for n in _CHAIN_RANGE:
-            rows.append(
-                _row(
-                    f"expected-corners/{family.value}",
-                    f"n={n}",
-                    _fraction_text(sum(corner_distribution(n, family, method="dp").values())),
-                    _fraction_text(expected_corners(n, family)),
-                )
-            )
+        rows += _census_rows(family, max_size, ("corner-total", attrgetter("total_corners"), total_corners), least=2)
+        rows += _chain_rows((
+            "expected-corners", family,
+            lambda n, f: sum(corner_distribution(n, f, method="dp").values()), expected_corners,
+        ))
     cap = min(max_size, _CENSUS_CAP[Family.TREE_LIKE])
     for n in range(2, cap + 1):
         rows.append(
@@ -235,62 +225,17 @@ def suite_corner_totals(max_size: int) -> list[VerificationRow]:
 
 
 def suite_boundary(max_size: int) -> list[VerificationRow]:
-    rows = []
-    for size in _sizes(Family.PERMUTATION, max_size):
-        if size < 2:
-            continue
-        rows.append(
-            _row(
-                "south-end-count/permutation",
-                f"size={size}",
-                _census(size, Family.PERMUTATION).last_step_south_count,
-                _closed_form_count(size - 1, Family.PERMUTATION),
-            )
-        )
-    for size in _sizes(Family.TYPE_B, max_size):
-        c = _census(size, Family.TYPE_B)
-        rows.append(
-            _row(
-                "south-end-count/type-b",
-                f"size={size}",
-                c.last_step_south_count,
-                _closed_form_count(size - 1, Family.TYPE_B),
-            )
-        )
-        rows.append(
-            _row(
-                "west-start-count/type-b",
-                f"size={size}",
-                c.first_step_west_count,
-                _fold_boundary_terms(size)[1],
-            )
-        )
-    for n in _CHAIN_RANGE:
-        rows.append(
-            _row(
-                "south-end-probability/permutation",
-                f"n={n}",
-                _fraction_text(last_step_south_probability(n, Family.PERMUTATION)),
-                _fraction_text(Fraction(1, n)),
-            )
-        )
-        rows.append(
-            _row(
-                "south-end-probability/type-b",
-                f"n={n}",
-                _fraction_text(last_step_south_probability(n, Family.TYPE_B)),
-                _fraction_text(Fraction(1, 2 * n)),
-            )
-        )
-        rows.append(
-            _row(
-                "west-start-probability/type-b",
-                f"n={n}",
-                _fraction_text(first_step_west_probability(n, Family.TYPE_B)),
-                "1/2",
-            )
-        )
-    return rows
+    south_end = ("south-end-count", attrgetter("last_step_south_count"), lambda n, f: _closed_form_count(n - 1, f))
+    west_start = ("west-start-count", attrgetter("first_step_west_count"), lambda n, _: _fold_boundary_terms(n)[1])
+    return [
+        *_census_rows(Family.PERMUTATION, max_size, south_end, least=2),
+        *_census_rows(Family.TYPE_B, max_size, south_end, west_start),
+        *_chain_rows(
+            ("south-end-probability", Family.PERMUTATION, last_step_south_probability, lambda n, _: Fraction(1, n)),
+            ("south-end-probability", Family.TYPE_B, last_step_south_probability, lambda n, _: Fraction(1, 2 * n)),
+            ("west-start-probability", Family.TYPE_B, first_step_west_probability, lambda n, _: Fraction(1, 2)),
+        ),
+    ]
 
 
 def suite_extension(max_size: int) -> list[VerificationRow]:
@@ -331,10 +276,7 @@ def suite_extension(max_size: int) -> list[VerificationRow]:
     for n in range(2, cap + 1):
         for name, stat in statistics:
             report = pushforward_check(n, stat)
-            rows.append(
-                _row(f"pushforward/{name}", f"n={n}",
-                     _fraction_text(report.left), _fraction_text(report.right))
-            )
+            rows.append(_row(f"pushforward/{name}", f"n={n}", report.left, report.right))
     return rows
 
 
@@ -343,78 +285,43 @@ def suite_pgf(max_size: int) -> list[VerificationRow]:
     for m in range(1, 9):
         for z in range(1, 6):
             rows.append(
-                _row(
-                    "u-pgf-rising-factorial",
-                    f"m={m},z={z}",
-                    _fraction_text(u_pgf(m, Family.PERMUTATION, z)),
-                    _fraction_text(rising_factorial_pgf(z, m)),
-                )
+                _row("u-pgf-rising-factorial", f"m={m},z={z}", u_pgf(m, Family.PERMUTATION, z),
+                     rising_factorial_pgf(z, m))
             )
-        rows.append(
-            _row(
-                "u-pgf-doubling",
-                f"m={m}",
-                _fraction_text(u_pgf(m, Family.PERMUTATION, 2)),
-                _fraction_text(Fraction(m + 1)),
-            )
-        )
+        rows.append(_row("u-pgf-doubling", f"m={m}", u_pgf(m, Family.PERMUTATION, 2), Fraction(m + 1)))
+    histogram = (
+        "u-histogram",
+        lambda c: {u: Fraction(v, c.cardinality) for u, v in c.u_histogram.items()},
+        u_distribution,
+    )
     for family in (Family.PERMUTATION, Family.TYPE_B):
-        for size in _sizes(family, max_size):
-            c = _census(size, family)
-            histogram = {
-                u: Fraction(v, c.cardinality) for u, v in (c.u_histogram or {}).items()
-            }
-            rows.append(
-                _row(
-                    f"u-histogram/{family.value}",
-                    f"size={size}",
-                    _law(histogram),
-                    _law(u_distribution(size, family)),
-                )
-            )
+        rows += _census_rows(family, max_size, histogram)
     return rows
 
 
 def suite_bijections(max_size: int) -> list[VerificationRow]:
     rows = []
-    for n in range(1, min(max_size, 4) + 1):
-        total = 0
-        good = 0
-        witness = ""
-        for b in enumerate_tableaux(n, Family.TYPE_B):
-            total += 1
-            image = type_b_to_symmetric(b)
-            if symmetric_to_type_b(image) == b:
-                good += 1
-            elif not witness:
-                witness = f" witness={canonical_key(b)}"
-        rows.append(
-            _row("unfold-fold-roundtrip/type-b", f"n={n}{witness}", f"{good}/{total}", f"{total}/{total}")
-        )
-    for size in range(3, min(max_size, 9) + 1, 2):
-        total = 0
-        good = 0
-        images = set()
-        witness = ""
-        for t in enumerate_tableaux(size, Family.SYMMETRIC):
-            total += 1
-            image = symmetric_to_type_b(t)
-            images.add(canonical_key(image))
-            if type_b_to_symmetric(image) == t:
-                good += 1
-            elif not witness:
-                witness = f" witness={canonical_key(t)}"
-        rows.append(
-            _row("fold-unfold-roundtrip/symmetric", f"size={size}{witness}", f"{good}/{total}", f"{total}/{total}")
-        )
-        rows.append(
-            _row(
-                "fold-bijectivity/symmetric",
-                f"size={size}",
-                len(images),
-                _closed_form_count(_index(Family.SYMMETRIC, size), Family.SYMMETRIC),
-            )
-        )
+    for family, cap, identity, size_name in (
+        (Family.TYPE_B, 4, "unfold-fold-roundtrip/type-b", "n"),
+        (Family.SYMMETRIC, 9, "fold-unfold-roundtrip/symmetric", "size"),
+    ):
+        for size in _sizes(family, min(max_size, cap)):
+            total = 0
+            good = 0
+            partners = set()
+            witness = ""
+            for t in enumerate_tableaux(size, family):
+                total += 1
+                partner, back = round_trip(t)
+                partners.add(partner)
+                if back == t:
+                    good += 1
+                elif not witness:
+                    witness = f" witness={canonical_key(t)}"
+            rows.append(_row(identity, f"{size_name}={size}{witness}", f"{good}/{total}", f"{total}/{total}"))
+            if family is Family.SYMMETRIC:
+                count = _closed_form_count(_index(family, size), family)
+                rows.append(_row("fold-bijectivity/symmetric", f"size={size}", len(partners), count))
     for n in range(2, min(max_size, 7) + 1):
         projected: dict[tuple, int] = {}
         extra = 0

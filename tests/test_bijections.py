@@ -7,6 +7,7 @@ import pytest
 from conftest import cached_census, cached_tableaux
 from corners import bijections
 from corners.bijections import (
+    round_trip,
     symmetric_to_type_b,
     tree_like_to_permutation_shape,
     type_b_to_symmetric,
@@ -32,6 +33,11 @@ TYPE_B_5 = TypeBTableau.from_strings("SWSWS", ["1", "00", "01", "1", ""])
 def test_worked_pair_folds_both_ways():
     assert symmetric_to_type_b(SYMMETRIC_11) == TYPE_B_5
     assert type_b_to_symmetric(TYPE_B_5) == SYMMETRIC_11
+
+
+def test_round_trip_goes_through_the_partner_and_back():
+    assert round_trip(TYPE_B_5) == (SYMMETRIC_11, TYPE_B_5)
+    assert round_trip(SYMMETRIC_11) == (TYPE_B_5, SYMMETRIC_11)
 
 
 def test_fold_checks_that_its_result_unfolds_back(monkeypatch):

@@ -18,6 +18,7 @@ from corners.chain import (
     first_step_west_probability,
     last_step_south_probability,
     rising_factorial_pgf,
+    symmetric_corner_decomposition,
     total_corners,
     u_distribution,
     u_pgf,
@@ -276,6 +277,27 @@ def test_pushforward_identity(n):
 def test_pushforward_guards():
     with pytest.raises(DomainError):
         pushforward_check(1, lambda t: 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: count_tableaux(-1, Family.PERMUTATION), "size must be non-negative, got -1"),
+    (lambda: symmetric_corner_decomposition(0), "index must be at least 1, got 0"),
+    (lambda: u_distribution(0, Family.TYPE_B), "size must be at least 1, got 0"),
+    (lambda: rising_factorial_pgf(2, -1), "the generating function needs m >= 0, got -1"),
+    (lambda: corner_event_probability_dp(0, 1, Family.TREE_LIKE), "size must be at least 1, got 0"),
+    (lambda: expected_corners(1, Family.SYMMETRIC), "expected corners defined for n >= 2, got 1"),
+    (lambda: last_step_south_probability(0, Family.PERMUTATION), "size must be at least 1, got 0"),
+    (lambda: first_step_west_probability(0, Family.TYPE_B), "size must be at least 1, got 0"),
+], ids=[
+    "count_tableaux", "symmetric_corner_decomposition", "u_distribution", "rising_factorial_pgf",
+    "corner_event_probability_dp", "expected_corners", "last_step_south_probability",
+    "first_step_west_probability",
+])
+def test_public_size_and_index_guards(call, message):
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert type(excinfo.value) is DomainError
+    assert message in str(excinfo.value)
 
 
 @settings(max_examples=25, deadline=None)

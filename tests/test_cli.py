@@ -17,7 +17,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corners import verification
+from corners import bijections, verification
 from corners.chain import total_corners
 from corners.cli import _bit_row_text, _tableau_text, _trajectory_text, run_command
 from corners.enumerator import enumerate_tableaux
@@ -29,6 +29,7 @@ from corners.tableaux import (
     PermutationTableau,
     TreeLikeTableau,
     TypeBTableau,
+    canonical_key,
     to_record,
 )
 
@@ -130,6 +131,17 @@ def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run_command(["verify", "--suite", "nonsense"])
     assert excinfo.value.code == 2
+
+
+def test_verify_reports_a_failing_row_and_exits_1(capsys, monkeypatch):
+    failing = verification._row("made-up", "n=1", 1, 2)
+    monkeypatch.setitem(verification.SUITES, "counts", lambda max_size: [failing])
+    code, out, err = run(capsys, "verify", "--suite", "counts", "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["passed"] is False
+    assert data["rows"] == [failing.to_json_dict()]
+    assert "FAIL made-up [n=1]: 1 != 2\n" in err
 
 
 def test_suite_names_are_the_verification_suites():
@@ -297,6 +309,56 @@ def test_bijection_roundtrip_and_decompose(capsys):
     assert (data["twiceB"], data["southTerm"], data["westTerm"], data["total"]) == (
         "6", "4", "4", "14"
     )
+
+
+@pytest.fixture
+def broken_round_trip(monkeypatch):
+    """``round_trip`` with the partner in place of the way back, so no
+    tableau comes back to itself."""
+    real = bijections.round_trip
+
+    def broken(t):
+        partner, _ = real(t)
+        return partner, partner
+
+    monkeypatch.setattr(bijections, "round_trip", broken)
+    monkeypatch.setattr(verification, "round_trip", broken)
+
+
+def test_bijection_roundtrip_prints_the_witness_and_exits_1(capsys, broken_round_trip):
+    code, out, err = run(capsys, "bijection", "roundtrip", "--family", "type-b", "--size", "2", "--format", "json")
+    first = next(enumerate_tableaux(2, Family.TYPE_B))
+    assert (code, out) == (1, "")
+    assert err == "round-trip failure, witness:\n" + json.dumps(to_record(first)) + "\n"
+
+
+def test_verify_bijections_names_a_round_trip_witness(capsys, broken_round_trip):
+    code, out, err = run(capsys, "verify", "--suite", "bijections", "--max-size", "3", "--format", "json")
+    assert code == 1
+    expected = []
+    for identity, family, size_name, size in (
+        ("unfold-fold-roundtrip/type-b", Family.TYPE_B, "n", 1),
+        ("unfold-fold-roundtrip/type-b", Family.TYPE_B, "n", 2),
+        ("unfold-fold-roundtrip/type-b", Family.TYPE_B, "n", 3),
+        ("fold-unfold-roundtrip/symmetric", Family.SYMMETRIC, "size", 3),
+    ):
+        tableaux = list(enumerate_tableaux(size, family))
+        witness = canonical_key(tableaux[0])
+        total = len(tableaux)
+        expected.append([identity, f"{size_name}={size} witness={witness}", f"0/{total}", f"{total}/{total}", "fail"])
+    rows = json.loads(out)["rows"]
+    assert [list(row.values()) for row in rows if row["status"] == "fail"] == expected
+    assert err.count("\nFAIL ") == len(expected)
+
+
+def test_bijection_failure_exits_1(capsys, monkeypatch):
+    record = to_record(next(enumerate_tableaux(5, Family.SYMMETRIC)))
+    lower_points = bijections._lower_points
+    monkeypatch.setattr(bijections, "_lower_points", lambda b: set(sorted(lower_points(b))[:-1]))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(record)))
+    code, out, err = run(capsys, "bijection", "fold")
+    assert (code, out) == (1, "")
+    assert err.startswith("bijection failure: folded tableau does not unfold back")
 
 
 def test_bijection_missing_flags_are_usage_errors(capsys):
@@ -571,6 +633,13 @@ PINNED_OUTPUTS = {
     ("enumerate --family type-b --size 4", "csv"): (0, "d324fc1dff5fcb994170a755ad79b47b3b11717d1dcb63ada07097fefae6d1ff"),
     ("enumerate --family type-b --size 6", "json"): (0, "4c5109c02fc94932b5662d59825fe4d8e5fa65376d8fb271adc3b0ba5ce38553"),
     ("bijection roundtrip --family type-b --size 5", "json"): (0, "975c377c047a11df8be5e2067f46a9e4f2ee505cab5351117df812e6758a5f66"),
+    ("verify --suite all", "table"): (0, "b64f04ec5d2a762384939d1bd4947fff805a775475419677decb8f4752421246"),
+    ("verify --suite all", "json"): (0, "9ff42964c6f9fb3c2b115c891307788d94bd6468f29a51535465f297a96327c9"),
+    ("verify --suite all", "csv"): (0, "b5b1293ec955408295c9e7c7e91bbe4862747d29bf3da14c722232c4af365d15"),
+    ("bijection roundtrip --family symmetric --size 9", "table"): (0, "f88536cb15f30f55b085ff5979dcaa46aa09d5f418dfabefd7ec6db72efc3072"),
+    ("bijection roundtrip --family symmetric --size 9", "json"): (0, "8f85b4f6a78101403933958af54d2fa1cc88740560b7e63625bc4c2f59c9e70a"),
+    ("bijection roundtrip --family symmetric --size 9", "csv"): (0, "cfd9b8d3df4fc1b22bba71a982f7f850b7aa22aa7aa9a8a7f6ce6af7dc739d97"),
+    ("verify --suite all --max-size 11", "json"): (0, "237cff517fc3505920fd3f19382cd462a1e44da8ec356f0441bda35e1cde4c72"),
 }
 
 

@@ -19,9 +19,10 @@ from corners.enumerator import (
     extend_permutation,
     parent_permutation,
 )
-from corners.errors import BudgetExceededError, DomainError
+from corners.errors import BudgetExceededError, DomainError, ShapeFillingMismatchError
 from corners.families import BRUTE_FORCE_BUDGET, Family
-from corners.tableaux import canonical_key, markers, validate
+from corners.shapes import all_paths
+from corners.tableaux import PermutationTableau, canonical_key, markers, validate
 from corners.verification import _CENSUS_CAP
 
 # every size the verify census sweeps reach, symmetric sizes odd
@@ -228,6 +229,30 @@ def test_parent_of_size_one_is_undefined():
     root = cached_tableaux(1, Family.PERMUTATION)[0]
     with pytest.raises(DomainError):
         parent_permutation(root)
+
+
+@pytest.mark.parametrize("family", (Family.TREE_LIKE, Family.TYPE_B, Family.SYMMETRIC))
+def test_extension_census_is_for_permutations_only(family):
+    with pytest.raises(DomainError) as excinfo:
+        census(3, family, method="extension")
+    assert type(excinfo.value) is DomainError
+    assert "extension construction applies to permutation tableaux only" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("h", range(1, 11))
+def test_final_step_fixes_the_rows_a_parent_drops(h):
+    # parent_permutation needs no check of its own: a final South step
+    # leaves the bottom row empty and a final West step leaves no row
+    # empty, and a tableau's rows hold its path's lengths
+    for path in all_paths(h):
+        lengths = path.row_lengths
+        if path.steps[-1] == "S":
+            assert lengths[-1] == 0, path
+        else:
+            assert all(lengths), path
+        if lengths:
+            with pytest.raises(ShapeFillingMismatchError):
+                PermutationTableau(path, tuple((0,) * (n + 1) for n in lengths))
 
 
 @settings(max_examples=30)

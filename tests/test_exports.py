@@ -1,7 +1,9 @@
 """The package's export lists stay consistent with what it defines."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +29,17 @@ def test_exports_exist_and_the_package_imports_only_exports():
     assert set(corners.__all__) <= set(dir(corners))
     with pytest.raises(AttributeError):
         corners.no_such_name
+
+
+def test_every_traced_function_exists():
+    # the benchmark tracer wraps these names with getattr, so a renamed or
+    # deleted function breaks every traced op
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.WRAPPED
+    for module_name, names in tracer.WRAPPED.items():
+        module = importlib.import_module(module_name)
+        missing = [n for n in names if not callable(getattr(module, n, None))]
+        assert not missing, (module_name, missing)

@@ -125,6 +125,14 @@ def test_ferrers_roundtrip_exhaustive(h):
         assert word == p.steps
 
 
+@pytest.mark.parametrize("h", (0, -1))
+def test_all_paths_needs_a_positive_half_perimeter(h):
+    with pytest.raises(EmptyPathError) as excinfo:
+        list(all_paths(h))
+    assert type(excinfo.value) is EmptyPathError
+    assert "half-perimeter must be at least 1" in str(excinfo.value)
+
+
 def test_all_paths_is_lexicographic_and_complete():
     got = [p.steps for p in all_paths(3)]
     assert got == sorted(got)
