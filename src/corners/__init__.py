@@ -78,7 +78,6 @@ _EXPORTS = {
         "validate",
     ),
     "verification": (
-        "PushforwardReport",
         "VerificationReport",
         "VerificationRow",
         "pushforward_check",

@@ -442,7 +442,7 @@ def run_command(argv: Sequence[str]) -> int:
         return 1
     except CornersError as exc:
         return _fail_usage(str(exc))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail_usage(str(exc))
 
 

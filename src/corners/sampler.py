@@ -257,8 +257,8 @@ def sample_permutation_tableau(n: int, seed: int, index: int = 0) -> Permutation
 
 
 def sample_permutation_tableaux(n: int, seed: int, count: int) -> Iterator[PermutationTableau]:
-    table = _step_table(n, Family.PERMUTATION)
     _require_count(count, Family.PERMUTATION)
+    table = _step_table(n, Family.PERMUTATION)
     for index in range(count):
         yield _grow_tableau(substream(seed, index), n, table)
 

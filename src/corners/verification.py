@@ -14,6 +14,10 @@ against its closed form at every enumerated size of a family, and
 checks.  The round-trip rows read :func:`corners.bijections.round_trip`,
 as ``bijection roundtrip`` does.
 
+The extension suite enumerates each permutation size once and extends
+level ``n - 1`` into level ``n``; its push-forward rows and
+:func:`pushforward_check` share ``_pushforward_sides``.
+
 Enumeration-backed checks honor ``max_size`` and the per-family brute
 budgets; chain-level checks run over fixed cheap ranges so the default
 invocation stays well under a minute.
@@ -21,12 +25,13 @@ invocation stays well under a minute.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial
 from operator import attrgetter
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 from .bijections import round_trip, tree_like_to_permutation_shape
 from .chain import (
@@ -52,7 +57,6 @@ from .families import SUITE_NAMES, Family
 from .tableaux import PermutationTableau, canonical_key, corner_stats, markers
 
 __all__ = [
-    "PushforwardReport",
     "pushforward_check",
     "VerificationRow",
     "VerificationReport",
@@ -239,45 +243,41 @@ def suite_boundary(max_size: int) -> list[VerificationRow]:
 
 
 def suite_extension(max_size: int) -> list[VerificationRow]:
-    rows = []
-    cap = min(max_size, 7)
-    for n in range(2, cap + 1):
-        parents = list(enumerate_tableaux(n - 1, Family.PERMUTATION))
-        children: list = []
-        multiplicity_ok = True
-        transition_ok = True
-        for t in parents:
-            images = extend_permutation(t)
-            u = len(markers(t).unrestricted_rows)
-            if len(images) != 1 << u:
-                multiplicity_ok = False
-            seen: dict[tuple[str, int], int] = {}
-            for child in images:
-                if parent_permutation(child) != t:
-                    multiplicity_ok = False
-                key = (child.path.steps[-1], len(markers(child).unrestricted_rows))
-                seen[key] = seen.get(key, 0) + 1
-            expected = {(s, v): w for s, v, w in _transitions(Family.PERMUTATION, u)}
-            if seen != expected:
-                transition_ok = False
-            children.extend(images)
-        keys = {canonical_key(c) for c in children}
-        universe = {canonical_key(t) for t in enumerate_tableaux(n, Family.PERMUTATION)}
-        rows.append(
-            _row("extension-partition", f"n={n}", f"{len(children)} images, {len(keys)} distinct", f"{len(universe)} images, {len(universe)} distinct")
-        )
-        rows.append(_row("extension-multiplicity", f"n={n}", multiplicity_ok, True))
-        rows.append(_row("extension-transition-law", f"n={n}", transition_ok, True))
+    """The extension rows of each ``n`` in ``2..min(max_size, 7)``, then its
+    push-forward rows, from one pass over the permutation levels."""
     statistics: list[tuple[str, Callable]] = [
         ("one", lambda t: 1),
         ("two-power-u", lambda t: 1 << len(markers(t).unrestricted_rows)),
         ("corner-count", lambda t: corner_stats(t).corner_count),
     ]
-    for n in range(2, cap + 1):
-        for name, stat in statistics:
-            report = pushforward_check(n, stat)
-            rows.append(_row(f"pushforward/{name}", f"n={n}", report.left, report.right))
-    return rows
+    extension: list[VerificationRow] = []
+    pushforward: list[VerificationRow] = []
+    level = list(enumerate_tableaux(1, Family.PERMUTATION))
+    for n in range(2, min(max_size, 7) + 1):
+        lower, level = level, list(enumerate_tableaux(n, Family.PERMUTATION))
+        children: list[PermutationTableau] = []
+        multiplicity_ok = transition_ok = True
+        for t in lower:
+            images = extend_permutation(t)
+            u = len(markers(t).unrestricted_rows)
+            multiplicity_ok &= len(images) == 1 << u and all(parent_permutation(c) == t for c in images)
+            seen = Counter((c.path.steps[-1], len(markers(c).unrestricted_rows)) for c in images)
+            transition_ok &= seen == {(s, v): w for s, v, w in _transitions(Family.PERMUTATION, u)}
+            children += images
+        # only images that are tableaux of the level count as distinct
+        distinct = len(set(children) & set(level))
+        extension += [
+            _row("extension-partition", f"n={n}", f"{len(children)} images, {distinct} distinct",
+                 f"{len(level)} images, {len(level)} distinct"),
+            _row("extension-multiplicity", f"n={n}", multiplicity_ok, True),
+            _row("extension-transition-law", f"n={n}", transition_ok, True),
+        ]
+        parents = [parent_permutation(t) for t in level]
+        pushforward += [
+            _row(f"pushforward/{name}", f"n={n}", *_pushforward_sides(n, stat, parents, lower))
+            for name, stat in statistics
+        ]
+    return extension + pushforward
 
 
 def suite_pgf(max_size: int) -> list[VerificationRow]:
@@ -355,37 +355,30 @@ def suite_bijections(max_size: int) -> list[VerificationRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class PushforwardReport:
-    """Both sides of the parent-measure identity, exactly."""
-
-    n: int
-    left: Fraction
-    right: Fraction
+def _pushforward_sides(n: int, statistic: Callable, parents: Iterable, lower: Iterable) -> tuple[Fraction, Fraction]:
+    """Both sides of ``E_n[X(parent)] = (1/n) E_{n-1}[2**U X]``, exactly, from
+    the parents of the size-``n`` tableaux and the size ``n - 1`` tableaux."""
+    left = sum(Fraction(statistic(p)) for p in parents) / factorial(n)
+    right = sum(
+        Fraction(statistic(s)) * (1 << len(markers(s).unrestricted_rows)) for s in lower
+    ) / (n * factorial(n - 1))
+    return left, right
 
 
 def pushforward_check(
     n: int,
     statistic: Callable[[PermutationTableau], Union[int, Fraction]],
-) -> PushforwardReport:
-    """Check ``E_n[X(parent)] = (1/n) E_{n-1}[2**U X]`` by enumeration.
+) -> tuple[Fraction, Fraction]:
+    """Both sides ``(left, right)`` of ``E_n[X(parent)] = (1/n) E_{n-1}[2**U X]``
+    by enumeration.
 
     ``statistic`` is evaluated on size ``n - 1`` tableaux; both sides are
     exact rationals.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    left_sum = sum(
-        Fraction(statistic(parent_permutation(t)))
-        for t in enumerate_tableaux(n, Family.PERMUTATION)
-    )
-    left = left_sum / factorial(n)
-    right_sum = sum(
-        Fraction(statistic(s)) * (1 << len(markers(s).unrestricted_rows))
-        for s in enumerate_tableaux(n - 1, Family.PERMUTATION)
-    )
-    right = right_sum / (n * factorial(n - 1))
-    return PushforwardReport(n, left, right)
+    parents = map(parent_permutation, enumerate_tableaux(n, Family.PERMUTATION))
+    return _pushforward_sides(n, statistic, parents, enumerate_tableaux(n - 1, Family.PERMUTATION))
 
 
 SUITES: dict[str, Callable[[int], list[VerificationRow]]] = dict(

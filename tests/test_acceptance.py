@@ -193,8 +193,8 @@ def test_criterion_10_extension_machinery():
         statistics = [lambda t: 1, lambda t: 1 << len(markers(t).unrestricted_rows)]
         statistics += [lambda t, k=k: int(k in t.path.corner_positions()) for k in range(1, n - 1)]
         for statistic in statistics:
-            report = pushforward_check(n, statistic)
-            assert report.left == report.right
+            left, right = pushforward_check(n, statistic)
+            assert left == right
     _line(10, "extension partitions P_n with 2^U images, push-forward identity, n<=7")
 
 

@@ -270,13 +270,16 @@ def test_pushforward_identity(n):
         lambda t: 1 << len(markers(t).unrestricted_rows),
         lambda t: corner_stats(t).corner_count,
     ):
-        report = pushforward_check(n, stat)
-        assert report.left == report.right, (n, report)
+        left, right = pushforward_check(n, stat)
+        assert type(left) is type(right) is Fraction
+        assert left == right, (n, left, right)
 
 
 def test_pushforward_guards():
     with pytest.raises(DomainError):
         pushforward_check(1, lambda t: 1)
+    left, right = pushforward_check(2, lambda t: 1)
+    assert (left, right) == (Fraction(1), Fraction(1))
 
 
 @pytest.mark.parametrize("call, message", [

@@ -371,6 +371,32 @@ def test_bijection_missing_flags_are_usage_errors(capsys):
     assert run(capsys, "bijection", "decompose") == (2, "", "error: bijection decompose needs --size\n")
 
 
+def test_an_engine_key_error_is_not_a_usage_error(capsys, monkeypatch, tmp_path):
+    # no input path raises KeyError, so one from inside a command is a fault
+    def broken(max_size):
+        raise KeyError("engine fault")
+
+    monkeypatch.setitem(verification.SUITES, "counts", broken)
+    with pytest.raises(KeyError, match="engine fault"):
+        run_command(["verify", "--suite", "counts"])
+    # bad input still exits 2: a missing file, a record without a key, bad JSON
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "bijection", "fold", "--in", str(missing))
+    assert (code, out) == (2, "") and "No such file" in err
+    for text in ('{"path":"SW","rows":["1","1"]}', "{"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run(capsys, "bijection", "fold")
+        assert (code, out) == (2, "") and err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind", ("report", "tableaux", "trajectories"))
+def test_sample_checks_the_count_before_the_size(capsys, kind):
+    argv = f"sample --kind {kind} --n {_SIZE_CAP + 1} --count {_COUNT_CAP + 1}"
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == f"error: a run of {_COUNT_CAP + 1} samples exceeds the budget of {_COUNT_CAP}\n"
+
+
 def test_sample_report_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for target in (a, b):

@@ -316,6 +316,20 @@ def test_incremental_growth_matches_the_reference():
         assert grown == [_ref_grow_tableau(substream(n, i), n, cache) for i in range(20)], n
 
 
+@pytest.mark.parametrize("n", (5, CHAIN_BUDGET.sample_size + 1))
+def test_sampling_checks_the_count_first_and_grows_no_table(monkeypatch, n):
+    monkeypatch.setattr(sampler, "_STEP_TABLES", {})
+    too_many = CHAIN_BUDGET.sample_count + 1
+    for call in (
+        lambda: list(sample_trajectories(n, P, seed=1, count=too_many)),
+        lambda: list(sample_permutation_tableaux(n, seed=1, count=too_many)),
+        lambda: monte_carlo_corner_report(n, B, too_many, seed=1),
+    ):
+        with pytest.raises(BudgetExceededError, match=f"a run of {too_many} samples"):
+            call()
+    assert sampler._STEP_TABLES == {}
+
+
 def test_sampling_beyond_the_chain_budget_is_refused():
     too_big = CHAIN_BUDGET.sample_size + 1
     for call in (
