@@ -92,6 +92,12 @@ def symmetric_to_type_b(t: SymmetricTreeLikeTableau) -> TypeBTableau:
         raise InvalidTableauError(f"fold expects a symmetric tree-like tableau, got a {type(t).__name__}")
     if t.size < 3:
         raise DomainError("size-1 tableaux fold to the empty tableau, which has no border path")
+    return _fold(t)
+
+
+def _fold(t: SymmetricTreeLikeTableau) -> TypeBTableau:
+    """The fold of a valid symmetric tableau of size at least 3, with the
+    checks on its result but none on ``t``."""
     b_path = t.path.folded_half
     k = b_path.column_count
 
@@ -175,6 +181,12 @@ def type_b_to_symmetric(b: TypeBTableau) -> SymmetricTreeLikeTableau:
     _require_valid(b, "unfold input")
     if not isinstance(b, TypeBTableau):
         raise InvalidTableauError(f"unfold expects a type-B tableau, got a {type(b).__name__}")
+    return _unfold(b)
+
+
+def _unfold(b: TypeBTableau) -> SymmetricTreeLikeTableau:
+    """The unfolding of a valid type-B tableau, with the checks on its
+    result but none on ``b``."""
     lower = _lower_points(b)
     t = SymmetricTreeLikeTableau(
         b.path.unfolded,
@@ -194,9 +206,12 @@ def round_trip(t: TypeBTableau | SymmetricTreeLikeTableau) -> tuple:
     or a symmetric tableau's fold and that unfolded back.
 
     The maps are mutually inverse on ``t`` exactly when ``back == t``.
+    The first map checks ``t``; the partner it returns has passed that
+    map's checks on its result, so the second map is not asked to check
+    it again.
     """
     if isinstance(t, TypeBTableau):
         partner = type_b_to_symmetric(t)
-        return partner, symmetric_to_type_b(partner)
+        return partner, _fold(partner)
     partner = symmetric_to_type_b(t)
-    return partner, type_b_to_symmetric(partner)
+    return partner, _unfold(partner)

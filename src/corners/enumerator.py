@@ -37,10 +37,9 @@ closed-form counts and by growing the extension tree
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import BudgetExceededError, DomainError
 from .families import BRUTE_FORCE_BUDGET, Family
@@ -296,8 +295,7 @@ def parent_permutation(t: PermutationTableau) -> PermutationTableau:
     return PermutationTableau(BorderPath(t.path.steps[:-1]), tuple(row[1:] for row in t.rows))
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     """Exact aggregate statistics of one family at one size."""
 
     family: Family

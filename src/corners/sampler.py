@@ -36,11 +36,10 @@ import hashlib
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .chain import (
     _fraction_text,
@@ -85,8 +84,7 @@ def _int_below(rng: random.Random, bound: int) -> int:
             return x
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """One realization of the growth chain: states and steps in order.
 
     ``steps`` read left to right are the border path of the sampled
@@ -263,8 +261,7 @@ def sample_permutation_tableaux(n: int, seed: int, count: int) -> Iterator[Permu
         yield _grow_tableau(substream(seed, index), n, table)
 
 
-@dataclass(frozen=True)
-class McStatistic:
+class McStatistic(NamedTuple):
     """One estimated quantity next to its exact reference."""
 
     name: str
@@ -283,8 +280,7 @@ class McStatistic:
         }
 
 
-@dataclass(frozen=True)
-class McReport:
+class McReport(NamedTuple):
     """Monte Carlo corner estimates with exact references and z-scores."""
 
     family: Family

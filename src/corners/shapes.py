@@ -33,11 +33,15 @@ itself: row lengths, column heights, self-conjugacy, the corner cells,
 and the two paths of the symmetric/type-B fold (``folded_half`` and
 ``unfolded``).  Tableaux built on one path object share all of it, and
 the cache lives exactly as long as the path does.
+
+Paths and tableaux are checked immutable values on the small base
+``_Frozen``, not dataclasses: importing ``dataclasses`` loads
+``inspect``, ``ast`` and ``dis``, and each dataclass generates its
+methods when its module loads, which every command would pay at start-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterator
@@ -66,18 +70,54 @@ Cell = tuple[int, int]
 _FLIP = str.maketrans(SOUTH + WEST, WEST + SOUTH)
 
 
-@dataclass(frozen=True)
-class BorderPath:
+class _Frozen:
+    """An immutable value whose fields ``__init__`` checks and sets once.
+
+    A subclass names its fields in ``_fields``, sets each in ``__init__``
+    through ``_set_field``, and defines ``__eq__`` and ``__hash__`` on the
+    field tuple, so that only instances of one class compare equal and
+    the hash is ``hash(field tuple)``.  Assignment and deletion raise
+    ``AttributeError``; ``repr`` reads ``Class(field=value, ...)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    # the object's own setter, past the refusing ``__setattr__``; for
+    # ``__init__`` only
+    _set_field = object.__setattr__
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class BorderPath(_Frozen):
     """An S/W word describing the southeast border of a diagram."""
 
+    _fields = ("steps",)
     steps: str
 
-    def __post_init__(self) -> None:
-        if not self.steps:
+    def __init__(self, steps: str) -> None:
+        if not steps:
             raise EmptyPathError("a border path needs at least one step")
-        for position, ch in enumerate(self.steps):
+        for position, ch in enumerate(steps):
             if ch not in (SOUTH, WEST):
-                raise IllegalCharacterError(self.steps, position)
+                raise IllegalCharacterError(steps, position)
+        self._set_field("steps", steps)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.steps == other.steps
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.steps,))
 
     def __str__(self) -> str:
         return self.steps

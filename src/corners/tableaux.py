@@ -28,6 +28,13 @@ it), from the row lengths the path caches; family rules are checked by
 :func:`validate` so that fillings that break them can still be
 represented.
 
+A tableau is an immutable value on the ``shapes`` base ``_Frozen``: its
+constructor checks and sets its fields once, and two tableaux are equal
+only when they are of one class with equal fields, so a permutation and
+a type-B tableau of one filling differ.  The records that describe a
+tableau (rule violations, validation results, markers, corner counts)
+are ``NamedTuple`` records.
+
 Each per-tableau pass is one linear sweep: a row check tests the whole
 filling at once and words an error row by row only when that test fails;
 :func:`validate` reads a 0/1 filling once row-major and a point set once
@@ -37,13 +44,12 @@ unrestricted rows, in one scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import InvalidTableauError, NotSymmetricError, ShapeFillingMismatchError
 from .families import Family
-from .shapes import BorderPath, Cell
+from .shapes import BorderPath, Cell, _Frozen
 
 __all__ = [
     "POINT_CHAR",
@@ -105,20 +111,29 @@ def _check_rows(
             raise ShapeFillingMismatchError(f"{what}: row {r} holds a {kind}")
 
 
-@dataclass(frozen=True)
-class _BitTableau:
+class _BitTableau(_Frozen):
     """A 0/1 filling, one bit per cell of the diagram whose rows
     ``row_lengths`` gives."""
 
+    _fields = ("path", "rows")
     path: BorderPath
     rows: Bits
 
     _what = "filling"
 
-    def __post_init__(self) -> None:
-        rows = tuple(map(tuple, self.rows))
+    def __init__(self, path: BorderPath, rows: Bits) -> None:
+        self._set_field("path", path)
+        rows = tuple(map(tuple, rows))
         _check_rows(rows, self.row_lengths, self._what, int, _BITS, "non-bit value")
-        object.__setattr__(self, "rows", rows)
+        self._set_field("rows", rows)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.path, self.rows) == (other.path, other.rows)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.path, self.rows))
 
     @classmethod
     def from_strings(cls, path: str | BorderPath, rows: Iterable[str]):
@@ -162,26 +177,35 @@ class TypeBTableau(_BitTableau):
         return self.path.shifted_row_lengths
 
 
-@dataclass(frozen=True)
-class TreeLikeTableau:
+class TreeLikeTableau(_Frozen):
     """A Ferrers diagram with a set of pointed cells."""
 
+    _fields = ("path", "points")
     path: BorderPath
-    points: frozenset[Cell] = field(default_factory=frozenset)
+    points: frozenset[Cell]
 
     family = Family.TREE_LIKE
 
-    def __post_init__(self) -> None:
-        points = frozenset(self.points)
-        object.__setattr__(self, "points", points)
-        lengths = self.path.row_lengths
+    def __init__(self, path: BorderPath, points: Iterable[Cell] = frozenset()) -> None:
+        self._set_field("path", path)
+        points = frozenset(points)
+        self._set_field("points", points)
+        lengths = path.row_lengths
         stray = [
             (r, c) for r, c in points if not (0 < r <= len(lengths) and 0 < c <= lengths[r - 1])
         ]
         if stray:
             raise ShapeFillingMismatchError(
-                f"points {sorted(stray)} fall outside the shape of {self.path.steps!r}"
+                f"points {sorted(stray)} fall outside the shape of {path.steps!r}"
             )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.path, self.points) == (other.path, other.points)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.path, self.points))
 
     @property
     def size(self) -> int:
@@ -206,8 +230,8 @@ class SymmetricTreeLikeTableau(TreeLikeTableau):
 
     family = Family.SYMMETRIC
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, path: BorderPath, points: Iterable[Cell] = frozenset()) -> None:
+        super().__init__(path, points)
         if not self.path.is_self_conjugate:
             raise NotSymmetricError(f"shape {self.path.steps!r} is not self-conjugate")
         mirrored = frozenset((c, r) for r, c in self.points)
@@ -218,15 +242,13 @@ class SymmetricTreeLikeTableau(TreeLikeTableau):
 Tableau = Union[PermutationTableau, TypeBTableau, TreeLikeTableau]
 
 
-@dataclass(frozen=True)
-class RuleViolation:
+class RuleViolation(NamedTuple):
     rule: str
     cell: Cell | None
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     violations: tuple[RuleViolation, ...]
 
     @property
@@ -237,8 +259,7 @@ class ValidationResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class MarkerMap:
+class MarkerMap(NamedTuple):
     """Distinguished cells of a 0/1 tableau.
 
     * ``topmost_ones`` -- the highest 1 of each non-empty column;
@@ -260,8 +281,7 @@ class MarkerMap:
     unrestricted_rows: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CornerStats:
+class CornerStats(NamedTuple):
     corner_count: int
     occupied_corner_count: int | None
 

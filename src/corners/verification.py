@@ -26,12 +26,11 @@ invocation stays well under a minute.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial
 from operator import attrgetter
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .bijections import round_trip, tree_like_to_permutation_shape
 from .chain import (
@@ -79,8 +78,7 @@ _CHAIN_RANGE = range(2, 25)  # closed-form vs DP rows, enumeration-free
 _census = lru_cache(maxsize=None)(census)
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(NamedTuple):
     identity: str
     parameters: str
     lhs: str
@@ -110,8 +108,7 @@ def _row(identity: str, parameters: str, lhs: object, rhs: object) -> Verificati
     return VerificationRow(identity, parameters, left, right, "pass" if left == right else "fail")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     rows: tuple[VerificationRow, ...]
 

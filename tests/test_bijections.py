@@ -40,6 +40,16 @@ def test_round_trip_goes_through_the_partner_and_back():
     assert round_trip(SYMMETRIC_11) == (TYPE_B_5, SYMMETRIC_11)
 
 
+@pytest.mark.parametrize("t", [TYPE_B_5, SYMMETRIC_11], ids=["type-b", "symmetric"])
+def test_round_trip_validates_each_tableau_once(monkeypatch, t):
+    # the input, the partner and the tableau that comes back
+    seen = []
+    validate = bijections.validate
+    monkeypatch.setattr(bijections, "validate", lambda x: seen.append(x) or validate(x))
+    partner, back = round_trip(t)
+    assert seen == [t, partner, back]
+
+
 def test_fold_checks_that_its_result_unfolds_back(monkeypatch):
     lower_points = bijections._lower_points
     monkeypatch.setattr(bijections, "_lower_points", lambda b: set(sorted(lower_points(b))[:-1]))

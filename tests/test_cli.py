@@ -807,9 +807,9 @@ def test_console_script_on_path():
     _assert_help(proc)
 
 
-# Prints the exit code, the loaded ``corners.*`` modules and whether
-# ``fractions`` and ``dataclasses`` are loaded, after ``run_command(argv)``
-# or, with no arguments, after ``build_parser()``.
+# Prints the exit code, the loaded ``corners.*`` modules, whether
+# ``fractions`` is loaded and which of ``dataclasses`` and ``inspect`` are,
+# after ``run_command(argv)`` or, with no arguments, after ``build_parser()``.
 _IMPORT_PROBE = """
 import json, sys
 from corners.cli import build_parser, run_command
@@ -819,7 +819,8 @@ else:
     build_parser()
     code = 0
 loaded = sorted(m for m in sys.modules if m.startswith("corners."))
-print(json.dumps([code, loaded, "fractions" in sys.modules, "dataclasses" in sys.modules]))
+heavy = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+print(json.dumps([code, loaded, "fractions" in sys.modules, heavy]))
 """
 
 _PARSE_MODULES = {"corners.cli", "corners.errors", "corners.families"}
@@ -847,14 +848,13 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, argv, engines):
         capture_output=True, text=True, env=_src_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    code, loaded, fractions_loaded, dataclasses_loaded = json.loads(proc.stdout)
+    code, loaded, fractions_loaded, heavy = json.loads(proc.stdout)
     assert code == 0, proc.stderr
     assert set(loaded) == _PARSE_MODULES | {f"corners.{m}" for m in engines}
     if "chain" not in engines:
         assert not fractions_loaded
-    if not engines:
-        # parsing alone loads no dataclass machinery (``inspect``, ``ast``, ``dis``)
-        assert not dataclasses_loaded
+    # no command loads the dataclass machinery (``inspect``, ``ast``, ``dis``)
+    assert heavy == []
 
 
 def test_bijection_closes_its_input_file(tmp_path):

@@ -21,6 +21,18 @@ def test_rejects_empty_and_illegal():
         BorderPath("SXW")
 
 
+def test_a_path_is_an_immutable_value():
+    p = BorderPath(steps="SW")
+    assert p == BorderPath("SW") and p != BorderPath("WS") and p != "SW"
+    assert hash(p) == hash((p.steps,))
+    assert repr(p) == "BorderPath(steps='SW')"
+    with pytest.raises(AttributeError, match="cannot assign to field 'steps'"):
+        p.steps = "WS"
+    with pytest.raises(AttributeError, match="cannot delete field 'steps'"):
+        del p.steps
+    assert p.steps == "SW"
+
+
 def test_row_lengths_of_figure_paths():
     assert BorderPath("SWWSSWWWSSWS").row_lengths == (6, 4, 4, 1, 1, 0)
     assert BorderPath("SSWWSSWWWSSWSW").row_lengths == (7, 7, 5, 5, 2, 2, 1)

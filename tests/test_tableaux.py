@@ -158,6 +158,53 @@ def test_symmetric_construction_guards():
         SymmetricTreeLikeTableau(BorderPath("SSWW"), frozenset([(1, 1), (1, 2)]))
 
 
+def test_tableaux_of_different_families_are_never_equal():
+    path = BorderPath("S")
+    perm, type_b = PermutationTableau(path, ((),)), TypeBTableau(path, ((),))
+    assert perm != type_b
+    assert perm == PermutationTableau(BorderPath("S"), ((),))
+    tree = TreeLikeTableau(BorderPath("SW"), {(1, 1)})
+    sym = SymmetricTreeLikeTableau(BorderPath("SW"), {(1, 1)})
+    assert tree != sym
+    assert sym == SymmetricTreeLikeTableau(BorderPath("SW"), frozenset([(1, 1)]))
+    for t in (perm, type_b, PERMUTATION_12, TYPE_B_6):
+        assert hash(t) == hash((t.path, t.rows))
+    for t in (tree, sym, TREE_LIKE_13):
+        assert hash(t) == hash((t.path, t.points))
+
+
+@pytest.mark.parametrize("t, name", [
+    (PERMUTATION_12, "rows"),
+    (TYPE_B_6, "path"),
+    (TREE_LIKE_13, "points"),
+    (SymmetricTreeLikeTableau(BorderPath("SW"), {(1, 1)}), "points"),
+], ids=["perm", "type-b", "tree", "symmetric"])
+def test_tableaux_are_immutable(t, name):
+    value = getattr(t, name)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(t, name, value)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(t, name)
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    assert getattr(t, name) is value and not hasattr(t, "extra")
+
+
+def test_tableau_repr_and_keyword_construction():
+    perm = PermutationTableau(path=BorderPath("SW"), rows=((1,),))
+    assert repr(perm) == "PermutationTableau(path=BorderPath(steps='SW'), rows=((1,),))"
+    type_b = TypeBTableau(path=BorderPath("S"), rows=[[]])
+    assert repr(type_b) == "TypeBTableau(path=BorderPath(steps='S'), rows=((),))"
+    tree = TreeLikeTableau(path=BorderPath("SW"))
+    assert tree.points == frozenset()
+    assert repr(tree) == "TreeLikeTableau(path=BorderPath(steps='SW'), points=frozenset())"
+    sym = SymmetricTreeLikeTableau(path=BorderPath("SW"), points=[(1, 1)])
+    assert repr(sym) == (
+        "SymmetricTreeLikeTableau(path=BorderPath(steps='SW'), points=frozenset({(1, 1)}))"
+    )
+    assert SymmetricTreeLikeTableau(BorderPath("SW")).points == frozenset()
+
+
 def test_family_of():
     assert TREE_LIKE_13.family is Family.TREE_LIKE
     assert PERMUTATION_12.family is Family.PERMUTATION
