@@ -20,7 +20,11 @@ and the result is mirrored.  That marker-to-point rule lives in one
 place, ``_lower_points``: the fold validates its result and checks that
 it unfolds back to the input, and the unfold validates its result.  Any
 inconsistency raises :class:`BijectionError` instead of returning a
-wrong tableau.  The image's path is read from the source path
+wrong tableau.  ``_lower_points`` keeps its last answer (one entry),
+since a round trip reads the rule for a type-B tableau and then for an
+equal one.  A tableau is an immutable value, so the cached answer is
+the one recomputing would give, and the fold's unfold-back comparison
+still runs on every fold.  The image's path is read from the source path
 (``BorderPath.folded_half``, ``BorderPath.unfolded``), which caches it,
 so every tableau of one shape maps to one shared path object.
 ``round_trip`` composes the two maps, in the order the input's family
@@ -36,6 +40,8 @@ chain counts; this module never loads the chain.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import BijectionError, DomainError, InvalidTableauError
 from .shapes import BorderPath, Cell
@@ -158,11 +164,13 @@ def _fold(t: SymmetricTreeLikeTableau) -> TypeBTableau:
     return b
 
 
-def _lower_points(b: TypeBTableau) -> set[Cell]:
+@lru_cache(maxsize=1)
+def _lower_points(b: TypeBTableau) -> frozenset[Cell]:
     """The points on and below the diagonal of ``b``'s unfolding: the root,
     ``(r+1, 1)`` for each unrestricted row, and ``(r+1, c+1)`` for each
     off-diagonal topmost 1 and each rightmost restricted 0 of a row
-    without a diagonal 0."""
+    without a diagonal 0.  The last answer is kept for a round trip's
+    second read."""
     m = markers(b)
     k = b.path.column_count
     diag_zero_rows = {r for r, _ in m.diagonal_zeros}
@@ -172,7 +180,7 @@ def _lower_points(b: TypeBTableau) -> set[Cell]:
         (r + 1, c + 1) for r, c in m.rightmost_restricted_zeros if r not in diag_zero_rows
     )
     lower.update((r + 1, c + 1) for r, c in m.topmost_ones if not r == c <= k)
-    return lower
+    return frozenset(lower)
 
 
 def type_b_to_symmetric(b: TypeBTableau) -> SymmetricTreeLikeTableau:
@@ -190,7 +198,7 @@ def _unfold(b: TypeBTableau) -> SymmetricTreeLikeTableau:
     lower = _lower_points(b)
     t = SymmetricTreeLikeTableau(
         b.path.unfolded,
-        frozenset(lower) | frozenset((c, r) for r, c in lower),
+        lower | frozenset((c, r) for r, c in lower),
     )
     result = validate(t)
     if not result.ok:

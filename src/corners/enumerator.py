@@ -18,10 +18,13 @@ legal rows of one row given the columns already covered above it: bit
 rows for the permutation and type-B families, point rows for the pointed
 ones, where a symmetric row is its upper part, from the diagonal cell
 rightwards.  A filling is a choice of legal rows, top to bottom, that
-covers every column it must.  Enumeration walks these rows depth first
-and builds each tableau.  Each row's legal rows are sorted by their
-cells, so the walk yields the fillings of a shape in canonical order and
-nothing is collected per shape.  That holds for symmetric tableaux too:
+covers every column it must.  Enumeration walks a shape's top rows
+depth first and takes its last two rows from suffix lists, one per set
+of columns the top rows cover, kept for that shape only; it builds each
+filling once, as its top rows followed by a suffix, and then its
+tableau.  Each row's legal rows are sorted by their cells, so the walk
+yields the fillings of a shape in canonical order and no filling is
+collected per shape.  That holds for symmetric tableaux too:
 each cell left of the diagonal mirrors a cell of an earlier upper row,
 so the row-major word is decided upper row by upper row.
 The census of a 0/1 family walks them breadth first, merging fillings
@@ -182,20 +185,37 @@ def _row_reader() -> _Reader:
 
 
 def _fillings(rows: _Reader, rule: _Rule, keys: list[tuple], need: int) -> Iterator[Bits]:
-    """Every filling of one shape, row by row depth first; with rows
-    sorted by their cells, in the order of the filling read row by row."""
-    fill: list[tuple[int, ...]] = [()] * len(keys)
+    """Every filling of one shape; with rows sorted by their cells, in the
+    order of the filling read row by row.
 
-    def walk(r: int, above: int) -> Iterator[Bits]:
-        if r == len(keys):
-            if above & need == need:
-                yield tuple(fill)
+    The top rows are walked depth first.  The last two rows come from
+    suffix lists, one per set of columns the top rows cover, each built
+    once for this shape and listed in the same order; each filling is
+    built once, as its top rows followed by one suffix.
+    """
+    split = max(len(keys) - 2, 0)
+    suffixes: dict[int, list[Bits]] = {}
+
+    def tops(r: int, above: int, prefix: Bits) -> Iterator[tuple[Bits, int]]:
+        if r == split:
+            yield prefix, above
             return
         for cells, cover, *_ in rows(rule, keys[r], above):
-            fill[r] = cells
-            yield from walk(r + 1, above | cover)
+            yield from tops(r + 1, above | cover, (*prefix, cells))
 
-    return walk(0, 0)
+    for prefix, above in tops(0, 0, ()):
+        ends = suffixes.get(above)
+        if ends is None:
+            level: list[tuple[Bits, int]] = [((), above)]
+            for key in keys[split:]:
+                level = [
+                    ((*end, cells), covered | cover)
+                    for end, covered in level
+                    for cells, cover, *_ in rows(rule, key, covered)
+                ]
+            ends = suffixes[above] = [end for end, covered in level if covered & need == need]
+        for end in ends:
+            yield prefix + end
 
 
 def _tally(rows: _Reader, rule: _Rule, keys: list[tuple], need: int) -> Counter[int]:

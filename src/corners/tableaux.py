@@ -23,10 +23,10 @@ Each class names its :class:`~corners.families.Family` as the class
 attribute ``family``.  Every shape is a :class:`~corners.shapes.BorderPath`;
 a type-B tableau fills the shifted diagram of its path
 (``path.shifted_row_lengths``).  Constructors check only structure (the
-filling must cover the shape with ``int`` bits 0 and 1, or points inside
-it), from the row lengths the path caches; family rules are checked by
-:func:`validate` so that fillings that break them can still be
-represented.
+filling must cover the shape with ``int`` bits 0 and 1, or with points
+inside it, each a pair of ``int``), from the row lengths the path caches;
+family rules are checked by :func:`validate` so that fillings that break
+them can still be represented.
 
 A tableau is an immutable value on the ``shapes`` base ``_Frozen``: its
 constructor checks and sets its fields once, and two tableaux are equal
@@ -191,9 +191,13 @@ class TreeLikeTableau(_Frozen):
         points = frozenset(points)
         self._set_field("points", points)
         lengths = path.row_lengths
-        stray = [
-            (r, c) for r, c in points if not (0 < r <= len(lengths) and 0 < c <= lengths[r - 1])
-        ]
+        stray = []
+        for point in points:
+            if not (type(point) is tuple and len(point) == 2 and type(point[0]) is type(point[1]) is int):
+                raise ShapeFillingMismatchError(f"point {point!r} is not a pair of ints")
+            r, c = point
+            if not (0 < r <= len(lengths) and 0 < c <= lengths[r - 1]):
+                stray.append(point)
         if stray:
             raise ShapeFillingMismatchError(
                 f"points {sorted(stray)} fall outside the shape of {path.steps!r}"

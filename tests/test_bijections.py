@@ -50,6 +50,19 @@ def test_round_trip_validates_each_tableau_once(monkeypatch, t):
     assert seen == [t, partner, back]
 
 
+@pytest.mark.parametrize("t", [TYPE_B_5, SYMMETRIC_11], ids=["type-b", "symmetric"])
+def test_round_trip_reads_the_marker_rule_once(monkeypatch, t):
+    # the unfold and the fold read the rule for equal type-B tableaux;
+    # the second read is served from the one cached entry
+    bijections._lower_points.cache_clear()
+    seen = []
+    markers = bijections.markers
+    monkeypatch.setattr(bijections, "markers", lambda b: seen.append(b) or markers(b))
+    partner, back = round_trip(t)
+    assert seen == [t if t is TYPE_B_5 else partner]
+    assert back == t
+
+
 def test_fold_checks_that_its_result_unfolds_back(monkeypatch):
     lower_points = bijections._lower_points
     monkeypatch.setattr(bijections, "_lower_points", lambda b: set(sorted(lower_points(b))[:-1]))

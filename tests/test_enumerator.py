@@ -12,6 +12,7 @@ from corners.enumerator import (
     _fillings,
     _row_reader,
     _shape_rows,
+    _shapes,
     _tableau,
     census,
     enumerate_shapes,
@@ -71,6 +72,37 @@ def test_enumeration_is_sorted_and_duplicate_free():
         assert keys == sorted(keys)
         index = (size - 1) // 2 if family is Family.SYMMETRIC else size
         assert len(set(keys)) == len(keys) == _closed_form_count(index, family)
+
+
+def _recursive_fillings(rows, rule, keys, need):
+    """The reference walk: every row depth first, with no suffix lists,
+    each filling passed up one frame per row."""
+    fill = [()] * len(keys)
+
+    def walk(r, above):
+        if r == len(keys):
+            if above & need == need:
+                yield tuple(fill)
+            return
+        for cells, cover, *_ in rows(rule, keys[r], above):
+            fill[r] = cells
+            yield from walk(r + 1, above | cover)
+
+    return walk(0, 0)
+
+
+@pytest.mark.parametrize("family", list(_CENSUS_CAP))
+def test_fillings_match_the_recursive_walk(family):
+    rows = _row_reader()
+    row_counts = set()
+    for size in range(1, _CENSUS_CAP[family] + 1, 2 if family is Family.SYMMETRIC else 1):
+        for path in _shapes(size, family):
+            rule, keys, need = _shape_rows(family, path)
+            fills = list(_fillings(rows, rule, keys, need))
+            assert fills == list(_recursive_fillings(rows, rule, keys, need)), path.steps
+            assert all(type(fill) is tuple and len(fill) == len(keys) for fill in fills), path.steps
+            row_counts.add(len(keys))
+    assert {1, 2, 3} <= row_counts
 
 
 def test_symmetric_walk_yields_canonical_order_unsorted():

@@ -81,6 +81,19 @@ def test_points_outside_the_shape_are_rejected(cls, point):
         cls(BorderPath("SWWSSW"), frozenset([(1, 1), (r, c), (c, r)]))
 
 
+# on the path SW the one cell is (1, 1); these would compare equal to it,
+# or fail with a bare TypeError or ValueError, if let through
+@pytest.mark.parametrize("cls", [TreeLikeTableau, SymmetricTreeLikeTableau])
+@pytest.mark.parametrize(
+    "point",
+    [(True, True), (1, 1.0), (1.0, 1), 1, (1, 1, 1)],
+    ids=["bools", "float-column", "float-row", "int", "triple"],
+)
+def test_points_must_be_pairs_of_ints(cls, point):
+    with pytest.raises(ShapeFillingMismatchError, match="not a pair of ints"):
+        cls(BorderPath("SW"), {point})
+
+
 @pytest.mark.parametrize(
     "rows",
     [
