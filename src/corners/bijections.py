@@ -10,21 +10,25 @@ Two maps carry all corner bookkeeping used elsewhere:
   diagonal into a type-B tableau of size ``n`` and its mirror image.
 
 The second map (``symmetric_to_type_b``, inverse ``type_b_to_symmetric``)
-works marker-wise.  Going down, the topmost point of each column turns
-into a 1 and every other point (necessarily leftmost in its row) into a
-0; all remaining cells of the surviving lower-triangle diagram have
-forced values, computed by one top-to-bottom sweep.  Going up, 1s that
-are topmost in their column and 0s that are rightmost restricted zeros
-turn back into points, a new first column marks the unrestricted rows,
-and the result is mirrored.  That marker-to-point rule lives in one
-place, ``_lower_points``: the fold validates its result and checks that
-it unfolds back to the input, and the unfold validates its result.  Any
-inconsistency raises :class:`BijectionError` instead of returning a
-wrong tableau.  ``_lower_points`` keeps its last answer (one entry),
-since a round trip reads the rule for a type-B tableau and then for an
-equal one.  A tableau is an immutable value, so the cached answer is
-the one recomputing would give, and the fold's unfold-back comparison
-still runs on every fold.  The image's path is read from the source path
+works marker-wise.  Going down, one row-major pass over the points
+reads the markers: a point in the first column marks an unrestricted
+row, the topmost point of any other column turns into a 1, and every
+other point (necessarily leftmost in its row) into its row's marked 0.
+All remaining cells of the surviving lower-triangle diagram have forced
+values, one mask per row: its 1s, its diagonal cell, and the columns
+with a 1 higher up that lie right of its marked 0; a row with neither
+mark is all 0.  Going up, 1s that are topmost in their column and 0s
+that are rightmost restricted zeros turn back into points, a new first
+column marks the unrestricted rows, and the result is mirrored.  That
+marker-to-point rule lives in one place, ``_lower_points``: the fold
+validates its result and checks that it unfolds back to the input, and
+the unfold validates its result.  Any inconsistency raises
+:class:`BijectionError` instead of returning a wrong tableau.
+``_lower_points`` keeps its last answer (one entry), since a round trip
+reads the rule for a type-B tableau and then for an equal one.  A
+tableau is an immutable value, so the cached answer is the one
+recomputing would give, and the fold's unfold-back comparison still
+runs on every fold.  The image's path is read from the source path
 (``BorderPath.folded_half``, ``BorderPath.unfolded``), which caches it,
 so every tableau of one shape maps to one shared path object.
 ``round_trip`` composes the two maps, in the order the input's family
@@ -48,6 +52,7 @@ from .shapes import BorderPath, Cell
 from .tableaux import (
     SymmetricTreeLikeTableau,
     TypeBTableau,
+    _cells,
     markers,
     validate,
 )
@@ -76,14 +81,6 @@ def _require_valid(t, what: str) -> None:
         raise InvalidTableauError(f"{what}: {result.violations[0].message}")
 
 
-def _column_tops(points) -> dict[int, int]:
-    """The topmost row of each column holding a point."""
-    tops: dict[int, int] = {}
-    for r, c in sorted(points):
-        tops.setdefault(c, r)
-    return tops
-
-
 def symmetric_to_type_b(t: SymmetricTreeLikeTableau) -> TypeBTableau:
     """Fold a symmetric tree-like tableau of size ``2n + 1`` down to a
     type-B tableau of size ``n``.
@@ -103,53 +100,46 @@ def symmetric_to_type_b(t: SymmetricTreeLikeTableau) -> TypeBTableau:
 
 def _fold(t: SymmetricTreeLikeTableau) -> TypeBTableau:
     """The fold of a valid symmetric tableau of size at least 3, with the
-    checks on its result but none on ``t``."""
+    checks on its result but none on ``t``.
+
+    One row-major pass over the points classifies each point ``(r, c)``
+    on or below the diagonal, which lands on type-B cell
+    ``(r - 1, c - 1)``: in column 1 it makes row ``r - 1`` unrestricted,
+    under an earlier point of its column it is that row's rightmost
+    restricted 0, and otherwise it is a topmost 1.  Above the diagonal
+    column ``c`` mirrors row ``c``, so the pass reads every point to
+    learn which columns already hold one.  Each type-B row is then one
+    mask: its topmost 1s, its diagonal cell, and the columns with a 1
+    higher up that lie right of its marked 0.  A row with neither a
+    column-1 point nor a marked 0 is all 0.
+    """
     b_path = t.path.folded_half
     k = b_path.column_count
-
-    # a lower-triangle point (r, c) is covered when its column holds a
-    # point higher up; above the diagonal the column mirrors row c, so the
-    # column's topmost point decides
-    tops = _column_tops(t.points)
     lower: set[Cell] = set()
-    ones: set[Cell] = set()
-    zero_marks: dict[int, int] = {}  # a valid input marks at most one 0 per row
-    unrestricted: set[int] = set()
-    for r, c in t.points:
-        if c > r:
-            continue
-        lower.add((r, c))
-        if c == 1:
-            if r > 1:
-                unrestricted.add(r - 1)
-        elif tops[c] < r:
-            zero_marks[r - 1] = c - 1  # leftmost point of its row
-        else:
-            ones.add((r - 1, c - 1))  # topmost point of its column
+    seen = 0  # columns of t holding a point so far, bit c for column c
+    ones: dict[int, int] = {}  # type-B row -> its topmost 1s
+    right_of_mark: dict[int, int] = {}  # type-B row -> the columns right of its marked 0
+    for r, c in sorted(t.points):
+        if c <= r:
+            lower.add((r, c))
+            if c == 1:
+                if r > 1:
+                    right_of_mark[r - 1] = -1
+            elif seen >> c & 1:
+                right_of_mark[r - 1] = -1 << (c - 1)
+            else:
+                ones[r - 1] = ones.get(r - 1, 0) | 1 << (c - 2)
+        seen |= 1 << c
 
     rows: list[tuple[int, ...]] = []
-    col_has_one = [False] * (k + 1)
-    for big_r, length in enumerate(b_path.shifted_row_lengths, start=1):
-        zero_mark = zero_marks.get(big_r)
-        all_zero_row = big_r not in unrestricted and zero_mark is None
-        row: list[int] = []
-        for c in range(1, length + 1):
-            if all_zero_row:
-                bit = 0
-            elif (big_r, c) in ones:
-                bit = 1
-            elif big_r == c <= k:
-                bit = 1
-            elif zero_mark is not None and c <= zero_mark:
-                bit = 0
-            elif col_has_one[c]:
-                bit = 1
-            else:
-                bit = 0
-            row.append(bit)
-            if bit:
-                col_has_one[c] = True
-        rows.append(tuple(row))
+    above = 0  # columns holding a 1 in the rows filled so far
+    for r, length in enumerate(b_path.shifted_row_lengths, start=1):
+        bits = 0
+        if r in right_of_mark:
+            diagonal = 1 << (r - 1) if r <= k else 0
+            bits = (ones.get(r, 0) | diagonal | above & right_of_mark[r]) & ((1 << length) - 1)
+            above |= bits
+        rows.append(_cells(bits, length))
 
     b = TypeBTableau(b_path, tuple(rows))
     result = validate(b)

@@ -366,7 +366,7 @@ def _family(text: str) -> Family:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_common(parser: argparse.ArgumentParser, *, family: Family | None = None, size: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, family: Family | None = None) -> None:
     parser.add_argument(
         "--family",
         type=_family,
@@ -374,9 +374,8 @@ def _add_common(parser: argparse.ArgumentParser, *, family: Family | None = None
         required=family is None,
         help="tree-like, permutation, type-b or symmetric",
     )
-    if size:
-        parser.add_argument("--size", "-n", "--n", dest="size", type=int, required=True,
-                            help="tableau size (family index for chain-level commands)")
+    parser.add_argument("--size", "-n", "--n", dest="size", type=int, required=True,
+                        help="tableau size (family index for chain-level commands)")
     parser.add_argument("--format", choices=_FORMATS, default="table")
     parser.add_argument("--out", metavar="FILE", default=None, help="write output to FILE instead of stdout")
 

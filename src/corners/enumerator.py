@@ -54,6 +54,7 @@ from .tableaux import (
     Tableau,
     TreeLikeTableau,
     TypeBTableau,
+    _cells,
     corner_stats,
     markers,
 )
@@ -92,10 +93,6 @@ def enumerate_shapes(half_perimeter: int, family: Family) -> Iterator[BorderPath
 _Row = tuple
 _Rule = Callable[..., tuple[_Row, ...]]
 _Reader = Callable[[_Rule, tuple, int], tuple[_Row, ...]]
-
-
-def _cells(bits: int, length: int) -> tuple[int, ...]:
-    return tuple(bits >> c & 1 for c in range(length))
 
 
 def _legal_rows(length: int, diagonal: bool, above: int) -> tuple[_Row, ...]:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages
+quote a value that came from outside."""
 
 from __future__ import annotations
 
@@ -17,6 +18,14 @@ __all__ = [
 ]
 
 
+def _excerpt(value: object) -> str:
+    """``repr(value)``, cut to its first 40 characters and ``...`` when
+    longer: a record may carry a value of any size, and a message quotes
+    only its start."""
+    shown = repr(value)
+    return shown if len(shown) <= 40 else shown[:40] + "..."
+
+
 class CornersError(Exception):
     """Base class for all package-specific errors."""
 
@@ -31,7 +40,7 @@ class IllegalCharacterError(CornersError, ValueError):
     def __init__(self, text: str, position: int) -> None:
         self.position = position
         super().__init__(
-            f"illegal step {text[position]!r} at position {position + 1} in {text!r}"
+            f"illegal step {text[position]!r} at position {position + 1} in {_excerpt(text)}"
         )
 
 

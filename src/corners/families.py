@@ -5,6 +5,8 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
+from .errors import _excerpt
+
 __all__ = ["Family", "BRUTE_FORCE_BUDGET", "ChainBudget", "CHAIN_BUDGET", "SUITE_NAMES"]
 
 
@@ -29,10 +31,7 @@ class Family(str, enum.Enum):
             return cls(text)
         except ValueError:
             names = ", ".join(f.value for f in cls)
-            shown = repr(text)  # a record may carry any JSON value here
-            if len(shown) > 40:
-                shown = shown[:40] + "..."
-            raise ValueError(f"unknown family {shown}; expected one of: {names}") from None
+            raise ValueError(f"unknown family {_excerpt(text)}; expected one of: {names}") from None
 
 
 # Largest size accepted by the exhaustive enumerators, per family.  The caps

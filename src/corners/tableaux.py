@@ -47,7 +47,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, NamedTuple, Union
 
-from .errors import InvalidTableauError, NotSymmetricError, ShapeFillingMismatchError
+from .errors import InvalidTableauError, NotSymmetricError, ShapeFillingMismatchError, _excerpt
 from .families import Family
 from .shapes import BorderPath, Cell, _Frozen
 
@@ -75,6 +75,12 @@ POINT_CHAR = "●"  # filled circle for a pointed cell
 EMPTY_CHAR = "."
 
 Bits = tuple[tuple[int, ...], ...]
+
+
+def _cells(bits: int, length: int) -> tuple[int, ...]:
+    """The row of ``length`` cells whose mask is ``bits``: bit ``c - 1`` is
+    column ``c``."""
+    return tuple(bits >> c & 1 for c in range(length))
 
 
 _BITS = frozenset((0, 1))
@@ -237,7 +243,7 @@ class SymmetricTreeLikeTableau(TreeLikeTableau):
     def __init__(self, path: BorderPath, points: Iterable[Cell] = frozenset()) -> None:
         super().__init__(path, points)
         if not self.path.is_self_conjugate:
-            raise NotSymmetricError(f"shape {self.path.steps!r} is not self-conjugate")
+            raise NotSymmetricError(f"shape {_excerpt(self.path.steps)} is not self-conjugate")
         mirrored = frozenset((c, r) for r, c in self.points)
         if mirrored != self.points:
             raise NotSymmetricError("point set is not invariant under transposition")
@@ -358,7 +364,7 @@ def _validate_tree_like(t: TreeLikeTableau) -> list[RuleViolation]:
             RuleViolation(
                 "shape-not-tree-like",
                 None,
-                f"shape {t.path.steps!r} has an empty row or column",
+                f"shape {_excerpt(t.path.steps)} has an empty row or column",
             )
         )
     if (1, 1) not in t.points:
@@ -479,7 +485,7 @@ def from_record(record: dict) -> Tableau:
     if not isinstance(record, dict):
         raise InvalidTableauError(f"a tableau record is a JSON object, got {type(record).__name__}")
     if record.get("schema", "tableau/v1") != "tableau/v1":
-        raise InvalidTableauError(f"a tableau record's schema must be 'tableau/v1', got {record['schema']!r}")
+        raise InvalidTableauError(f"a tableau record's schema must be 'tableau/v1', got {_excerpt(record['schema'])}")
     for key in ("family", "path", "rows"):
         if key not in record:
             raise InvalidTableauError(f"a tableau record needs the key {key!r}")

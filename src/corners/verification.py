@@ -90,13 +90,7 @@ class VerificationRow(NamedTuple):
         return self.status == "pass"
 
     def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "parameters": self.parameters,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "status": self.status,
-        }
+        return self._asdict()
 
 
 def _row(identity: str, parameters: str, lhs: object, rhs: object) -> VerificationRow:

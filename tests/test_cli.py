@@ -10,7 +10,6 @@ import shutil
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -193,6 +192,24 @@ def test_bijection_quotes_only_a_prefix_of_an_unknown_family(capsys, monkeypatch
     code, out, err = run(capsys, "bijection", "fold")
     assert (code, out) == (2, "")
     assert "unknown family" in err and len(err.encode()) < 300
+
+
+OVERSIZED_RECORDS = {
+    "schema": {"schema": "x" * 200_000, "family": "type-b", "path": "SW", "rows": ["0", "1"]},
+    "illegal-step": {"family": "type-b", "path": "S" * 199_999 + "X", "rows": ["0"]},
+    "not-self-conjugate": {"family": "symmetric", "path": "S" * 50_000 + "W", "rows": ["."] * 50_000},
+    "not-tree-like": {"family": "symmetric", "path": "WS" * 1000, "rows": ["." * (999 - i) for i in range(1000)]},
+}
+
+
+@pytest.mark.parametrize("direction", ("fold", "unfold"))
+@pytest.mark.parametrize("record", OVERSIZED_RECORDS.values(), ids=OVERSIZED_RECORDS)
+def test_bijection_quotes_only_a_prefix_of_an_oversized_field(capsys, monkeypatch, record, direction):
+    # a rejected schema or path is quoted by its start, as an unknown family is
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(record)))
+    code, out, err = run(capsys, "bijection", direction)
+    assert (code, out) == (2, "")
+    assert "..." in err and len(err.encode()) < 300
 
 
 @pytest.mark.parametrize("direction", ("fold", "unfold"))
@@ -531,19 +548,41 @@ def test_list_json_out_file_matches_stdout(capsys, tmp_path, argv):
     assert target.read_bytes() == out.encode()
 
 
+_TRACED_PEAK = """
+import sys, tracemalloc
+from corners.cli import run_command
+warm, argv = sys.argv[1] == "warm", sys.argv[2:]
+if warm and run_command(argv):
+    sys.exit("warm-up run failed")
+tracemalloc.start()
+if run_command(argv):
+    sys.exit("traced run failed")
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def _traced_peak(argv, warm):
+    """The traced peak of one ``run_command(argv)`` in a fresh interpreter,
+    after an untraced first run of it when ``warm``.
+
+    A tuple taken from CPython's free lists is not a traced allocation, so
+    in this process the figure would depend on the tests that ran before.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_PEAK, "warm" if warm else "cold", *argv],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
 def test_enumerate_json_keeps_only_the_rendered_records(tmp_path):
     # each record becomes its text as the tableau is yielded, so the traced
     # peak stays near the output size: the tableaux, the record dicts and a
     # second copy of the whole text are never all held at once
     target = tmp_path / "b5.json"
     argv = ["enumerate", "--family", "type-b", "--size", "5", "--format", "json", "--out", str(target)]
-    tracemalloc.start()
-    try:
-        assert run_command(argv) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * target.stat().st_size
+    assert _traced_peak(argv, warm=False) < 4 * target.stat().st_size
 
 
 def test_enumerate_table_keeps_no_second_copy_of_the_text(tmp_path):
@@ -552,14 +591,7 @@ def test_enumerate_table_keeps_no_second_copy_of_the_text(tmp_path):
     # a first run fills the row caches so the traced peak is the render's own
     target = tmp_path / "b5.txt"
     argv = ["enumerate", "--family", "type-b", "--size", "5", "--format", "table", "--out", str(target)]
-    assert run_command(argv) == 0
-    tracemalloc.start()
-    try:
-        assert run_command(argv) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 12 * target.stat().st_size
+    assert _traced_peak(argv, warm=True) < 12 * target.stat().st_size
 
 
 def test_enumerate_table_keeps_no_copy_of_the_cells(tmp_path):
@@ -568,14 +600,7 @@ def test_enumerate_table_keeps_no_copy_of_the_cells(tmp_path):
     # beside the rows; a first run fills the row caches
     target = tmp_path / "b5.txt"
     argv = ["enumerate", "--family", "type-b", "--size", "5", "--format", "table", "--out", str(target)]
-    assert run_command(argv) == 0
-    tracemalloc.start()
-    try:
-        assert run_command(argv) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 7 * target.stat().st_size
+    assert _traced_peak(argv, warm=True) < 7 * target.stat().st_size
 
 
 def test_enumerate_csv_keeps_no_copy_of_the_text(tmp_path):
@@ -584,14 +609,7 @@ def test_enumerate_csv_keeps_no_copy_of_the_text(tmp_path):
     # a fixed 128 KiB or so; a first run fills the row caches
     target = tmp_path / "b5.csv"
     argv = ["enumerate", "--family", "type-b", "--size", "5", "--format", "csv", "--out", str(target)]
-    assert run_command(argv) == 0
-    tracemalloc.start()
-    try:
-        assert run_command(argv) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 9 * target.stat().st_size
+    assert _traced_peak(argv, warm=True) < 9 * target.stat().st_size
 
 
 # (argv, format) -> (exit code, sha256 of stdout) for every subcommand in

@@ -4,9 +4,11 @@ The reference functions below are the earlier, direct readings of the
 rules: each 0/1 column is rescanned for a 1, each 0 slices its row for a
 1 to its left, each tree-like point scans its row and its column, the
 markers are found cell by cell and the unrestricted rows by a second
-scan.  The fold's covered-point test scans the column above the point and
-the mirrored row.  Every filling of every small shape, valid or not, must
-give the same violations in the same order and the same markers.
+scan.  The fold fills its type-B rows cell by cell, and its covered-point
+test scans the column above the point and the mirrored row.  Every
+filling of every small shape, valid or not, must give the same violations
+in the same order and the same markers, and every small symmetric
+tableau the same fold.
 """
 
 from itertools import combinations
@@ -14,7 +16,7 @@ from itertools import combinations
 import pytest
 
 from conftest import cached_tableaux
-from corners.bijections import _column_tops
+from corners.bijections import symmetric_to_type_b
 from corners.families import Family
 from corners.shapes import all_paths
 from corners.tableaux import (
@@ -153,6 +155,47 @@ def ref_covered_above(points, r, c):
     return any((i, c) in points for i in range(c, r)) or any((c, j) in points for j in range(1, c))
 
 
+def ref_fold_rows(t):
+    """The type-B rows of the fold of ``t``, one cell at a time."""
+    b_path = t.path.folded_half
+    k = b_path.column_count
+    ones, zero_marks, unrestricted = set(), {}, set()
+    for r, c in t.points:
+        if c > r:
+            continue
+        if c == 1:
+            if r > 1:
+                unrestricted.add(r - 1)
+        elif ref_covered_above(t.points, r, c):
+            zero_marks[r - 1] = c - 1
+        else:
+            ones.add((r - 1, c - 1))
+    rows = []
+    col_has_one = [False] * (k + 1)
+    for big_r, length in enumerate(b_path.shifted_row_lengths, start=1):
+        zero_mark = zero_marks.get(big_r)
+        all_zero_row = big_r not in unrestricted and zero_mark is None
+        row = []
+        for c in range(1, length + 1):
+            if all_zero_row:
+                bit = 0
+            elif (big_r, c) in ones:
+                bit = 1
+            elif big_r == c <= k:
+                bit = 1
+            elif zero_mark is not None and c <= zero_mark:
+                bit = 0
+            elif col_has_one[c]:
+                bit = 1
+            else:
+                bit = 0
+            row.append(bit)
+            if bit:
+                col_has_one[c] = True
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def bit_fillings(cls, path):
     """Every 0/1 filling of the diagram ``cls`` puts on ``path``."""
     lengths = path.shifted_row_lengths if cls is TypeBTableau else path.row_lengths
@@ -237,9 +280,6 @@ def test_sweeps_catch_every_rule():
 
 
 @pytest.mark.parametrize("size", range(3, 12, 2))
-def test_column_tops_match_covered_above(size):
+def test_fold_matches_the_cell_by_cell_sweep(size):
     for t in cached_tableaux(size, Family.SYMMETRIC):
-        tops = _column_tops(t.points)
-        for r, c in t.points:
-            if 2 <= c <= r:
-                assert (tops[c] < r) == ref_covered_above(t.points, r, c)
+        assert symmetric_to_type_b(t).rows == ref_fold_rows(t)
