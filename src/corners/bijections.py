@@ -24,6 +24,11 @@ marker-to-point rule lives in one place, ``_lower_points``: the fold
 validates its result and checks that it unfolds back to the input, and
 the unfold validates its result.  Any inconsistency raises
 :class:`BijectionError` instead of returning a wrong tableau.
+The fold builds its type-B tableau without the constructor's structure
+check (``_trusted``): its rows are cut to the shifted row lengths, so
+they fit the shape by construction.  The unfold keeps the checking
+constructor, since :func:`validate` does not test that points lie inside
+the shape, and a wrong marker rule could place one outside it.
 ``_lower_points`` keeps its last answer (one entry), since a round trip
 reads the rule for a type-B tableau and then for an equal one.  A
 tableau is an immutable value, so the cached answer is the one
@@ -141,7 +146,7 @@ def _fold(t: SymmetricTreeLikeTableau) -> TypeBTableau:
             above |= bits
         rows.append(_cells(bits, length))
 
-    b = TypeBTableau(b_path, tuple(rows))
+    b = TypeBTableau._trusted(b_path, tuple(rows))
     result = validate(b)
     if not result.ok:
         raise BijectionError(

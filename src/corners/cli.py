@@ -27,7 +27,8 @@ process loads only what its subcommand needs: parsing, ``--help`` and the
 a bytecode cache every imported module is compiled afresh in each process.
 
 Exit codes: 0 success / all checks pass; 1 a verification or round-trip
-check failed (a witness is printed to stderr); 2 usage or domain error.
+check failed (a witness is printed to stderr); 2 usage or domain error;
+141 the reader closed stdout early (nothing is printed).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from functools import lru_cache, partial
@@ -435,12 +437,22 @@ def run_command(argv: Sequence[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at shutdown
+        return status
     except BijectionError as exc:
         print(f"bijection failure: {exc}", file=sys.stderr)
         return 1
     except CornersError as exc:
         return _fail_usage(str(exc))
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so the flush at shutdown cannot fail, and exit with the status a
+        # shell gives a process that SIGPIPE ends
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 128 + 13
     except (OSError, ValueError) as exc:
         return _fail_usage(str(exc))
 

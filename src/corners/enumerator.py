@@ -35,6 +35,13 @@ so it checks the census statistic rather than the rules.  The rules are
 checked independently by :func:`~corners.tableaux.validate`, by the
 closed-form counts and by growing the extension tree
 (``method="extension"``).
+
+The tableaux built here skip the constructor's structure check
+(``_trusted``), since their construction guarantees it: a walked filling
+has one row per row of the shape, each of its key's length and made of
+bits, and its points lie in those rows, a symmetric one's mirrors too
+(the shape is self-conjugate); an extension or a parent adds or drops
+one bottom row or one leftmost column of a built tableau.
 """
 
 from __future__ import annotations
@@ -240,16 +247,19 @@ def _shapes(n: int, family: Family) -> Iterator[BorderPath]:
 
 
 def _tableau(family: Family, path: BorderPath, fill: Bits) -> Tableau:
+    """The tableau of a walked filling, built without the constructor's
+    checks, which the walk makes true (see the module docstring)."""
     if family is Family.PERMUTATION:
-        return PermutationTableau(path, fill)
+        return PermutationTableau._trusted(path, fill)
     if family is Family.TYPE_B:
-        return TypeBTableau(path, fill)
+        return TypeBTableau._trusted(path, fill)
     points = {
         (r, c) for r, row in enumerate(fill, start=1) for c, cell in enumerate(row, start=1) if cell
     }
     if family is Family.TREE_LIKE:
-        return TreeLikeTableau(path, frozenset(points))
-    return SymmetricTreeLikeTableau(path, frozenset(points | {(c, r) for r, c in points}))
+        return TreeLikeTableau._trusted(path, frozenset(points))
+    points.update([(c, r) for r, c in points])
+    return SymmetricTreeLikeTableau._trusted(path, frozenset(points))
 
 
 def _require_size(n: int, family: Family) -> None:
@@ -285,7 +295,7 @@ def extend_permutation(t: PermutationTableau) -> tuple[PermutationTableau, ...]:
     ascending order of the subset bitmask (bit ``i`` is the i-th
     unrestricted row from the top).
     """
-    south = PermutationTableau(BorderPath(t.path.steps + SOUTH), t.rows + ((),))
+    south = PermutationTableau._trusted(BorderPath(t.path.steps + SOUTH), t.rows + ((),))
     out = [south]
     unrest = markers(t).unrestricted_rows
     west_path = BorderPath(t.path.steps + WEST)
@@ -294,7 +304,7 @@ def extend_permutation(t: PermutationTableau) -> tuple[PermutationTableau, ...]:
         rows = tuple(
             (1 if r in chosen else 0,) + row for r, row in enumerate(t.rows, start=1)
         )
-        out.append(PermutationTableau(west_path, rows))
+        out.append(PermutationTableau._trusted(west_path, rows))
     return tuple(out)
 
 
@@ -308,8 +318,8 @@ def parent_permutation(t: PermutationTableau) -> PermutationTableau:
     if t.size < 2:
         raise DomainError("a size-1 tableau has no parent")
     if t.path.steps[-1] == SOUTH:
-        return PermutationTableau(BorderPath(t.path.steps[:-1]), t.rows[:-1])
-    return PermutationTableau(BorderPath(t.path.steps[:-1]), tuple(row[1:] for row in t.rows))
+        return PermutationTableau._trusted(BorderPath(t.path.steps[:-1]), t.rows[:-1])
+    return PermutationTableau._trusted(BorderPath(t.path.steps[:-1]), tuple(row[1:] for row in t.rows))
 
 
 class Census(NamedTuple):

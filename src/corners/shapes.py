@@ -78,13 +78,28 @@ class _Frozen:
     field tuple, so that only instances of one class compare equal and
     the hash is ``hash(field tuple)``.  Assignment and deletion raise
     ``AttributeError``; ``repr`` reads ``Class(field=value, ...)``.
+
+    ``_trusted`` builds an instance without ``__init__``'s checks.  Only
+    code whose construction already guarantees the structure those checks
+    test may call it: the enumerator (fillings walked over the shape's own
+    row lengths, and one extension step of a built tableau) and the fold
+    (rows cut to the shifted row lengths).
     """
 
     _fields: tuple[str, ...] = ()
 
     # the object's own setter, past the refusing ``__setattr__``; for
-    # ``__init__`` only
+    # ``__init__`` and ``_trusted`` only
     _set_field = object.__setattr__
+
+    @classmethod
+    def _trusted(cls, *values: object):
+        """The instance whose fields, in ``_fields`` order, are ``values``,
+        with none of ``__init__``'s checks."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            self._set_field(name, value)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -26,7 +26,11 @@ a type-B tableau fills the shifted diagram of its path
 filling must cover the shape with ``int`` bits 0 and 1, or with points
 inside it, each a pair of ``int``), from the row lengths the path caches;
 family rules are checked by :func:`validate` so that fillings that break
-them can still be represented.
+them can still be represented.  The public constructors,
+``from_strings`` and :func:`from_record` always check.  The private
+``_trusted`` of the ``_Frozen`` base skips the check; only the
+enumerator and the fold call it, where their construction guarantees the
+structure (see their modules).
 
 A tableau is an immutable value on the ``shapes`` base ``_Frozen``: its
 constructor checks and sets its fields once, and two tableaux are equal

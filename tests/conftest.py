@@ -20,6 +20,14 @@ def cached_tableaux(n: int, family: Family):
     return tuple(enumerate_tableaux(n, family))
 
 
+def assert_rebuilds(t) -> None:
+    """``t`` equals, and hashes as, the tableau its class's checking
+    constructor builds from its fields, so a tableau built without the
+    checks holds what they would have let through."""
+    rebuilt = type(t)(*(getattr(t, name) for name in t._fields))
+    assert rebuilt == t and hash(rebuilt) == hash(t), t
+
+
 def chi_square_survival(statistic: float, dof: int) -> float:
     """P(X >= statistic) for a chi-square variable with integer ``dof``.
 

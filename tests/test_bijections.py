@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from conftest import cached_census, cached_tableaux
+from conftest import assert_rebuilds, cached_census, cached_tableaux
 from corners import bijections
 from corners.bijections import (
     round_trip,
@@ -13,7 +13,7 @@ from corners.bijections import (
     type_b_to_symmetric,
 )
 from corners.chain import CornerDecomposition, symmetric_corner_decomposition
-from corners.errors import BijectionError, DomainError, NotATreeLikeShapeError
+from corners.errors import BijectionError, CornersError, DomainError, NotATreeLikeShapeError
 from corners.families import Family
 from corners.shapes import BorderPath
 from corners.tableaux import SymmetricTreeLikeTableau, TypeBTableau, canonical_key
@@ -68,6 +68,27 @@ def test_fold_checks_that_its_result_unfolds_back(monkeypatch):
     monkeypatch.setattr(bijections, "_lower_points", lambda b: set(sorted(lower_points(b))[:-1]))
     with pytest.raises(BijectionError, match="does not unfold back"):
         symmetric_to_type_b(SYMMETRIC_11)
+
+
+@pytest.mark.parametrize(
+    "family,sizes", [(Family.TYPE_B, range(1, 6)), (Family.SYMMETRIC, range(3, 12, 2))]
+)
+def test_folded_tableaux_pass_the_constructor_checks(family, sizes):
+    # the fold builds its type-B tableau without the constructor's checks
+    for size in sizes:
+        for t in cached_tableaux(size, family):
+            partner, back = round_trip(t)
+            assert_rebuilds(back if family is Family.TYPE_B else partner)
+
+
+def test_unfold_checks_that_its_points_lie_in_the_shape(monkeypatch):
+    # validate reads no bound of the shape: row 7 and column 7 lie past the
+    # unfolded staircase of TYPE_B_5, yet (7, 1) and its mirror (1, 7) break
+    # no tree-like rule, so only the constructor's check refuses them
+    lower_points = bijections._lower_points
+    monkeypatch.setattr(bijections, "_lower_points", lambda b: lower_points(b) | {(7, 1)})
+    with pytest.raises(CornersError, match="outside the shape"):
+        type_b_to_symmetric(TYPE_B_5)
 
 
 def test_size_three_cases():

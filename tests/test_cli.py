@@ -779,6 +779,44 @@ def _src_env():
     return env
 
 
+def _stdout_env(unbuffered):
+    """``_src_env`` with stdout buffered, or not, whatever this process runs with."""
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
+def test_a_stdout_closed_after_one_line_exits_141_without_a_message(unbuffered):
+    # the listing is over 64 KB, more than the pipe holds, so the writer
+    # meets the closed pipe
+    argv = [sys.executable, "-m", "corners", "enumerate", "--family", "type-b", "--size", "5"]
+    env = _stdout_env(unbuffered)
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"index")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
+def test_a_stdout_closed_before_a_short_output_exits_141_without_a_message(unbuffered):
+    # buffered, the few bytes of a census meet the closed pipe only when
+    # stdout is flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "corners", "census", "--family", "permutation", "--size", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=_stdout_env(unbuffered), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 def _assert_help(proc):
     assert proc.returncode == 0, proc.stderr
     assert "census" in proc.stdout

@@ -6,9 +6,10 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cached_census, cached_tableaux
+from conftest import assert_rebuilds, cached_census, cached_tableaux
 from corners.chain import _closed_form_count, corner_distribution, total_corners, u_distribution
 from corners.enumerator import (
+    _extension_levels,
     _fillings,
     _row_reader,
     _shape_rows,
@@ -62,6 +63,26 @@ def test_every_enumerated_tableau_validates():
         for t in enumerate_tableaux(size, family):
             assert t.family is family
             assert validate(t).ok
+
+
+@pytest.mark.parametrize(
+    "family,top",
+    [(Family.PERMUTATION, 7), (Family.TYPE_B, 5), (Family.TREE_LIKE, 7), (Family.SYMMETRIC, 11)],
+)
+def test_enumerated_tableaux_pass_the_constructor_checks(family, top):
+    # enumeration builds each tableau without the constructor's checks
+    for size in range(1, top + 1, 2 if family is Family.SYMMETRIC else 1):
+        for t in cached_tableaux(size, family):
+            assert_rebuilds(t)
+
+
+def test_extended_tableaux_and_their_parents_pass_the_constructor_checks():
+    # so do the extension step and its inverse
+    for level in _extension_levels(7):
+        for t in level:
+            assert_rebuilds(t)
+            if t.size > 1:
+                assert_rebuilds(parent_permutation(t))
 
 
 def test_enumeration_is_sorted_and_duplicate_free():
