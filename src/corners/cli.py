@@ -27,8 +27,9 @@ process loads only what its subcommand needs: parsing, ``--help`` and the
 a bytecode cache every imported module is compiled afresh in each process.
 
 Exit codes: 0 success / all checks pass; 1 a verification or round-trip
-check failed (a witness is printed to stderr); 2 usage or domain error;
-141 the reader closed stdout early (nothing is printed).
+check failed (a witness is printed to stderr); 2 usage or domain error,
+or stdout could not be written; 141 the reader closed stdout early
+(nothing is printed).
 """
 
 from __future__ import annotations
@@ -61,10 +62,18 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
+class _StdoutError(Exception):
+    """Writing or flushing stdout raised the ``OSError`` in ``__cause__``."""
+
+
 def _emit(text: str | Iterable[str], out: str | None) -> None:
     chunks = (text,) if isinstance(text, str) else text
     if out is None:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()  # a closed reader or a full disk shows here, not at shutdown
+        except OSError as exc:
+            raise _StdoutError from exc
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
@@ -437,22 +446,21 @@ def run_command(argv: Sequence[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.func(args)
-        sys.stdout.flush()  # a closed reader shows here, not at shutdown
-        return status
+        return args.func(args)
     except BijectionError as exc:
         print(f"bijection failure: {exc}", file=sys.stderr)
         return 1
     except CornersError as exc:
         return _fail_usage(str(exc))
-    except BrokenPipeError:
-        # the reader closed stdout: send what is still buffered to devnull,
-        # so the flush at shutdown cannot fail, and exit with the status a
-        # shell gives a process that SIGPIPE ends
+    except _StdoutError as exc:
+        # send what is still buffered to devnull, so the flush at shutdown
+        # cannot fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 128 + 13
+        if isinstance(exc.__cause__, BrokenPipeError):
+            return 128 + 13  # the reader closed stdout: the status a shell gives a process that SIGPIPE ends
+        return _fail_usage(str(exc.__cause__))
     except (OSError, ValueError) as exc:
         return _fail_usage(str(exc))
 

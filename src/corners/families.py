@@ -65,7 +65,8 @@ class ChainBudget(NamedTuple):
 # report at n = 300 about 1.1 s and 146 MB, as the step table grows with
 # n; 100 000 draws of the smallest report about 1.8 s.  Each chain family
 # keeps one step table for every size, so `sample_size` also bounds its
-# positions.
+# positions.  The memory is per process: a report that splits its draws
+# with a forked child grows a table in each, so up to about twice that.
 CHAIN_BUDGET = ChainBudget(dp_size=4000, sample_size=300, sample_count=100_000)
 
 # The `verify` suites in run order.  `verification.SUITES` maps each name to

@@ -89,7 +89,7 @@ class _Frozen:
     _fields: tuple[str, ...] = ()
 
     # the object's own setter, past the refusing ``__setattr__``; for
-    # ``__init__`` and ``_trusted`` only
+    # ``__init__`` only
     _set_field = object.__setattr__
 
     @classmethod
@@ -97,8 +97,7 @@ class _Frozen:
         """The instance whose fields, in ``_fields`` order, are ``values``,
         with none of ``__init__``'s checks."""
         self = object.__new__(cls)
-        for name, value in zip(cls._fields, values):
-            self._set_field(name, value)
+        self.__dict__.update(zip(cls._fields, values))
         return self
 
     def __setattr__(self, name: str, value: object) -> None:

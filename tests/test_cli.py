@@ -21,7 +21,7 @@ from corners.chain import total_corners
 from corners.cli import _bit_row_text, _tableau_text, _trajectory_text, run_command
 from corners.enumerator import enumerate_tableaux
 from corners.families import BRUTE_FORCE_BUDGET, CHAIN_BUDGET, SUITE_NAMES, Family
-from corners.sampler import sample_permutation_tableaux, sample_trajectories
+from corners.sampler import monte_carlo_corner_report, sample_permutation_tableaux, sample_trajectories
 from corners.shapes import BorderPath
 from corners.tableaux import (
     POINT_CHAR,
@@ -815,6 +815,57 @@ def test_a_stdout_closed_before_a_short_output_exits_141_without_a_message(unbuf
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize("to_file", (False, True), ids=("stdout", "out-file"))
+def test_a_write_error_exits_2_with_one_error_line(unbuffered, to_file):
+    argv = [sys.executable, "-m", "corners", "census", "--family", "permutation", "--size", "3"]
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            argv + ["--out", "/dev/full"] if to_file else argv,
+            stdout=subprocess.DEVNULL if to_file else full, stderr=subprocess.PIPE,
+            env=_stdout_env(unbuffered), timeout=60,
+        )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.decode().splitlines() == ["error: [Errno 28] No space left on device"]
+
+
+# Writes a line to the buffered stdout, runs a report that forks, then
+# checks that the report reaped its child.
+_SPLIT_PROBE = """
+import os, sys
+from corners.cli import run_command
+from corners import sampler
+sys.stdout.write("before\\n")
+assert sampler._cpu_count() >= 2 and 20 * 1001 >= sampler._SPLIT_WORK
+code = run_command(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit("a child process outlived the report")
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="the report forks only with two CPUs",
+)
+def test_a_split_report_prints_once_and_leaves_no_process():
+    argv = ["sample", "--kind", "report", "--family", "type-b", "--size", "20",
+            "--count", "1001", "--seed", "5", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", _SPLIT_PROBE, *argv],
+        capture_output=True, env=_stdout_env(False), timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    head, report = proc.stdout.decode().split("\n", 1)
+    assert head == "before"
+    serial = monte_carlo_corner_report(20, Family.TYPE_B, 1001, seed=5)
+    assert json.loads(report) == serial.to_json_dict()
+    assert report.count('"schema"') == 1
 
 
 def _assert_help(proc):

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import threading
+import time
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -344,3 +347,108 @@ def test_sampling_beyond_the_chain_budget_is_refused():
         with pytest.raises(BudgetExceededError):
             call()
     assert len(sample_trajectory(CHAIN_BUDGET.sample_size, B, seed=1).steps) == CHAIN_BUDGET.sample_size
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="a report splits only where it can fork")
+
+
+def _count_forks(monkeypatch):
+    """Patch ``os.fork`` to count its calls in this process."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@needs_fork
+@pytest.mark.parametrize("family", (P, B))
+@pytest.mark.parametrize("seed", (4, 20150))
+def test_split_and_serial_reports_are_identical(monkeypatch, family, seed):
+    forks = _count_forks(monkeypatch)
+    at = sampler._SPLIT_WORK
+    # n = 10 meets the threshold at an even count, n = 7 first passes it
+    # at an odd one; the counts sit just below, at and above it
+    for n in (10, 7):
+        first = -(-at // n)
+        for count in (first - 1, first, first + 1):
+            reports = {}
+            for cpus in (1, 2):
+                monkeypatch.setattr(sampler, "_cpu_count", lambda: cpus)
+                before = len(forks)
+                reports[cpus] = monte_carlo_corner_report(n, family, count, seed).to_json_dict()
+                assert len(forks) - before == (cpus == 2 and n * count >= at), (n, count, cpus)
+            assert reports[1] == reports[2], (n, count)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_a_failing_child_half_fails_the_report_and_is_reaped(monkeypatch):
+    parent = os.getpid()
+    tally = sampler._tally
+
+    def child_raises(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("half failed")
+        return tally(*args)
+
+    monkeypatch.setattr(sampler, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(sampler, "_tally", child_raises)
+    with pytest.raises(ChildProcessError, match="status 1"):
+        monte_carlo_corner_report(10, P, 2000, seed=3)
+    _assert_no_child()
+
+
+@needs_fork
+def test_a_failing_parent_half_kills_and_reaps_the_child(monkeypatch):
+    parent = os.getpid()
+    tally = sampler._tally
+
+    def parent_raises_child_hangs(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30)  # the parent must kill this child, not wait for it
+        return tally(*args)
+
+    monkeypatch.setattr(sampler, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(sampler, "_tally", parent_raises_child_hangs)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        monte_carlo_corner_report(10, B, 2000, seed=3)
+    assert time.monotonic() - start < 10
+    _assert_no_child()
+
+
+@needs_fork
+def test_a_report_that_cannot_fork_draws_everything_itself(monkeypatch):
+    monkeypatch.setattr(sampler, "_cpu_count", lambda: 1)
+    serial = monte_carlo_corner_report(10, P, 2001, seed=8).to_json_dict()
+
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    open_fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    monkeypatch.setattr(sampler, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert monte_carlo_corner_report(10, P, 2001, seed=8).to_json_dict() == serial
+    if open_fds is not None:  # both ends of the pipe were closed
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_the_cpu_count_helper_refuses_a_threaded_process():
+    release = threading.Event()
+    worker = threading.Thread(target=release.wait)
+    worker.start()
+    try:
+        assert sampler._cpu_count() == 1
+    finally:
+        release.set()
+        worker.join()
