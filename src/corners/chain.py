@@ -17,12 +17,13 @@ Summing trajectory weights gives exact cardinalities and exact corner
 probabilities for sizes far beyond enumeration reach.  Write the forward
 row of k-step prefix weights as a polynomial ``P_k(x) = sum_u w_k(u) x**u``.
 The transitions give ``P_k(x) = d x P_{k-1}(x + 1)`` (``d`` = 1, resp. 2
-for type B), which never leaves an anti-diagonal ``k + x = s``; counts and
-the corner DP read only values ``P_k(s - k)`` from such diagonals, built
-in O(n) steps each; a whole DP corner law reads three of them once.  The
-coefficient rows themselves, grown from the plain ``(step, target,
-weight)`` triples of :func:`_transitions`, serve only the law of ``u``;
-the sampler's step-table rows read the same triples.
+for type B), which never leaves an anti-diagonal ``k + x = s`` and solves
+to ``P_k(s - k) = d**k (s - 1)(s - 2)...(s - k)``; counts and the corner
+DP read only such values, each from that closed form, and a whole DP
+corner law runs the recursion along two diagonals.  The coefficient rows
+themselves, grown from the plain ``(step, target, weight)`` triples of
+:func:`_transitions`, serve only the law of ``u`` and the tests that check
+the closed form; the sampler's step-table rows read the same triples.
 Completion weights use the closed form ``m! (m + 1)**u`` (times ``2**m``
 for type B).
 
@@ -42,9 +43,8 @@ All arithmetic is exact: integers are unbounded and probabilities are
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Callable, NamedTuple, Union
 
 from .errors import (
@@ -130,26 +130,17 @@ def _rows(family: Family, n: int) -> list[list[int]]:
     return rows
 
 
-@functools.lru_cache(maxsize=4)  # one DP query reads three; at n = 4000 each holds about 12 MB
-def _diagonal(family: Family, s: int) -> tuple[int, ...]:
-    """``P_k(s - k)`` for ``k = 0..s``, where ``P_k`` is the polynomial of
-    the forward row ``k`` (see :func:`_rows`).
+def _forward_value(family: Family, s: int, k: int) -> int:
+    """``P_k(s - k)``, where ``P_k`` is the polynomial of the forward row
+    ``k`` (see :func:`_rows`) and ``k <= s``.
 
     ``P_0 = 1`` and ``P_k(x) = d x P_{k-1}(x + 1)``: the South step adds
     ``x P(x)``, the binomial West steps ``x (P(x + 1) - P(x))`` and the
-    extra type-B West step another ``x P(x)``.  So each value is the one
-    before times ``d (s - k)``.
-
-    A request at ``n`` reads diagonals up to ``s = n + 1``, so ``s`` is
-    capped at ``CHAIN_BUDGET.dp_size + 1``.  Every caller reads its
-    largest diagonal first, so a request past the cap builds none.
+    extra type-B West step another ``x P(x)``.  So along the anti-diagonal
+    ``s`` each value is the one before times ``d (s - k)``, and
+    ``P_k(s - k) = d**k (s - 1)(s - 2)...(s - k)``.
     """
-    _require_dp_size(s - 1, family, "a chain table")
-    d = _doubling(family)
-    values = [1]
-    for k in range(1, s + 1):
-        values.append(values[-1] * d * (s - k))
-    return tuple(values)
+    return _doubling(family) ** k * perm(s - 1, k) if k else 1
 
 
 def _corner_position_range(n: int, family: Family) -> range:
@@ -221,7 +212,8 @@ def count_tableaux(n: int, family: Family) -> int:
     if n < 0:
         raise DomainError(f"size must be non-negative, got {n}")
     if family in _CHAIN_FAMILIES:
-        return _diagonal(family, n + 1)[n]
+        _require_dp_size(n, family, "the chain count")
+        return _forward_value(family, n + 1, n)
     return _closed_form_count(n, family)
 
 
@@ -323,9 +315,9 @@ def rising_factorial_pgf(z: Union[int, Fraction], m: int) -> Fraction:
     return prod / factorial(m)
 
 
-def _dp_corner_weight(d: int, m: int, high: int, low: int) -> int:
-    """The weight of a corner at chain position ``n - m``, over the factor
-    ``d**(m - 1) m!`` of its total, from ``high`` = ``P_{pos-1}(m + 1)``
+def _dp_corner(d: int, n: int, m: int, high: int, low: int) -> Fraction:
+    """The DP probability of a corner at chain position ``pos = n - m``
+    of the chain with doubling ``d``, from ``high`` = ``P_{pos-1}(m + 1)``
     and ``low`` = ``P_{pos-1}(m)``.
 
     Step ``pos`` is South from some state ``v``; the ``m`` steps left start
@@ -333,35 +325,27 @@ def _dp_corner_weight(d: int, m: int, high: int, low: int) -> int:
     g[m - 1][2] m**v`` with ``g`` = :func:`_suffix_weight`, so the sum over
     ``v`` is read off the diagonals ``n`` and ``n - 1``.  The two weights
     share ``d**(m - 1) m!``: ``g[m][1]`` is that times ``d (m + 1)``,
-    ``g[m - 1][2]`` that times ``m``.
+    ``g[m - 1][2]`` that times ``m``.  Over the same factor the count at
+    ``n``, ``P_n(1) = d**n n!``, is ``d**2 n high``.
     """
-    return d * (m + 1) * high - m * low
-
-
-def _dp_denominator(n: int, m: int, chain: Family) -> int:
-    """The count at ``n`` over the factor ``d**(m - 1) m!`` that
-    :func:`_dp_corner_weight` leaves out."""
-    return _diagonal(chain, n + 1)[n] // (m * _suffix_weight(chain, m - 1, 0))
+    return Fraction(d * (m + 1) * high - m * low, d * d * n * high)
 
 
 def _dp_chain_law(n: int, chain: Family) -> list[Fraction]:
     """The DP corner probabilities of ``chain`` at positions ``1..n-1``, in
-    one pass over the three diagonals.
+    one pass along the diagonals ``n`` and ``n - 1``.
 
-    Each weight stays over its shared factor ``d**(m - 1) m!``, so the
-    denominator (:func:`_dp_denominator`) starts at ``m = n - 1`` and
-    grows by ``d m`` as ``m`` falls.
+    ``high`` and ``low`` start at ``P_0 = 1`` and take the recursion of
+    :func:`_forward_value` one step per position.
     """
-    if n < 2:
-        return []
     d = _doubling(chain)
-    scale = _dp_denominator(n, n - 1, chain)
-    high, low = _diagonal(chain, n), _diagonal(chain, n - 1)
+    high = low = 1
     law = []
     for pos in range(1, n):
         m = n - pos
-        law.append(Fraction(_dp_corner_weight(d, m, high[pos - 1], low[pos - 1]), scale))
-        scale *= d * m
+        law.append(_dp_corner(d, n, m, high, low))
+        high *= d * m
+        low *= d * (m - 1)
     return law
 
 
@@ -376,16 +360,14 @@ def corner_event_probability_dp(n: int, k: int, family: Family) -> Fraction:
     if n < 1:
         raise DomainError(f"size must be at least 1, got {n}")
     _require_position(n, k, family, IndexOutOfRangeError)
+    _require_dp_size(n, family, "the DP corner probability")
     chain, pos = _chain_of(family), _chain_position(n, k, family)
     if pos == 0:
         return last_step_south_probability(n, chain)
     if pos == -1:
         return first_step_west_probability(n, chain)
-    m = n - pos
-    d = _doubling(chain)
-    denominator = _dp_denominator(n, m, chain)
-    weight = _dp_corner_weight(d, m, _diagonal(chain, n)[pos - 1], _diagonal(chain, n - 1)[pos - 1])
-    return Fraction(weight, denominator)
+    high, low = _forward_value(chain, n, pos - 1), _forward_value(chain, n - 1, pos - 1)
+    return _dp_corner(_doubling(chain), n, n - pos, high, low)
 
 
 def _closed_form_corner(n: int, pos: int, d: int) -> Fraction:
@@ -434,7 +416,7 @@ def corner_distribution(n: int, family: Family, *, method: str = "dp") -> dict[i
     keyed by ascending position, in one pass.
 
     Both methods compute the chain law at positions ``1..n-1`` once:
-    ``method="dp"`` in one pass over the diagonals (:func:`_dp_chain_law`),
+    ``method="dp"`` in one pass along two diagonals (:func:`_dp_chain_law`),
     ``"formula"`` as one fraction per position from the closed form.
     Tree-like and symmetric positions read it at the positions
     :func:`_chain_position` maps them to, so the two halves of the
@@ -484,8 +466,8 @@ def last_step_south_probability(n: int, family: Family) -> Fraction:
     _require_chain(family)
     if n < 1:
         raise DomainError(f"size must be at least 1, got {n}")
-    total = _diagonal(family, n + 1)[n]
-    return Fraction(_diagonal(family, n)[n - 1], total)
+    _require_dp_size(n, family, "the last-step-South probability")
+    return Fraction(_forward_value(family, n, n - 1), _forward_value(family, n + 1, n))
 
 
 def first_step_west_probability(n: int, family: Family) -> Fraction:
@@ -495,5 +477,6 @@ def first_step_west_probability(n: int, family: Family) -> Fraction:
         raise DomainError(f"size must be at least 1, got {n}")
     if family is Family.PERMUTATION:
         return Fraction(0)
+    _require_dp_size(n, family, "the first-step-West probability")
     # the one West step out of state 0 reaches state 1 with weight 1
-    return Fraction(_suffix_weight(family, n - 1, 1), _diagonal(family, n + 1)[n])
+    return Fraction(_suffix_weight(family, n - 1, 1), _forward_value(family, n + 1, n))

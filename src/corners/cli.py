@@ -426,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", "-n", "--n", dest="size", type=int, default=None)
     p.add_argument("--in", dest="infile", metavar="FILE", default=None,
                    help="tableau record JSON (defaults to stdin) for fold/unfold")
-    p.add_argument("--format", choices=_FORMATS, default="table")
+    p.add_argument("--format", choices=_FORMATS, default="table",
+                   help="for roundtrip and decompose; fold/unfold always write the JSON record")
     p.add_argument("--out", metavar="FILE", default=None)
     p.set_defaults(func=_cmd_bijection)
 

@@ -314,23 +314,14 @@ def suite_bijections(max_size: int) -> list[VerificationRow]:
                 count = _closed_form_count(_index(family, size), family)
                 rows.append(_row("fold-bijectivity/symmetric", f"size={size}", len(partners), count))
     for n in range(2, min(max_size, 7) + 1):
-        projected: dict[tuple, int] = {}
+        projected: Counter[str] = Counter()
         extra = 0
         for t in enumerate_tableaux(n, Family.TREE_LIKE):
             p_path = tree_like_to_permutation_shape(t.path)
-            projected[p_path.steps] = projected.get(p_path.steps, 0) + 1
+            projected[p_path.steps] += 1
             extra += t.path.corner_count() - p_path.corner_count()
-        shape_counts: dict[tuple, int] = {}
-        for t in enumerate_tableaux(n, Family.PERMUTATION):
-            shape_counts[t.path.steps] = shape_counts.get(t.path.steps, 0) + 1
-        rows.append(
-            _row(
-                "shape-projection-multiset",
-                f"n={n}",
-                sorted(projected.items()) == sorted(shape_counts.items()),
-                True,
-            )
-        )
+        shape_counts = Counter(t.path.steps for t in enumerate_tableaux(n, Family.PERMUTATION))
+        rows.append(_row("shape-projection-multiset", f"n={n}", projected == shape_counts, True))
         rows.append(_row("shape-projection-extra-corners", f"n={n}", extra, factorial(n - 1)))
     for n in range(1, 9):
         d = symmetric_corner_decomposition(n)

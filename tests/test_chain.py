@@ -98,9 +98,8 @@ def test_rows_satisfy_the_functional_equation(family):
 def test_diagonals_are_row_values(family):
     rows = chain._rows(family, 40)
     for s in range(41):
-        assert chain._diagonal(family, s) == tuple(
-            _polynomial(rows[k], s - k) for k in range(s + 1)
-        ), s
+        for k in range(s + 1):
+            assert chain._forward_value(family, s, k) == _polynomial(rows[k], s - k), (s, k)
 
 
 @pytest.mark.parametrize("family", ALL)
@@ -108,27 +107,65 @@ def test_dp_equals_formula_at_1000(family):
     assert corner_distribution(1000, family) == corner_distribution(1000, family, method="formula")
 
 
-# each function that reads the chain tables, with its closed form at size n
+# corner positions at size n: the first, an interior and the last of each
+# family, and the symmetric centre (its first-step-West event)
+_POSITIONS = {
+    "first": lambda n, family: 1,
+    "interior": lambda n, family: n // 2,
+    "last": lambda n, family: chain._corner_position_range(n, family)[-1],
+    "centre": lambda n, family: n + 1,
+}
+
+
+def _dp_corner_reader(family, where):
+    position = _POSITIONS[where]
+    return (
+        lambda n: corner_event_probability_dp(n, position(n, family), family),
+        lambda n: corner_event_probability_formula(n, position(n, family), family),
+        True,
+    )
+
+
+# each public function that reads the chain, with its closed form at size n
+# and whether the DP budget refuses it one past the cap
 TABLE_READERS = {
-    "count": (lambda n: count_tableaux(n, Family.TYPE_B), lambda n: factorial(n) << n),
-    "corner": (
-        lambda n: corner_event_probability_dp(n, 1, Family.TYPE_B),
-        lambda n: corner_event_probability_formula(n, 1, Family.TYPE_B),
+    "count": (lambda n: count_tableaux(n, Family.TYPE_B), lambda n: factorial(n) << n, True),
+    "count-permutation": (lambda n: count_tableaux(n, Family.PERMUTATION), factorial, True),
+    # the pointed counts are closed forms with no cap
+    "count-tree-like": (lambda n: count_tableaux(n, Family.TREE_LIKE), factorial, False),
+    "count-symmetric": (
+        lambda n: count_tableaux(n, Family.SYMMETRIC), lambda n: factorial(n) << n, False
     ),
-    "south": (lambda n: last_step_south_probability(n, Family.TYPE_B), lambda n: Fraction(1, 2 * n)),
-    "west": (lambda n: first_step_west_probability(n, Family.TYPE_B), lambda n: Fraction(1, 2)),
+    "corner": _dp_corner_reader(Family.TYPE_B, "first"),
+    **{
+        f"corner-{family.value}-{where}": _dp_corner_reader(family, where)
+        for family in ALL
+        for where in ("first", "interior", "last", "centre")
+        if (family, where) != (Family.TYPE_B, "first")
+        and (where != "centre" or family is Family.SYMMETRIC)
+    },
+    "south": (lambda n: last_step_south_probability(n, Family.TYPE_B), lambda n: Fraction(1, 2 * n), True),
+    "south-permutation": (
+        lambda n: last_step_south_probability(n, Family.PERMUTATION), lambda n: Fraction(1, n), True
+    ),
+    "west": (lambda n: first_step_west_probability(n, Family.TYPE_B), lambda n: Fraction(1, 2), True),
+    # a permutation path never starts West, whatever the size
+    "west-permutation": (
+        lambda n: first_step_west_probability(n, Family.PERMUTATION), lambda n: Fraction(0), False
+    ),
 }
 
 
 @pytest.mark.parametrize("name", TABLE_READERS)
 def test_chain_tables_stop_at_the_dp_budget(name):
-    read, closed_form = TABLE_READERS[name]
+    read, closed_form, refused = TABLE_READERS[name]
     cap = CHAIN_BUDGET.dp_size
     assert read(cap) == closed_form(cap)
-    chain._diagonal.cache_clear()
+    if not refused:
+        assert read(cap + 1) == closed_form(cap + 1)
+        return
     with pytest.raises(BudgetExceededError, match=f"at n={cap + 1} exceeds the budget of {cap}"):
         read(cap + 1)
-    assert chain._diagonal.cache_info().currsize == 0  # refused before any table was built
 
 
 @pytest.mark.parametrize("family", CHAIN)

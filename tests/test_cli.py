@@ -165,6 +165,21 @@ def test_bijection_fold_unfold_pipe(capsys, monkeypatch, tmp_path):
     assert json.loads(unfolded) == record
 
 
+def test_bijection_unfold_writes_its_record_in_every_format(capsys, tmp_path):
+    code, out, _ = run(capsys, "enumerate", "--family", "type-b", "--size", "3", "--format", "json")
+    assert code == 0
+    infile = tmp_path / "b.json"
+    infile.write_text(json.dumps(json.loads(out)["tableaux"][-1]))
+    # unfold writes the image's JSON record whatever --format says
+    outputs = {
+        fmt: run(capsys, "bijection", "unfold", "--in", str(infile), "--format", fmt)[:2]
+        for fmt in ("table", "csv", "json")
+    }
+    assert outputs["table"] == outputs["csv"] == outputs["json"]
+    code, text = outputs["json"]
+    assert code == 0 and json.loads(text)["family"] == "symmetric"
+
+
 def test_bijection_fold_wrong_family_is_domain_error(capsys, tmp_path):
     code, out, _ = run(capsys, "enumerate", "--family", "type-b", "--size", "1", "--format", "json")
     record = json.loads(out)["tableaux"][0]
@@ -574,6 +589,28 @@ def _traced_peak(argv, warm):
     )
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout)
+
+
+_RETAINED_AFTER_DP_LAW = """
+import tracemalloc
+from corners.chain import corner_distribution
+from corners.families import CHAIN_BUDGET, Family
+tracemalloc.start()
+corner_distribution(CHAIN_BUDGET.dp_size, Family.SYMMETRIC, method="dp")
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_dp_law_holds_no_memory_after_it_returns():
+    # the largest DP law reads its chain values from their closed form and
+    # keeps no table of them, so once its result is dropped the traced size
+    # (what is still held, not the allocator's peak) is back near zero
+    proc = subprocess.run(
+        [sys.executable, "-c", _RETAINED_AFTER_DP_LAW],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2**20
 
 
 def test_enumerate_json_keeps_only_the_rendered_records(tmp_path):
