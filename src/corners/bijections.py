@@ -23,7 +23,8 @@ column marks the unrestricted rows, and the result is mirrored.  That
 marker-to-point rule lives in one place, ``_lower_points``: the fold
 validates its result and checks that it unfolds back to the input, and
 the unfold validates its result.  Any inconsistency raises
-:class:`BijectionError` instead of returning a wrong tableau.
+:class:`BijectionError`, with the input as witness, instead of returning
+a wrong tableau.  ``_require_valid`` checks every input and result.
 The fold builds its type-B tableau without the constructor's structure
 check (``_trusted``): its rows are cut to the shifted row lengths, so
 they fit the shape by construction.  The unfold keeps the checking
@@ -80,10 +81,13 @@ def tree_like_to_permutation_shape(path: BorderPath) -> BorderPath:
     return BorderPath(path.steps[:-1])
 
 
-def _require_valid(t, what: str) -> None:
+def _require_valid(t, what: str, witness=None) -> None:
+    """Raise ``what`` and ``t``'s first broken rule, as an input error, or
+    given a ``witness`` as a :class:`BijectionError` carrying it."""
     result = validate(t)
     if not result.ok:
-        raise InvalidTableauError(f"{what}: {result.violations[0].message}")
+        message = f"{what}: {result.violations[0].message}"
+        raise InvalidTableauError(message) if witness is None else BijectionError(message, witness)
 
 
 def symmetric_to_type_b(t: SymmetricTreeLikeTableau) -> TypeBTableau:
@@ -147,11 +151,7 @@ def _fold(t: SymmetricTreeLikeTableau) -> TypeBTableau:
         rows.append(_cells(bits, length))
 
     b = TypeBTableau._trusted(b_path, tuple(rows))
-    result = validate(b)
-    if not result.ok:
-        raise BijectionError(
-            f"folded filling breaks type-B rules: {result.violations[0].message}", witness=t
-        )
+    _require_valid(b, "folded filling breaks type-B rules", t)
     # the path of a valid symmetric tableau is always S + conj(q) + q + W,
     # so b unfolds back to t exactly when the lower points agree
     if _lower_points(b) != lower:
@@ -191,16 +191,8 @@ def _unfold(b: TypeBTableau) -> SymmetricTreeLikeTableau:
     """The unfolding of a valid type-B tableau, with the checks on its
     result but none on ``b``."""
     lower = _lower_points(b)
-    t = SymmetricTreeLikeTableau(
-        b.path.unfolded,
-        lower | frozenset((c, r) for r, c in lower),
-    )
-    result = validate(t)
-    if not result.ok:
-        raise BijectionError(
-            f"unfolded tableau breaks tree-like rules: {result.violations[0].message}",
-            witness=b,
-        )
+    t = SymmetricTreeLikeTableau(b.path.unfolded, lower | frozenset((c, r) for r, c in lower))
+    _require_valid(t, "unfolded tableau breaks tree-like rules", b)
     return t
 
 

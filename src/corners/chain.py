@@ -76,12 +76,15 @@ __all__ = [
 _CHAIN_FAMILIES = (Family.PERMUTATION, Family.TYPE_B)
 
 
-def _require_chain(family: Family) -> None:
+def _require_chain(family: Family, n: int) -> None:
+    """Refuse an off-chain family, then a size below 1."""
     if family not in _CHAIN_FAMILIES:
         raise DomainError(
             f"the growth chain is defined for {Family.PERMUTATION.value} and "
             f"{Family.TYPE_B.value}, not {family.value}"
         )
+    if n < 1:
+        raise DomainError(f"size must be at least 1, got {n}")
 
 
 def _chain_of(family: Family) -> Family:
@@ -287,9 +290,7 @@ def symmetric_corner_decomposition(n: int) -> CornerDecomposition:
 
 def u_distribution(n: int, family: Family) -> dict[int, Fraction]:
     """Exact law of the unrestricted-row count at size ``n``."""
-    _require_chain(family)
-    if n < 1:
-        raise DomainError(f"size must be at least 1, got {n}")
+    _require_chain(family, n)
     row = _rows(family, n)[n]
     total = sum(row)
     return {u: Fraction(w, total) for u, w in enumerate(row) if w}
@@ -463,18 +464,14 @@ def total_corners(n: int, family: Family) -> int:
 
 def last_step_south_probability(n: int, family: Family) -> Fraction:
     """Probability that the final border step is South (chain families)."""
-    _require_chain(family)
-    if n < 1:
-        raise DomainError(f"size must be at least 1, got {n}")
+    _require_chain(family, n)
     _require_dp_size(n, family, "the last-step-South probability")
     return Fraction(_forward_value(family, n, n - 1), _forward_value(family, n + 1, n))
 
 
 def first_step_west_probability(n: int, family: Family) -> Fraction:
     """Probability that the first border step is West (chain families)."""
-    _require_chain(family)
-    if n < 1:
-        raise DomainError(f"size must be at least 1, got {n}")
+    _require_chain(family, n)
     if family is Family.PERMUTATION:
         return Fraction(0)
     _require_dp_size(n, family, "the first-step-West probability")

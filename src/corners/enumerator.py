@@ -22,11 +22,12 @@ covers every column it must.  Enumeration walks a shape's top rows
 depth first and takes its last two rows from suffix lists, one per set
 of columns the top rows cover, kept for that shape only; it builds each
 filling once, as its top rows followed by a suffix, and then its
-tableau.  Each row's legal rows are sorted by their cells, so the walk
-yields the fillings of a shape in canonical order and no filling is
-collected per shape.  That holds for symmetric tableaux too:
-each cell left of the diagonal mirrors a cell of an earlier upper row,
-so the row-major word is decided upper row by upper row.
+tableau.  Each row's legal rows are computed once per process and
+sorted by their cells, so the walk yields the fillings of a shape in
+canonical order and no filling is collected per shape.  That holds for
+symmetric tableaux too: each cell left of the diagonal mirrors a cell
+of an earlier upper row, so the row-major word is decided upper row by
+upper row.
 The census of a 0/1 family walks them breadth first, merging fillings
 that cover the same columns with the same number of unrestricted rows,
 and builds nothing; the census of a pointed family builds its tableaux.
@@ -47,6 +48,7 @@ one bottom row or one leftmost column of a built tableau.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -99,7 +101,6 @@ def enumerate_shapes(half_perimeter: int, family: Family) -> Iterator[BorderPath
 # unrestricted, the statistic of the 0/1 census
 _Row = tuple
 _Rule = Callable[..., tuple[_Row, ...]]
-_Reader = Callable[[_Rule, tuple, int], tuple[_Row, ...]]
 
 
 def _legal_rows(length: int, diagonal: bool, above: int) -> tuple[_Row, ...]:
@@ -173,22 +174,19 @@ def _shape_rows(family: Family, path: BorderPath) -> tuple[_Rule, list[tuple], i
     return _point_rows, keys, (1 << lengths[0]) - 1
 
 
-def _row_reader() -> _Reader:
-    """Legal rows by function, key and the covered columns the row sees,
-    each computed once per reader and sorted by their cells."""
-    legal: dict[tuple[_Rule, tuple, int], tuple[_Row, ...]] = {}
-
-    def rows(rule: _Rule, key: tuple, above: int) -> tuple[_Row, ...]:
-        seen = above & ((1 << key[0]) - 1)
-        found = legal.get((rule, key, seen))
-        if found is None:
-            found = legal[rule, key, seen] = tuple(sorted(rule(*key, seen), key=itemgetter(0)))
-        return found
-
-    return rows
+@lru_cache(maxsize=None)
+def _sorted_rows(rule: _Rule, key: tuple, seen: int) -> tuple[_Row, ...]:
+    """One row's legal rows sorted by their cells, once per process; a row
+    within ``BRUTE_FORCE_BUDGET`` has at most 8 cells, so 256 ``seen`` values."""
+    return tuple(sorted(rule(*key, seen), key=itemgetter(0)))
 
 
-def _fillings(rows: _Reader, rule: _Rule, keys: list[tuple], need: int) -> Iterator[Bits]:
+def _rows(rule: _Rule, key: tuple, above: int) -> tuple[_Row, ...]:
+    """One row's legal rows under the covered columns ``above``."""
+    return _sorted_rows(rule, key, above & ((1 << key[0]) - 1))
+
+
+def _fillings(rule: _Rule, keys: list[tuple], need: int) -> Iterator[Bits]:
     """Every filling of one shape; with rows sorted by their cells, in the
     order of the filling read row by row.
 
@@ -204,7 +202,7 @@ def _fillings(rows: _Reader, rule: _Rule, keys: list[tuple], need: int) -> Itera
         if r == split:
             yield prefix, above
             return
-        for cells, cover, *_ in rows(rule, keys[r], above):
+        for cells, cover, *_ in _rows(rule, keys[r], above):
             yield from tops(r + 1, above | cover, (*prefix, cells))
 
     for prefix, above in tops(0, 0, ()):
@@ -215,14 +213,14 @@ def _fillings(rows: _Reader, rule: _Rule, keys: list[tuple], need: int) -> Itera
                 level = [
                     ((*end, cells), covered | cover)
                     for end, covered in level
-                    for cells, cover, *_ in rows(rule, key, covered)
+                    for cells, cover, *_ in _rows(rule, key, covered)
                 ]
             ends = suffixes[above] = [end for end, covered in level if covered & need == need]
         for end in ends:
             yield prefix + end
 
 
-def _tally(rows: _Reader, rule: _Rule, keys: list[tuple], need: int) -> Counter[int]:
+def _tally(rule: _Rule, keys: list[tuple], need: int) -> Counter[int]:
     """The 0/1 fillings of one shape counted by unrestricted rows, row by
     row breadth first: a state is the covered columns and the count so
     far, and equal states merge."""
@@ -230,7 +228,7 @@ def _tally(rows: _Reader, rule: _Rule, keys: list[tuple], need: int) -> Counter[
     for key in keys:
         grown: defaultdict[tuple[int, int], int] = defaultdict(int)
         for (above, u), count in states.items():
-            for _, cover, unrestricted in rows(rule, key, above):
+            for _, cover, unrestricted in _rows(rule, key, above):
                 grown[above | cover, u + unrestricted] += count
         states = grown
     tally: Counter[int] = Counter()
@@ -279,9 +277,8 @@ def enumerate_tableaux(n: int, family: Family) -> Iterator[Tableau]:
     size ``2m + 1``.
     """
     _require_size(n, family)
-    rows = _row_reader()
     for path in _shapes(n, family):
-        for fill in _fillings(rows, *_shape_rows(family, path)):
+        for fill in _fillings(*_shape_rows(family, path)):
             yield _tableau(family, path, fill)
 
 
@@ -410,9 +407,8 @@ def _tableau_tallies(
 def _walk_tallies(n: int, family: Family) -> Iterator[tuple[BorderPath, Counter[int]]]:
     """Per-shape tallies of the permutation or type-B family, by walking
     its legal rows."""
-    rows = _row_reader()
     for path in _shapes(n, family):
-        yield path, _tally(rows, *_shape_rows(family, path))
+        yield path, _tally(*_shape_rows(family, path))
 
 
 def _extension_levels(n: int) -> Iterator[list[PermutationTableau]]:

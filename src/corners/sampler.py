@@ -122,9 +122,7 @@ def _step_table(n: int, family: Family) -> _StepTable:
     """Check a request for size-``n`` draws of ``family`` and return the
     family's step table, grown to at least ``n`` positions.  The size
     check keeps it within ``CHAIN_BUDGET.sample_size`` positions."""
-    _require_chain(family)
-    if n < 1:
-        raise DomainError(f"size must be at least 1, got {n}")
+    _require_chain(family, n)
     if n > CHAIN_BUDGET.sample_size:
         raise BudgetExceededError(
             n, family, CHAIN_BUDGET.sample_size, f"sampling {family.value} at n={n}"
@@ -416,7 +414,7 @@ def monte_carlo_corner_report(
 ) -> McReport:
     """Estimate corner statistics from seeded trajectories and compare
     them with the exact closed forms."""
-    _require_chain(family)
+    _require_chain(family, n)
     if n < 2:
         raise DomainError(f"Monte Carlo reports need n >= 2, got {n}")
     if sample_count < 100:

@@ -13,10 +13,16 @@ from corners.bijections import (
     type_b_to_symmetric,
 )
 from corners.chain import CornerDecomposition, symmetric_corner_decomposition
-from corners.errors import BijectionError, CornersError, DomainError, NotATreeLikeShapeError
+from corners.errors import (
+    BijectionError,
+    CornersError,
+    DomainError,
+    InvalidTableauError,
+    NotATreeLikeShapeError,
+)
 from corners.families import Family
 from corners.shapes import BorderPath
-from corners.tableaux import SymmetricTreeLikeTableau, TypeBTableau, canonical_key
+from corners.tableaux import SymmetricTreeLikeTableau, TypeBTableau, canonical_key, validate
 
 # a worked pair: the size-11 staircase symmetric tableau folds onto a
 # two-column element of B_5
@@ -211,3 +217,44 @@ def test_fold_requires_valid_input():
     broken = TypeBTableau.from_strings("SWSWS", ["1", "10", "01", "1", ""])
     with pytest.raises(InvalidTableauError):
         type_b_to_symmetric(broken)
+
+
+# a symmetric tableau with a point that has points both above and left of it
+BROKEN_SYMMETRIC = SymmetricTreeLikeTableau(
+    BorderPath("SSWW"), frozenset([(1, 1), (1, 2), (2, 1), (2, 2)])
+)
+# a type-B tableau whose diagonal 0 sits in a row that is not all 0
+BROKEN_TYPE_B = TypeBTableau.from_strings("SWSWS", ["1", "10", "01", "1", ""])
+
+
+@pytest.mark.parametrize("bijection, broken, what", [
+    (symmetric_to_type_b, BROKEN_SYMMETRIC, "fold input"),
+    (type_b_to_symmetric, BROKEN_TYPE_B, "unfold input"),
+], ids=["fold", "unfold"])
+def test_each_map_refuses_an_invalid_input(bijection, broken, what):
+    with pytest.raises(InvalidTableauError) as excinfo:
+        bijection(broken)
+    assert type(excinfo.value) is InvalidTableauError
+    assert str(excinfo.value) == f"{what}: {validate(broken).violations[0].message}"
+
+
+@pytest.mark.parametrize("bijection, source, result_type, broken, what", [
+    (symmetric_to_type_b, SYMMETRIC_11, TypeBTableau, BROKEN_TYPE_B,
+     "folded filling breaks type-B rules"),
+    (type_b_to_symmetric, TYPE_B_5, SymmetricTreeLikeTableau, BROKEN_SYMMETRIC,
+     "unfolded tableau breaks tree-like rules"),
+], ids=["fold", "unfold"])
+def test_each_map_refuses_an_invalid_result(
+    monkeypatch, bijection, source, result_type, broken, what
+):
+    # the input passes its check; the result is made to fail its own, and
+    # the error names the result's first violation and carries the input
+    failing = validate(broken)
+    monkeypatch.setattr(
+        bijections, "validate", lambda x: failing if isinstance(x, result_type) else validate(x)
+    )
+    with pytest.raises(BijectionError) as excinfo:
+        bijection(source)
+    assert type(excinfo.value) is BijectionError
+    assert str(excinfo.value) == f"{what}: {failing.violations[0].message}"
+    assert excinfo.value.witness is source

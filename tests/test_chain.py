@@ -328,10 +328,15 @@ def test_pushforward_guards():
     (lambda: expected_corners(1, Family.SYMMETRIC), "expected corners defined for n >= 2, got 1"),
     (lambda: last_step_south_probability(0, Family.PERMUTATION), "size must be at least 1, got 0"),
     (lambda: first_step_west_probability(0, Family.TYPE_B), "size must be at least 1, got 0"),
+    # an off-chain family is refused before a bad size
+    (lambda: u_distribution(0, Family.TREE_LIKE), "the growth chain is defined for"),
+    (lambda: last_step_south_probability(0, Family.SYMMETRIC), "the growth chain is defined for"),
+    (lambda: first_step_west_probability(-1, Family.TREE_LIKE), "the growth chain is defined for"),
 ], ids=[
     "count_tableaux", "symmetric_corner_decomposition", "u_distribution", "rising_factorial_pgf",
     "corner_event_probability_dp", "expected_corners", "last_step_south_probability",
-    "first_step_west_probability",
+    "first_step_west_probability", "u_distribution-off-chain",
+    "last_step_south_probability-off-chain", "first_step_west_probability-off-chain",
 ])
 def test_public_size_and_index_guards(call, message):
     with pytest.raises(DomainError) as excinfo:

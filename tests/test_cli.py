@@ -800,6 +800,33 @@ def test_chain_budget_at_cap_and_one_past(capsys, argv, expected):
         assert out == "" and "exceeds the budget" in err
 
 
+# argv one past an enumeration budget, for the commands that
+# test_census_at_budget_is_pinned does not run
+ENUMERATION_BUDGET_RUNS = [
+    *(f"enumerate --family {f.value} --size {BRUTE_FORCE_BUDGET[f] + 1}" for f in Family),
+    *(
+        f"bijection roundtrip --family {f.value} --size {BRUTE_FORCE_BUDGET[f] + 1}"
+        for f in (Family.TYPE_B, Family.SYMMETRIC)
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", ENUMERATION_BUDGET_RUNS)
+def test_enumeration_budget_one_past(capsys, argv):
+    code, out, err = run(capsys, *argv.split(), "--format", "json")
+    assert (code, out) == (2, "")
+    assert "exceeds the budget" in err
+
+
+def test_verify_max_size_stops_at_the_census_caps(capsys):
+    # every family's census sweep stops at verification._CENSUS_CAP (at
+    # most 11), so a larger --max-size changes nothing
+    outputs = [run(capsys, "verify", "--suite", "counts", "--max-size", m, "--format", "json")
+               for m in ("11", "99")]
+    assert outputs[0][:2] == outputs[1][:2]
+    assert outputs[0][0] == 0
+
+
 def test_formula_total_prints_big_integers(capsys):
     # 5 700 digits, past the interpreter's default limit of 4 300
     code, out, _ = run(capsys, "formula", "total", "--family", "permutation", "--n", "2000", "--format", "json")

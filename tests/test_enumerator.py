@@ -11,7 +11,7 @@ from corners.chain import _closed_form_count, corner_distribution, total_corners
 from corners.enumerator import (
     _extension_levels,
     _fillings,
-    _row_reader,
+    _rows,
     _shape_rows,
     _shapes,
     _tableau,
@@ -95,7 +95,7 @@ def test_enumeration_is_sorted_and_duplicate_free():
         assert len(set(keys)) == len(keys) == _closed_form_count(index, family)
 
 
-def _recursive_fillings(rows, rule, keys, need):
+def _recursive_fillings(rule, keys, need):
     """The reference walk: every row depth first, with no suffix lists,
     each filling passed up one frame per row."""
     fill = [()] * len(keys)
@@ -105,7 +105,7 @@ def _recursive_fillings(rows, rule, keys, need):
             if above & need == need:
                 yield tuple(fill)
             return
-        for cells, cover, *_ in rows(rule, keys[r], above):
+        for cells, cover, *_ in _rows(rule, keys[r], above):
             fill[r] = cells
             yield from walk(r + 1, above | cover)
 
@@ -114,13 +114,12 @@ def _recursive_fillings(rows, rule, keys, need):
 
 @pytest.mark.parametrize("family", list(_CENSUS_CAP))
 def test_fillings_match_the_recursive_walk(family):
-    rows = _row_reader()
     row_counts = set()
     for size in range(1, _CENSUS_CAP[family] + 1, 2 if family is Family.SYMMETRIC else 1):
         for path in _shapes(size, family):
             rule, keys, need = _shape_rows(family, path)
-            fills = list(_fillings(rows, rule, keys, need))
-            assert fills == list(_recursive_fillings(rows, rule, keys, need)), path.steps
+            fills = list(_fillings(rule, keys, need))
+            assert fills == list(_recursive_fillings(rule, keys, need)), path.steps
             assert all(type(fill) is tuple and len(fill) == len(keys) for fill in fills), path.steps
             row_counts.add(len(keys))
     assert {1, 2, 3} <= row_counts
@@ -130,10 +129,9 @@ def test_symmetric_walk_yields_canonical_order_unsorted():
     # a symmetric row is walked from its diagonal cell rightwards and each
     # cell left of the diagonal mirrors a cell of an earlier row, so the
     # depth-first walk alone puts each shape's tableaux in canonical order
-    rows = _row_reader()
     for size in range(1, 12, 2):
         for path in enumerate_shapes(size + 1, Family.SYMMETRIC):
-            fills = _fillings(rows, *_shape_rows(Family.SYMMETRIC, path))
+            fills = _fillings(*_shape_rows(Family.SYMMETRIC, path))
             keys = [canonical_key(_tableau(Family.SYMMETRIC, path, fill)) for fill in fills]
             assert keys, (size, path.steps)
             assert all(a < b for a, b in zip(keys, keys[1:])), (size, path.steps)

@@ -166,6 +166,17 @@ def test_report_preconditions():
         list(sample_trajectories(5, P, seed=1, count=-1))
     with pytest.raises(DomainError):
         list(sample_permutation_tableaux(5, seed=1, count=-1))
+    # the family is checked first, then the size
+    with pytest.raises(DomainError, match="the growth chain is defined for"):
+        sample_trajectory(0, Family.SYMMETRIC, 0)
+    with pytest.raises(DomainError, match="the growth chain is defined for"):
+        monte_carlo_corner_report(0, Family.TREE_LIKE, 500, seed=0)
+    with pytest.raises(DomainError, match="size must be at least 1, got 0"):
+        sample_trajectory(0, B, 0)
+    with pytest.raises(DomainError, match="size must be at least 1, got 0"):
+        monte_carlo_corner_report(0, P, 500, seed=0)
+    with pytest.raises(DomainError, match="Monte Carlo reports need n >= 2, got 1"):
+        monte_carlo_corner_report(1, P, 500, seed=0)
 
 
 # sha256 of fixed-seed streams of ``sha256-stream/mt19937/v1``, recorded
