@@ -24,8 +24,8 @@ corner law runs the recursion along two diagonals.  The coefficient rows
 themselves, grown from the plain ``(step, target, weight)`` triples of
 :func:`_transitions`, serve only the law of ``u`` and the tests that check
 the closed form; the sampler's step-table rows read the same triples.
-Completion weights use the closed form ``m! (m + 1)**u`` (times ``2**m``
-for type B).
+Completion weights use the closed form ``d**m m! (m + 1)**u`` and the
+closed-form counts ``d**n n!``, each with ``d`` read from :func:`_doubling`.
 
 Tree-like and symmetric values ride on these two chains: dropping the
 final West step of a tree-like shape is a corner-faithful bijection onto
@@ -53,6 +53,7 @@ from .errors import (
     CornersError,
     DomainError,
     IndexOutOfRangeError,
+    _excerpt,
 )
 from .families import CHAIN_BUDGET, Family
 from .shapes import SOUTH, WEST
@@ -73,23 +74,20 @@ __all__ = [
     "symmetric_corner_decomposition",
 ]
 
-_CHAIN_FAMILIES = (Family.PERMUTATION, Family.TYPE_B)
-
-
 def _require_chain(family: Family, n: int) -> None:
-    """Refuse an off-chain family, then a size below 1."""
-    if family not in _CHAIN_FAMILIES:
+    """Refuse an off-chain (pointed) family, then a size below 1."""
+    if family.pointed:
         raise DomainError(
             f"the growth chain is defined for {Family.PERMUTATION.value} and "
             f"{Family.TYPE_B.value}, not {family.value}"
         )
     if n < 1:
-        raise DomainError(f"size must be at least 1, got {n}")
+        raise DomainError(f"size must be at least 1, got {_excerpt(n)}")
 
 
 def _chain_of(family: Family) -> Family:
     """The chain whose weights carry ``family``'s corner laws."""
-    return Family.TYPE_B if family in (Family.TYPE_B, Family.SYMMETRIC) else Family.PERMUTATION
+    return Family.TYPE_B if family is Family.TYPE_B or family is Family.SYMMETRIC else Family.PERMUTATION
 
 
 def _doubling(family: Family) -> int:
@@ -115,8 +113,8 @@ def _transitions(family: Family, u: int) -> list[tuple[str, int, int]]:
 
 def _suffix_weight(family: Family, m: int, u: int) -> int:
     """Total weight of all ``m``-step continuations from state ``u``:
-    ``m! (m + 1)**u``, times ``2**m`` for type B."""
-    return (factorial(m) << m if family is Family.TYPE_B else factorial(m)) * (m + 1) ** u
+    ``d**m m! (m + 1)**u``."""
+    return _doubling(family) ** m * factorial(m) * (m + 1) ** u
 
 
 def _rows(family: Family, n: int) -> list[list[int]]:
@@ -152,7 +150,7 @@ def _corner_position_range(n: int, family: Family) -> range:
     The border path has ``n`` steps in the 0/1 families, ``n + 1`` for a
     tree-like tableau of size ``n`` and ``2n + 2`` at symmetric index ``n``.
     """
-    if family in _CHAIN_FAMILIES:
+    if not family.pointed:
         return range(1, n)
     if family is Family.TREE_LIKE:
         return range(1, n + 1)
@@ -175,7 +173,7 @@ def _chain_position(n: int, k: int, family: Family) -> int:
     Chain positions run over ``1..n-1``; 0 stands for the chain's
     last-step-South event and -1 for its first-step-West event.
     """
-    if family in _CHAIN_FAMILIES:
+    if not family.pointed:
         return k
     if family is Family.TREE_LIKE:
         return k if k <= n - 1 else 0
@@ -213,19 +211,16 @@ def count_tableaux(n: int, family: Family) -> int:
     families, closed form for the pointed ones (symmetric takes the
     index ``n``, counting size ``2n + 1``)."""
     if n < 0:
-        raise DomainError(f"size must be non-negative, got {n}")
-    if family in _CHAIN_FAMILIES:
+        raise DomainError(f"size must be non-negative, got {_excerpt(n)}")
+    if not family.pointed:
         _require_dp_size(n, family, "the chain count")
         return _forward_value(family, n + 1, n)
     return _closed_form_count(n, family)
 
 
 def _closed_form_count(n: int, family: Family) -> int:
-    """``n!`` tableaux for the permutation and tree-like families, ``2**n n!``
-    for type B and symmetric (at index ``n``)."""
-    if family is Family.PERMUTATION or family is Family.TREE_LIKE:
-        return factorial(n)
-    return factorial(n) << n
+    """``d**n n!`` tableaux (symmetric: at index ``n``)."""
+    return _doubling(family) ** n * factorial(n)
 
 
 def _fold_boundary_terms(n: int) -> tuple[int, int]:
@@ -272,7 +267,7 @@ def symmetric_corner_decomposition(n: int) -> CornerDecomposition:
     symmetric DP law, so ``n`` is capped at ``CHAIN_BUDGET.dp_size``.
     """
     if n < 1:
-        raise DomainError(f"index must be at least 1, got {n}")
+        raise DomainError(f"index must be at least 1, got {_excerpt(n)}")
     _require_dp_size(n, Family.SYMMETRIC, "the corner decomposition")
     b_count = count_tableaux(n, Family.TYPE_B)
     twice_b = 2 * total_corners(n, Family.TYPE_B) if n >= 2 else 0
@@ -308,7 +303,7 @@ def rising_factorial_pgf(z: Union[int, Fraction], m: int) -> Fraction:
     ``m = 0`` is the empty product: the size-0 object has no rows.
     """
     if m < 0:
-        raise DomainError(f"the generating function needs m >= 0, got {m}")
+        raise DomainError(f"the generating function needs m >= 0, got {_excerpt(m)}")
     zf = Fraction(z)
     prod = Fraction(1)
     for i in range(m):
@@ -359,7 +354,7 @@ def corner_event_probability_dp(n: int, k: int, family: Family) -> Fraction:
     over ``1..n``; for the 0/1 families over ``1..n-1``.
     """
     if n < 1:
-        raise DomainError(f"size must be at least 1, got {n}")
+        raise DomainError(f"size must be at least 1, got {_excerpt(n)}")
     _require_position(n, k, family, IndexOutOfRangeError)
     _require_dp_size(n, family, "the DP corner probability")
     chain, pos = _chain_of(family), _chain_position(n, k, family)
@@ -399,7 +394,7 @@ def corner_event_probability_formula(n: int, k: int, family: Family) -> Fraction
     ``n + 1 - k`` and ``k - n - 1`` on the two halves.
     """
     if n < 2:
-        raise DomainError(f"closed forms need n >= 2, got {n}")
+        raise DomainError(f"closed forms need n >= 2, got {_excerpt(n)}")
     _require_position(n, k, family, DomainError)
     return _closed_form_corner(n, _chain_position(n, k, family), _doubling(family))
 
@@ -408,7 +403,7 @@ def _require_dp_size(n: int, family: Family, what: str) -> None:
     """Refuse ``what`` at ``n`` past ``CHAIN_BUDGET.dp_size``."""
     if n > CHAIN_BUDGET.dp_size:
         raise BudgetExceededError(
-            n, family, CHAIN_BUDGET.dp_size, f"{what} of {family.value} at n={n}"
+            n, family, CHAIN_BUDGET.dp_size, f"{what} of {family.value} at n={_excerpt(n)}"
         )
 
 
@@ -430,7 +425,7 @@ def corner_distribution(n: int, family: Family, *, method: str = "dp") -> dict[i
         raise DomainError(f"unknown corner-law method {method!r}")
     least = 1 if method == "dp" else 2
     if n < least:
-        raise DomainError(f"the {method} corner law needs n >= {least}, got {n}")
+        raise DomainError(f"the {method} corner law needs n >= {least}, got {_excerpt(n)}")
     if method == "formula":
         d = _doubling(family)
         chain_law = [_closed_form_corner(n, pos, d) for pos in range(1, n)]
@@ -442,7 +437,7 @@ def corner_distribution(n: int, family: Family, *, method: str = "dp") -> dict[i
 def expected_corners(n: int, family: Family) -> Fraction:
     """Mean corner count (symmetric: at index ``n``, size ``2n + 1``)."""
     if n < 2:
-        raise DomainError(f"expected corners defined for n >= 2, got {n}")
+        raise DomainError(f"expected corners defined for n >= 2, got {_excerpt(n)}")
     if family is Family.PERMUTATION:
         return Fraction(n + 4, 6) - Fraction(1, n)
     if family is Family.TREE_LIKE:

@@ -101,7 +101,7 @@ def _tableau_text(family: str, t: Tableau) -> str:
     its result exactly; ``%`` formatting may leave each kept text in a
     larger memory block than it needs.
     """
-    if t.family in (Family.TREE_LIKE, Family.SYMMETRIC):
+    if t.family.pointed:
         rows = list(map(encode_basestring_ascii, t.row_strings()))
     else:
         rows = list(map(_bit_row_text, t.rows))
@@ -322,7 +322,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         _emit(_json_text(to_record(image_of(_read_record(args.infile)))), args.out)
         return 0
     # roundtrip
-    if args.family not in (Family.TYPE_B, Family.SYMMETRIC):
+    if args.family is not Family.TYPE_B and args.family is not Family.SYMMETRIC:
         raise CornersError("roundtrip sweeps run on type-b or symmetric families")
     from .enumerator import enumerate_tableaux
 

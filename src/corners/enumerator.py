@@ -37,7 +37,9 @@ checked independently by :func:`~corners.tableaux.validate`, by the
 closed-form counts and by growing the extension tree
 (``method="extension"``).
 
-The tableaux built here skip the constructor's structure check
+Each tableau is built by its family's class in ``tableaux._CLASS_OF``,
+and whether a family is pointed is read from ``Family.pointed``.  The
+tableaux built here skip the constructor's structure check
 (``_trusted``), since their construction guarantees it: a walked filling
 has one row per row of the shape, each of its key's length and made of
 bits, and its points lie in those rows, a symmetric one's mirrors too
@@ -53,20 +55,10 @@ from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DomainError, _excerpt
 from .families import BRUTE_FORCE_BUDGET, Family
 from .shapes import SOUTH, WEST, BorderPath, all_paths
-from .tableaux import (
-    Bits,
-    PermutationTableau,
-    SymmetricTreeLikeTableau,
-    Tableau,
-    TreeLikeTableau,
-    TypeBTableau,
-    _cells,
-    corner_stats,
-    markers,
-)
+from .tableaux import _CLASS_OF, Bits, PermutationTableau, Tableau, _cells, corner_stats, markers
 
 __all__ = [
     "enumerate_shapes",
@@ -89,7 +81,7 @@ def enumerate_shapes(half_perimeter: int, family: Family) -> Iterator[BorderPath
     for path in all_paths(half_perimeter):
         if family is Family.PERMUTATION and not path.is_permutation_shape():
             continue
-        if family in (Family.TREE_LIKE, Family.SYMMETRIC) and not path.is_tree_like_shape():
+        if family.pointed and not path.is_tree_like_shape():
             continue
         if family is Family.SYMMETRIC and not path.is_self_conjugate:
             continue
@@ -240,34 +232,31 @@ def _tally(rule: _Rule, keys: list[tuple], need: int) -> Counter[int]:
 
 def _shapes(n: int, family: Family) -> Iterator[BorderPath]:
     """The shapes of size ``n``; a pointed tableau's half-perimeter is its size plus one."""
-    pointed = family in (Family.TREE_LIKE, Family.SYMMETRIC)
-    return enumerate_shapes(n + 1 if pointed else n, family)
+    return enumerate_shapes(n + 1 if family.pointed else n, family)
 
 
 def _tableau(family: Family, path: BorderPath, fill: Bits) -> Tableau:
     """The tableau of a walked filling, built without the constructor's
     checks, which the walk makes true (see the module docstring)."""
-    if family is Family.PERMUTATION:
-        return PermutationTableau._trusted(path, fill)
-    if family is Family.TYPE_B:
-        return TypeBTableau._trusted(path, fill)
+    cls = _CLASS_OF[family]
+    if not family.pointed:
+        return cls._trusted(path, fill)
     points = {
         (r, c) for r, row in enumerate(fill, start=1) for c, cell in enumerate(row, start=1) if cell
     }
-    if family is Family.TREE_LIKE:
-        return TreeLikeTableau._trusted(path, frozenset(points))
-    points.update([(c, r) for r, c in points])
-    return SymmetricTreeLikeTableau._trusted(path, frozenset(points))
+    if family is Family.SYMMETRIC:
+        points.update([(c, r) for r, c in points])
+    return cls._trusted(path, frozenset(points))
 
 
 def _require_size(n: int, family: Family) -> None:
     if n < 1:
-        raise DomainError(f"size must be at least 1, got {n}")
+        raise DomainError(f"size must be at least 1, got {_excerpt(n)}")
     limit = BRUTE_FORCE_BUDGET[family]
     if n > limit:
         raise BudgetExceededError(n, family, limit)
     if family is Family.SYMMETRIC and n % 2 == 0:
-        raise DomainError(f"symmetric tableaux have odd size, got {n}")
+        raise DomainError(f"symmetric tableaux have odd size, got {_excerpt(n)}")
 
 
 def enumerate_tableaux(n: int, family: Family) -> Iterator[Tableau]:
@@ -359,7 +348,7 @@ def _census_of(
     families, occupied corners for the pointed ones) to the number of
     tableaux of that shape carrying it.  A shape may come more than once.
     """
-    pointed = family in (Family.TREE_LIKE, Family.SYMMETRIC)
+    pointed = family.pointed
     cardinality = 0
     total_corners = 0
     occupied = 0
@@ -396,7 +385,7 @@ def _tableau_tallies(
     family: Family, tableaux: Iterable[Tableau]
 ) -> Iterator[tuple[BorderPath, Counter[int]]]:
     """Per-shape tallies of built tableaux, one per run of equal paths."""
-    pointed = family in (Family.TREE_LIKE, Family.SYMMETRIC)
+    pointed = family.pointed
     for path, group in groupby(tableaux, key=attrgetter("path")):
         yield path, Counter(
             corner_stats(t).occupied_corner_count if pointed else len(markers(t).unrestricted_rows)
@@ -445,7 +434,7 @@ def census(n: int, family: Family, *, method: str = "auto") -> Census:
         _require_size(n, family)
         *_, last = _extension_levels(n)
         return _census_of(family, n, _tableau_tallies(family, last))
-    if method == "auto" and family in (Family.PERMUTATION, Family.TYPE_B):
+    if method == "auto" and not family.pointed:
         _require_size(n, family)
         return _census_of(family, n, _walk_tallies(n, family))
     tableaux = enumerate_tableaux(n, family)

@@ -63,7 +63,7 @@ class BudgetExceededError(CornersError, ValueError):
         self.n = n
         self.family = family
         self.budget = budget
-        what = what or f"enumeration of {family} at size {n}"
+        what = what or f"enumeration of {family} at size {_excerpt(n)}"
         super().__init__(f"{what} exceeds the budget of {budget}")
 
 

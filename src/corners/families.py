@@ -1,4 +1,5 @@
-"""Tableau family identifiers, enumeration budgets and the verify suite names."""
+"""Tableau family identifiers and which of them are pointed, enumeration
+budgets and the verify suite names."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ class Family(str, enum.Enum):
     """The four tableau families handled by this package.
 
     The string values double as the spelling used on the command line and
-    in serialized records.
+    in serialized records.  The member order is the order ``verify``
+    prints them in.
     """
 
     TREE_LIKE = "tree-like"
@@ -25,6 +27,12 @@ class Family(str, enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
+    @property
+    def pointed(self) -> bool:
+        """True when a tableau of this family is a set of points on its
+        shape (tree-like, symmetric), False for a 0/1 filling."""
+        return self in _POINTED
+
     @classmethod
     def parse(cls, text: str) -> "Family":
         try:
@@ -32,6 +40,9 @@ class Family(str, enum.Enum):
         except ValueError:
             names = ", ".join(f.value for f in cls)
             raise ValueError(f"unknown family {_excerpt(text)}; expected one of: {names}") from None
+
+
+_POINTED = frozenset({Family.TREE_LIKE, Family.SYMMETRIC})
 
 
 # Largest size accepted by the exhaustive enumerators, per family.  The caps

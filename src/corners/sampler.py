@@ -59,7 +59,7 @@ from .chain import (
     corner_distribution,
     expected_corners,
 )
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DomainError, _excerpt
 from .families import CHAIN_BUDGET, Family
 from .shapes import SOUTH, WEST, BorderPath
 from .tableaux import PermutationTableau
@@ -125,7 +125,7 @@ def _step_table(n: int, family: Family) -> _StepTable:
     _require_chain(family, n)
     if n > CHAIN_BUDGET.sample_size:
         raise BudgetExceededError(
-            n, family, CHAIN_BUDGET.sample_size, f"sampling {family.value} at n={n}"
+            n, family, CHAIN_BUDGET.sample_size, f"sampling {family.value} at n={_excerpt(n)}"
         )
     table = _STEP_TABLES.setdefault(family, [])
     table.extend({} for _ in range(len(table), n))
@@ -183,10 +183,10 @@ def sample_trajectory(n: int, family: Family, seed: int, index: int = 0) -> Traj
 
 def _require_count(count: int, family: Family) -> None:
     if count < 0:
-        raise DomainError(f"count must be non-negative, got {count}")
+        raise DomainError(f"count must be non-negative, got {_excerpt(count)}")
     if count > CHAIN_BUDGET.sample_count:
         raise BudgetExceededError(
-            count, family, CHAIN_BUDGET.sample_count, f"a run of {count} samples"
+            count, family, CHAIN_BUDGET.sample_count, f"a run of {_excerpt(count)} samples"
         )
 
 
@@ -418,7 +418,7 @@ def monte_carlo_corner_report(
     if n < 2:
         raise DomainError(f"Monte Carlo reports need n >= 2, got {n}")
     if sample_count < 100:
-        raise DomainError(f"sample count must be at least 100, got {sample_count}")
+        raise DomainError(f"sample count must be at least 100, got {_excerpt(sample_count)}")
     _require_count(sample_count, family)
     table = _step_table(n, family)
     total, total_sq, position_hits = _tallies(n, family, table, seed, sample_count)

@@ -20,17 +20,18 @@ Families
   ``2**n * n!``.
 
 Each class names its :class:`~corners.families.Family` as the class
-attribute ``family``.  Every shape is a :class:`~corners.shapes.BorderPath`;
-a type-B tableau fills the shifted diagram of its path
-(``path.shifted_row_lengths``).  Constructors check only structure (the
-filling must cover the shape with ``int`` bits 0 and 1, or with points
-inside it, each a pair of ``int``), from the row lengths the path caches;
-family rules are checked by :func:`validate` so that fillings that break
-them can still be represented.  The public constructors,
-``from_strings`` and :func:`from_record` always check.  The private
-``_trusted`` of the ``_Frozen`` base skips the check; only the
-enumerator and the fold call it, where their construction guarantees the
-structure (see their modules).
+attribute ``family``, and ``_CLASS_OF`` maps each family back to its
+class, for :func:`from_record` and the enumerator.  Every shape is a
+:class:`~corners.shapes.BorderPath`; a type-B tableau fills the shifted
+diagram of its path (``path.shifted_row_lengths``).  Constructors check
+only structure (the filling must cover the shape with ``int`` bits 0 and
+1, or with points inside it, each a pair of ``int``), from the row
+lengths the path caches; family rules are checked by :func:`validate` so
+that fillings that break them can still be represented.  The public
+constructors, ``from_strings`` and :func:`from_record` always check.
+The private ``_trusted`` of the ``_Frozen`` base skips the check; only
+the enumerator and the fold call it, where their construction
+guarantees the structure (see their modules).
 
 A tableau is an immutable value on the ``shapes`` base ``_Frozen``: its
 constructor checks and sets its fields once, and two tableaux are equal
@@ -254,6 +255,12 @@ class SymmetricTreeLikeTableau(TreeLikeTableau):
 
 
 Tableau = Union[PermutationTableau, TypeBTableau, TreeLikeTableau]
+
+# the class that builds each family's tableaux
+_CLASS_OF = {
+    cls.family: cls
+    for cls in (PermutationTableau, TypeBTableau, TreeLikeTableau, SymmetricTreeLikeTableau)
+}
 
 
 class RuleViolation(NamedTuple):
@@ -500,10 +507,9 @@ def from_record(record: dict) -> Tableau:
     if not isinstance(rows, list) or not all(isinstance(row, str) for row in rows):
         raise InvalidTableauError("a tableau record's rows must be a list of strings")
     path = BorderPath(record["path"])
-    if family is Family.PERMUTATION:
-        return PermutationTableau.from_strings(path, rows)
-    if family is Family.TYPE_B:
-        return TypeBTableau.from_strings(path, rows)
+    cls = _CLASS_OF[family]
+    if not family.pointed:
+        return cls.from_strings(path, rows)
     kind = f"character outside {(POINT_CHAR, EMPTY_CHAR)}"
     _check_rows(rows, path.row_lengths, "pointed filling", str, _POINT_SYMBOLS, kind)
     points = frozenset(
@@ -512,6 +518,4 @@ def from_record(record: dict) -> Tableau:
         for c, ch in enumerate(row, start=1)
         if ch == POINT_CHAR
     )
-    if family is Family.SYMMETRIC:
-        return SymmetricTreeLikeTableau(path, points)
-    return TreeLikeTableau(path, points)
+    return cls(path, points)

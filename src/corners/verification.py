@@ -51,7 +51,7 @@ from .chain import (
     u_pgf,
 )
 from .enumerator import Census, census, enumerate_tableaux, extend_permutation, parent_permutation
-from .errors import DomainError
+from .errors import DomainError, _excerpt
 from .families import SUITE_NAMES, Family
 from .tableaux import PermutationTableau, canonical_key, corner_stats, markers
 
@@ -62,8 +62,6 @@ __all__ = [
     "SUITES",
     "run_suite",
 ]
-
-_FAMILIES = (Family.TREE_LIKE, Family.PERMUTATION, Family.TYPE_B, Family.SYMMETRIC)
 
 # census sweeps stay inside the ranges the acceptance checks exercise
 _CENSUS_CAP = {
@@ -166,7 +164,7 @@ def _chain_rows(*checks: tuple) -> list[VerificationRow]:
 
 def suite_counts(max_size: int) -> list[VerificationRow]:
     rows = []
-    for family in _FAMILIES:
+    for family in Family:
         rows += _census_rows(family, max_size, ("cardinality", attrgetter("cardinality"), _closed_form_count))
     for family in (Family.PERMUTATION, Family.TYPE_B):
         rows += _chain_rows(("chain-count", family, count_tableaux, _closed_form_count))
@@ -181,7 +179,7 @@ def _census_corner_law(c: Census) -> dict[int, Fraction]:
 def suite_corner_law(max_size: int) -> list[VerificationRow]:
     rows = []
     formula_law = partial(corner_distribution, method="formula")
-    for family in _FAMILIES:
+    for family in Family:
         # closed forms start at index 2
         rows += _census_rows(family, max_size, ("corner-law-census", _census_corner_law, formula_law), least=2)
         rows += _chain_rows(("corner-law-dp", family, partial(corner_distribution, method="dp"), formula_law))
@@ -190,7 +188,7 @@ def suite_corner_law(max_size: int) -> list[VerificationRow]:
 
 def suite_corner_totals(max_size: int) -> list[VerificationRow]:
     rows = []
-    for family in _FAMILIES:
+    for family in Family:
         rows += _census_rows(family, max_size, ("corner-total", attrgetter("total_corners"), total_corners), least=2)
         rows += _chain_rows((
             "expected-corners", family,
@@ -358,7 +356,7 @@ def pushforward_check(
     exact rationals.
     """
     if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+        raise DomainError(f"need n >= 2, got {_excerpt(n)}")
     parents = map(parent_permutation, enumerate_tableaux(n, Family.PERMUTATION))
     return _pushforward_sides(n, statistic, parents, enumerate_tableaux(n - 1, Family.PERMUTATION))
 
@@ -383,7 +381,7 @@ SUITES: dict[str, Callable[[int], list[VerificationRow]]] = dict(
 def run_suite(name: str, max_size: int = 6) -> VerificationReport:
     """Run one named suite, or every suite with ``name='all'``."""
     if max_size < 1:
-        raise DomainError(f"max size must be positive, got {max_size}")
+        raise DomainError(f"max size must be positive, got {_excerpt(max_size)}")
     if name == "all":
         rows: list[VerificationRow] = []
         for suite in SUITES.values():

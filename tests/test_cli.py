@@ -818,6 +818,29 @@ def test_enumeration_budget_one_past(capsys, argv):
     assert "exceeds the budget" in err
 
 
+_HUGE = "9" * 5000
+
+# argv whose number is far past its cap or below its least value, one per
+# command whose refusal echoes that number
+OVERSIZED_RUNS = {
+    "census-size": f"census --family type-b --size {_HUGE}",
+    "enumerate-size": f"enumerate --family type-b --size {_HUGE}",
+    "census-negative-size": f"census --family type-b --size -{_HUGE}",
+    "formula-total-n": f"formula total --family type-b --n {_HUGE}",
+    "sample-n": f"sample --kind trajectories --family type-b --n {_HUGE}",
+    "sample-count": f"sample --kind trajectories --family type-b --n 5 --count {_HUGE}",
+    "verify-negative-max-size": f"verify --suite counts --max-size -{_HUGE}",
+}
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_RUNS.values(), ids=OVERSIZED_RUNS.keys())
+def test_a_refusal_quotes_only_a_prefix_of_an_oversized_number(capsys, argv):
+    code, out, err = run(capsys, *argv.split(), "--format", "json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+
+
 def test_verify_max_size_stops_at_the_census_caps(capsys):
     # every family's census sweep stops at verification._CENSUS_CAP (at
     # most 11), so a larger --max-size changes nothing

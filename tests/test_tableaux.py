@@ -12,6 +12,7 @@ from corners.tableaux import (
     SymmetricTreeLikeTableau,
     TreeLikeTableau,
     TypeBTableau,
+    _CLASS_OF,
     canonical_key,
     corner_stats,
     from_record,
@@ -246,3 +247,12 @@ def test_canonical_key_orders_path_then_filling():
     keys = [canonical_key(t) for t in cached_tableaux(3, Family.PERMUTATION)]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+def test_each_family_has_one_class_and_one_pointed_flag():
+    # the order `verify` prints the families in
+    assert tuple(Family) == (Family.TREE_LIKE, Family.PERMUTATION, Family.TYPE_B, Family.SYMMETRIC)
+    for family in Family:
+        cls = _CLASS_OF[family]
+        assert cls.family is family
+        assert family.pointed is issubclass(cls, TreeLikeTableau)
