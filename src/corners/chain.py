@@ -193,17 +193,22 @@ def _lay_out(
 ) -> dict[int, Fraction]:
     """``family``'s corner law at ``n``, keyed by ascending position.
 
-    A position that :func:`_chain_position` maps to chain position
-    ``pos >= 1`` reads ``chain_law[pos - 1]``.  The boundary events
-    (``pos`` 0 and -1) have expressions of their own, which the
-    per-position function holds, so they are read through
-    ``per_position(n, k, family)``.
+    The values are laid out in slices, in the order of
+    :func:`_chain_position`: the 0/1 families read the chain law itself,
+    tree-like adds its last-step-South value at ``k = n``, and symmetric
+    reads ``south, *reversed(chain_law), west, *chain_law, south``.  The
+    boundary events have expressions of their own, which the per-position
+    function holds, so they are read through ``per_position(n, k, family)``
+    (``k = 1`` for South, ``n + 1`` for West).
     """
-    law = {}
-    for k in _corner_position_range(n, family):
-        pos = _chain_position(n, k, family)
-        law[k] = chain_law[pos - 1] if pos > 0 else per_position(n, k, family)
-    return law
+    if not family.pointed:
+        values = chain_law
+    elif family is Family.TREE_LIKE:
+        values = [*chain_law, per_position(n, n, family)]
+    else:
+        south, west = per_position(n, 1, family), per_position(n, n + 1, family)
+        values = [south, *reversed(chain_law), west, *chain_law, south]
+    return dict(zip(_corner_position_range(n, family), values))
 
 
 def count_tableaux(n: int, family: Family) -> int:
@@ -414,9 +419,9 @@ def corner_distribution(n: int, family: Family, *, method: str = "dp") -> dict[i
     Both methods compute the chain law at positions ``1..n-1`` once:
     ``method="dp"`` in one pass along two diagonals (:func:`_dp_chain_law`),
     ``"formula"`` as one fraction per position from the closed form.
-    Tree-like and symmetric positions read it at the positions
-    :func:`_chain_position` maps them to, so the two halves of the
-    symmetric law share one chain law; their boundary positions are read
+    Tree-like and symmetric laws lay it out in slices, in the order of
+    the positions :func:`_chain_position` maps them to, so the two halves
+    of the symmetric law share one chain law; their boundary positions are read
     through :func:`corner_event_probability_dp`, resp.
     :func:`corner_event_probability_formula` (see :func:`_lay_out`).
     Each value equals that function at its position.

@@ -3,6 +3,8 @@ quote a value that came from outside."""
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "CornersError",
     "EmptyPathError",
@@ -21,7 +23,17 @@ __all__ = [
 def _excerpt(value: object) -> str:
     """``repr(value)``, cut to its first 40 characters and ``...`` when
     longer: a record may carry a value of any size, and a message quotes
-    only its start."""
+    only its start.
+
+    An ``int`` of more than 200 bits (over 60 digits) is quoted from its
+    leading digits alone, without converting it to decimal in full: with
+    ``b`` bits it has at least ``floor(b log10 2)`` digits, and dropping
+    all but the last 41 of those leaves more than 40 to cut.
+    """
+    if type(value) is int and value.bit_length() > 200:
+        dropped = math.floor(value.bit_length() * math.log10(2)) - 41  # at least 19
+        leading = str(abs(value) // 10**dropped)
+        return ("-" + leading if value < 0 else leading)[:40] + "..."
     shown = repr(value)
     return shown if len(shown) <= 40 else shown[:40] + "..."
 

@@ -11,12 +11,17 @@ level, which determines every corner statistic.
 
 One step table per family, shared by every size, holds for each visited
 number of steps left ``m`` and state ``u`` the cumulative weights with
-their rejection bound and the step and target of each transition, built
-from the chain's plain ``(step, target, weight)`` triples.  A draw is one
-loop over it, from ``m = n - 1`` down to 0, with the rejection draw and
-the bisection inlined.  Tableau growth reads the same table and tracks
-the unrestricted rows as it goes, so it builds and validates one tableau
-at the end instead of one per step.
+their rejection bound and the step and target of each transition.  A row
+is built from two smaller stores of the family: each state's steps,
+targets and weights, read once from the chain's plain ``(step, target,
+weight)`` triples and shared by every ``m``, and each ``m``'s completion
+weights ``d**m m! (m + 1)**t``, one list extended as rows of that ``m``
+reach larger targets ``t``.  A draw is one loop over the table, from
+``m = n - 1`` down to 0, with the rejection draw and the bisection
+inlined.  Tableau growth reads the same table and tracks the unrestricted
+rows as it goes, so it builds and validates one tableau at the end instead
+of one per step; its column subsets come from one draw below a binomial,
+with no list of weights.
 
 Randomness contract (generator id ``sha256-stream/mt19937/v1``): sample
 ``i`` of a run seeded with ``seed`` uses a ``random.Random`` (Mersenne
@@ -27,9 +32,9 @@ byte-identical across runs.  A report large enough to pay for it does
 split: where the process can fork and has a second CPU, one forked child
 tallies the upper half of the indices and sends its exact integer sums
 back through a pipe, so the report has the same bytes on any CPU count.
-Each process grows its own step table.  Trajectory and tableau lists are
-lazy iterators and stay in one process, since a generator dropped halfway
-could leave a child running.
+Each process grows its own step table and stores.  Trajectory and
+tableau lists are lazy iterators and stay in one process, since a
+generator dropped halfway could leave a child running.
 
 Integer draws use rejection below a power of two, so all categorical
 choices are exact over the arbitrary-precision weights; no floating
@@ -116,6 +121,14 @@ _StepTable = list[dict[int, _StepRow]]
 #: Each chain family's step table, shared by every size: a row depends
 #: only on the family, ``m`` and ``u``.
 _STEP_TABLES: dict[Family, _StepTable] = {}
+#: ``_TRANSITIONS[family][u]``: the steps (one string), targets and weights
+#: of the transitions out of state ``u``, shared by the rows of every ``m``.
+_TRANSITIONS: dict[Family, dict[int, tuple[str, tuple[int, ...], tuple[int, ...]]]] = {}
+#: ``_COMPLETIONS[family][m][t]``: the completion weight ``d**m m! (m + 1)**t``
+#: of target ``t`` with ``m`` steps left, extended as rows need larger ``t``.
+#: Rows exist only for ``m < n <= CHAIN_BUDGET.sample_size`` and targets
+#: ``t <= n``, so neither store outgrows the step table's bound.
+_COMPLETIONS: dict[Family, dict[int, list[int]]] = {}
 
 
 def _step_table(n: int, family: Family) -> _StepTable:
@@ -136,24 +149,28 @@ def _row(family: Family, m: int, u: int) -> _StepRow:
     """The row of state ``u`` with ``m`` steps left, built on first visit.
 
     Each transition weighs its chain weight times its completion weight
-    ``m! (m + 1)**target`` (times ``2**m`` for type B).
+    ``m! (m + 1)**target`` (times ``2**m`` for type B).  The state's
+    transitions come from ``_TRANSITIONS`` and the completion weights from
+    ``_COMPLETIONS``, each filled on first need: a row costs one product
+    and one running sum per transition.
     """
     rows = _STEP_TABLES[family][m]
     hit = rows.get(u)
     if hit is None:
-        steps, targets, weights = zip(*_transitions(family, u))
-        # completion weights: one power of m + 1 per target
-        suffix = [_suffix_weight(family, m, 0)]
-        for _ in range(u + 1):
-            suffix.append(suffix[-1] * (m + 1))
-        cumulative = list(accumulate(map(mul, weights, map(suffix.__getitem__, targets))))
-        hit = rows[u] = (
-            cumulative,
-            cumulative[-1],
-            cumulative[-1].bit_length(),
-            "".join(steps),
-            targets,
-        )
+        by_state = _TRANSITIONS.setdefault(family, {})
+        transitions = by_state.get(u)
+        if transitions is None:
+            steps, targets, weights = zip(*_transitions(family, u))
+            transitions = by_state[u] = ("".join(steps), targets, weights)
+        step_of, targets, weights = transitions
+        by_m = _COMPLETIONS.setdefault(family, {})
+        completions = by_m.get(m)
+        if completions is None:
+            completions = by_m[m] = [_suffix_weight(family, m, 0)]
+        while len(completions) <= u + 1:  # every target is at most u + 1
+            completions.append(completions[-1] * (m + 1))
+        cumulative = list(accumulate(map(mul, weights, map(completions.__getitem__, targets))))
+        hit = rows[u] = (cumulative, cumulative[-1], cumulative[-1].bit_length(), step_of, targets)
     return hit
 
 
@@ -204,17 +221,29 @@ def _draw_column_subset(rng: random.Random, unrest: Sequence[int], j: int) -> se
     the topmost chosen one, so the topmost choice ``i`` (1-based among
     ``unrest``) has multiplicity C(u-i, j-i); the remaining ``j - i``
     members are uniform among the rows below ``i``.
+
+    By the hockey-stick identity the multiplicities sum to C(u, j-1), so
+    one draw ``x`` below that picks ``i``: walk the terms from ``i = 1``,
+    each the one before times ``(j - i) / (u - i)``, and stop at the term
+    that ``x`` falls in.  The rows are then chosen one by one, each with
+    probability (members still needed) / (rows left), until none is needed.
     """
     u = len(unrest)
-    cumulative = list(accumulate(math.comb(u - i, j - i) for i in range(1, j + 1)))
-    i = 1 + bisect_right(cumulative, _int_below(rng, cumulative[-1]))
+    x = _int_below(rng, math.comb(u, j - 1))
+    i = 1
+    term = math.comb(u - 1, j - 1)
+    while x >= term:
+        x -= term
+        term = term * (j - i) // (u - i)
+        i += 1
     chosen = {unrest[i - 1]}
     needed = j - i
-    for offset, row in enumerate(unrest[i:]):
-        remaining = u - i - offset
-        if needed and _int_below(rng, remaining) < needed:
-            chosen.add(row)
+    remaining = u - i
+    while needed:
+        if _int_below(rng, remaining) < needed:
+            chosen.add(unrest[u - remaining])
             needed -= 1
+        remaining -= 1
     return chosen
 
 

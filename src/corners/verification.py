@@ -166,7 +166,7 @@ def suite_counts(max_size: int) -> list[VerificationRow]:
     rows = []
     for family in Family:
         rows += _census_rows(family, max_size, ("cardinality", attrgetter("cardinality"), _closed_form_count))
-    for family in (Family.PERMUTATION, Family.TYPE_B):
+    for family in (f for f in Family if not f.pointed):
         rows += _chain_rows(("chain-count", family, count_tableaux, _closed_form_count))
     return rows
 
@@ -283,7 +283,7 @@ def suite_pgf(max_size: int) -> list[VerificationRow]:
         lambda c: {u: Fraction(v, c.cardinality) for u, v in c.u_histogram.items()},
         u_distribution,
     )
-    for family in (Family.PERMUTATION, Family.TYPE_B):
+    for family in (f for f in Family if not f.pointed):
         rows += _census_rows(family, max_size, histogram)
     return rows
 

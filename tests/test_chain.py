@@ -252,6 +252,16 @@ def test_one_pass_laws_equal_the_per_position_functions(family, n):
 
 
 @pytest.mark.parametrize("family", ALL)
+def test_the_dp_law_at_size_one_reads_only_boundary_positions(family):
+    # the chain law is empty at n = 1: the 0/1 laws are empty, and the
+    # pointed laws hold only their last-step-South and first-step-West values
+    law = corner_distribution(1, family, method="dp")
+    positions = list(chain._corner_position_range(1, family))
+    assert list(law) == positions
+    assert list(law.values()) == [corner_event_probability_dp(1, k, family) for k in positions]
+
+
+@pytest.mark.parametrize("family", ALL)
 def test_corner_law_rejects_an_unknown_method(family):
     with pytest.raises(DomainError, match="unknown corner-law method 'bogus'"):
         corner_distribution(5, family, method="bogus")

@@ -20,6 +20,7 @@ from corners import bijections, verification
 from corners.chain import total_corners
 from corners.cli import _bit_row_text, _tableau_text, _trajectory_text, run_command
 from corners.enumerator import enumerate_tableaux
+from corners.errors import _excerpt
 from corners.families import BRUTE_FORCE_BUDGET, CHAIN_BUDGET, SUITE_NAMES, Family
 from corners.sampler import monte_carlo_corner_report, sample_permutation_tableaux, sample_trajectories
 from corners.shapes import BorderPath
@@ -839,6 +840,20 @@ def test_a_refusal_quotes_only_a_prefix_of_an_oversized_number(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err.encode()) < 200
+
+
+def test_an_excerpt_of_a_large_integer_is_the_cut_repr():
+    # integers past 200 bits are quoted from their leading digits alone;
+    # the text must still be the cut ``repr``, at every digit count
+    def cut_repr(value):
+        shown = repr(value)
+        return shown if len(shown) <= 40 else shown[:40] + "..."
+
+    values = [v for k in range(301) for v in (10**k - 1, 10**k, 10**k + 1)]
+    values += [v for b in range(190, 1100) for v in (2**b - 1, 2**b)]
+    for value in values:
+        assert _excerpt(value) == cut_repr(value), value
+        assert _excerpt(-value) == cut_repr(-value), -value
 
 
 def test_verify_max_size_stops_at_the_census_caps(capsys):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import threading
 import time
 from bisect import bisect_right
@@ -342,6 +343,65 @@ def test_sampling_checks_the_count_first_and_grows_no_table(monkeypatch, n):
         with pytest.raises(BudgetExceededError, match=f"a run of {too_many} samples"):
             call()
     assert sampler._STEP_TABLES == {}
+
+
+_ROW_STORES = ("_STEP_TABLES", "_TRANSITIONS", "_COMPLETIONS")
+
+
+def test_column_subset_draws_match_the_reference():
+    # every state tableau growth can reach up to n = 60: the same set as
+    # the listed, bisected weights, and the same use of the generator
+    for u in range(1, 61):
+        unrest = list(range(2, 2 * u + 2, 2))
+        for j in range(1, u + 1):
+            for seed in range(3):
+                rng, ref_rng = substream(seed, 100 * u + j), substream(seed, 100 * u + j)
+                drawn = sampler._draw_column_subset(rng, unrest, j)
+                assert drawn == _ref_draw_column_subset(ref_rng, unrest, j), (u, j, seed)
+                assert rng.getstate() == ref_rng.getstate(), (u, j, seed)
+
+
+def test_step_rows_built_in_any_order_match_the_reference(monkeypatch):
+    for store in _ROW_STORES:
+        monkeypatch.setattr(sampler, store, {})
+    n = 30
+    requests = [(family, k, u) for family in (P, B) for k in range(n) for u in range(k + 1)]
+    random.Random(3).shuffle(requests)  # families interleaved, m and u out of order
+    for family in (P, B):
+        _step_table(n, family)
+    for family, k, u in requests + requests:  # built, then read back
+        transitions, cumulative = _ref_options(n, family, k, u, {})
+        assert _row(family, n - k - 1, u) == (
+            cumulative,
+            cumulative[-1],
+            cumulative[-1].bit_length(),
+            "".join(step for step, _, _ in transitions),
+            tuple(target for _, target, _ in transitions),
+        ), (family, k, u)
+    for family in (P, B):
+        assert sorted(sampler._TRANSITIONS[family]) == list(range(n))
+        for m, completions in sampler._COMPLETIONS[family].items():
+            # extended only as far as the largest target of that m
+            assert len(completions) == n - m + 1, (family, m)
+            assert completions == [chain._suffix_weight(family, m, t) for t in range(n - m + 1)]
+
+
+def test_a_refused_request_fills_no_row_store(monkeypatch):
+    for store in _ROW_STORES:
+        monkeypatch.setattr(sampler, store, {})
+    too_big, too_many = CHAIN_BUDGET.sample_size + 1, CHAIN_BUDGET.sample_count + 1
+    for call in (
+        lambda: list(sample_trajectories(5, P, seed=1, count=too_many)),
+        lambda: list(sample_permutation_tableaux(5, seed=1, count=too_many)),
+        lambda: monte_carlo_corner_report(5, B, too_many, seed=1),
+        lambda: sample_trajectory(too_big, B, seed=1),
+        lambda: sample_permutation_tableau(too_big, seed=1),
+        lambda: list(sample_permutation_tableaux(too_big, seed=1, count=0)),
+        lambda: monte_carlo_corner_report(too_big, P, 100, seed=1),
+    ):
+        with pytest.raises(BudgetExceededError):
+            call()
+    assert [getattr(sampler, store) for store in _ROW_STORES] == [{}, {}, {}]
 
 
 def test_sampling_beyond_the_chain_budget_is_refused():
