@@ -36,7 +36,11 @@ tableau is an immutable value, so the cached answer is the one
 recomputing would give, and the fold's unfold-back comparison still
 runs on every fold.  The image's path is read from the source path
 (``BorderPath.folded_half``, ``BorderPath.unfolded``), which caches it,
-so every tableau of one shape maps to one shared path object.
+so every tableau of one shape maps to one shared path object; the
+column count and the shifted row lengths of a type-B path are cached
+on it too, and each folded row is the cached row of its mask
+(``tableaux._cells``).  So per tableau a round trip reads the points or
+rows themselves, and the facts of the shape once per path.
 ``round_trip`` composes the two maps, in the order the input's family
 needs, for every round-trip check (``bijection roundtrip``, ``verify``).
 
@@ -170,11 +174,14 @@ def _lower_points(b: TypeBTableau) -> frozenset[Cell]:
     k = b.path.column_count
     diag_zero_rows = {r for r, _ in m.diagonal_zeros}
     lower: set[Cell] = {(1, 1)}
-    lower.update((r + 1, 1) for r in m.unrestricted_rows)
-    lower.update(
-        (r + 1, c + 1) for r, c in m.rightmost_restricted_zeros if r not in diag_zero_rows
-    )
-    lower.update((r + 1, c + 1) for r, c in m.topmost_ones if not r == c <= k)
+    for r in m.unrestricted_rows:
+        lower.add((r + 1, 1))
+    for r, c in m.rightmost_restricted_zeros:
+        if r not in diag_zero_rows:
+            lower.add((r + 1, c + 1))
+    for r, c in m.topmost_ones:
+        if not r == c <= k:
+            lower.add((r + 1, c + 1))
     return frozenset(lower)
 
 
@@ -191,7 +198,7 @@ def _unfold(b: TypeBTableau) -> SymmetricTreeLikeTableau:
     """The unfolding of a valid type-B tableau, with the checks on its
     result but none on ``b``."""
     lower = _lower_points(b)
-    t = SymmetricTreeLikeTableau(b.path.unfolded, lower | frozenset((c, r) for r, c in lower))
+    t = SymmetricTreeLikeTableau(b.path.unfolded, lower | {(c, r) for r, c in lower})
     _require_valid(t, "unfolded tableau breaks tree-like rules", b)
     return t
 

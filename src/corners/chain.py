@@ -85,14 +85,9 @@ def _require_chain(family: Family, n: int) -> None:
         raise DomainError(f"size must be at least 1, got {_excerpt(n)}")
 
 
-def _chain_of(family: Family) -> Family:
-    """The chain whose weights carry ``family``'s corner laws."""
-    return Family.TYPE_B if family is Family.TYPE_B or family is Family.SYMMETRIC else Family.PERMUTATION
-
-
 def _doubling(family: Family) -> int:
     """``d``: the factor on every binomial West weight of ``family``'s chain."""
-    return 2 if _chain_of(family) is Family.TYPE_B else 1
+    return 2 if family.bit_family is Family.TYPE_B else 1
 
 
 def _fraction_text(value: Union[int, Fraction]) -> str:
@@ -218,7 +213,7 @@ def count_tableaux(n: int, family: Family) -> int:
     if n < 0:
         raise DomainError(f"size must be non-negative, got {_excerpt(n)}")
     if not family.pointed:
-        _require_dp_size(n, family, "the chain count")
+        _require_within(n, family, CHAIN_BUDGET.dp_size, "the chain count")
         return _forward_value(family, n + 1, n)
     return _closed_form_count(n, family)
 
@@ -273,7 +268,7 @@ def symmetric_corner_decomposition(n: int) -> CornerDecomposition:
     """
     if n < 1:
         raise DomainError(f"index must be at least 1, got {_excerpt(n)}")
-    _require_dp_size(n, Family.SYMMETRIC, "the corner decomposition")
+    _require_within(n, Family.SYMMETRIC, CHAIN_BUDGET.dp_size, "the corner decomposition")
     b_count = count_tableaux(n, Family.TYPE_B)
     twice_b = 2 * total_corners(n, Family.TYPE_B) if n >= 2 else 0
     south = 2 * _exact_count(last_step_south_probability(n, Family.TYPE_B), b_count)
@@ -289,15 +284,18 @@ def symmetric_corner_decomposition(n: int) -> CornerDecomposition:
 
 
 def u_distribution(n: int, family: Family) -> dict[int, Fraction]:
-    """Exact law of the unrestricted-row count at size ``n``."""
+    """Exact law of the unrestricted-row count at size ``n``, read off the
+    forward rows, so capped at ``CHAIN_BUDGET.u_law_size``."""
     _require_chain(family, n)
+    _require_within(n, family, CHAIN_BUDGET.u_law_size, "the law of U")
     row = _rows(family, n)[n]
     total = sum(row)
     return {u: Fraction(w, total) for u, w in enumerate(row) if w}
 
 
 def u_pgf(n: int, family: Family, z: Union[int, Fraction]) -> Fraction:
-    """``E[z**U_n]`` evaluated exactly from the chain distribution."""
+    """``E[z**U_n]`` evaluated exactly from the chain distribution (capped
+    as :func:`u_distribution` is)."""
     zf = Fraction(z)
     return sum((p * zf**u for u, p in u_distribution(n, family).items()), Fraction(0))
 
@@ -361,8 +359,8 @@ def corner_event_probability_dp(n: int, k: int, family: Family) -> Fraction:
     if n < 1:
         raise DomainError(f"size must be at least 1, got {_excerpt(n)}")
     _require_position(n, k, family, IndexOutOfRangeError)
-    _require_dp_size(n, family, "the DP corner probability")
-    chain, pos = _chain_of(family), _chain_position(n, k, family)
+    _require_within(n, family, CHAIN_BUDGET.dp_size, "the DP corner probability")
+    chain, pos = family.bit_family, _chain_position(n, k, family)
     if pos == 0:
         return last_step_south_probability(n, chain)
     if pos == -1:
@@ -404,12 +402,10 @@ def corner_event_probability_formula(n: int, k: int, family: Family) -> Fraction
     return _closed_form_corner(n, _chain_position(n, k, family), _doubling(family))
 
 
-def _require_dp_size(n: int, family: Family, what: str) -> None:
-    """Refuse ``what`` at ``n`` past ``CHAIN_BUDGET.dp_size``."""
-    if n > CHAIN_BUDGET.dp_size:
-        raise BudgetExceededError(
-            n, family, CHAIN_BUDGET.dp_size, f"{what} of {family.value} at n={_excerpt(n)}"
-        )
+def _require_within(n: int, family: Family, cap: int, what: str) -> None:
+    """Refuse ``what`` at ``n`` past ``cap``, a ``CHAIN_BUDGET`` field."""
+    if n > cap:
+        raise BudgetExceededError(n, family, cap, f"{what} of {family.value} at n={_excerpt(n)}")
 
 
 def corner_distribution(n: int, family: Family, *, method: str = "dp") -> dict[int, Fraction]:
@@ -424,7 +420,8 @@ def corner_distribution(n: int, family: Family, *, method: str = "dp") -> dict[i
     of the symmetric law share one chain law; their boundary positions are read
     through :func:`corner_event_probability_dp`, resp.
     :func:`corner_event_probability_formula` (see :func:`_lay_out`).
-    Each value equals that function at its position.
+    Each value equals that function at its position.  ``n`` is capped at
+    ``CHAIN_BUDGET.dp_size``, resp. ``CHAIN_BUDGET.formula_size``.
     """
     if method not in ("dp", "formula"):
         raise DomainError(f"unknown corner-law method {method!r}")
@@ -432,11 +429,12 @@ def corner_distribution(n: int, family: Family, *, method: str = "dp") -> dict[i
     if n < least:
         raise DomainError(f"the {method} corner law needs n >= {least}, got {_excerpt(n)}")
     if method == "formula":
+        _require_within(n, family, CHAIN_BUDGET.formula_size, "the closed-form corner law")
         d = _doubling(family)
         chain_law = [_closed_form_corner(n, pos, d) for pos in range(1, n)]
         return _lay_out(n, family, chain_law, corner_event_probability_formula)
-    _require_dp_size(n, family, "the DP corner law")
-    return _lay_out(n, family, _dp_chain_law(n, _chain_of(family)), corner_event_probability_dp)
+    _require_within(n, family, CHAIN_BUDGET.dp_size, "the DP corner law")
+    return _lay_out(n, family, _dp_chain_law(n, family.bit_family), corner_event_probability_dp)
 
 
 def expected_corners(n: int, family: Family) -> Fraction:
@@ -455,7 +453,7 @@ def expected_corners(n: int, family: Family) -> Fraction:
 def total_corners(n: int, family: Family) -> int:
     """Corner count summed over the whole family; always an integer.
     Capped at ``CHAIN_BUDGET.dp_size``, as the DP law is."""
-    _require_dp_size(n, family, "the corner total")
+    _require_within(n, family, CHAIN_BUDGET.dp_size, "the corner total")
     total = expected_corners(n, family) * _closed_form_count(n, family)
     if total.denominator != 1:
         raise DomainError(f"non-integer corner total {total} at n={n}")  # pragma: no cover
@@ -465,7 +463,7 @@ def total_corners(n: int, family: Family) -> int:
 def last_step_south_probability(n: int, family: Family) -> Fraction:
     """Probability that the final border step is South (chain families)."""
     _require_chain(family, n)
-    _require_dp_size(n, family, "the last-step-South probability")
+    _require_within(n, family, CHAIN_BUDGET.dp_size, "the last-step-South probability")
     return Fraction(_forward_value(family, n, n - 1), _forward_value(family, n + 1, n))
 
 
@@ -474,6 +472,6 @@ def first_step_west_probability(n: int, family: Family) -> Fraction:
     _require_chain(family, n)
     if family is Family.PERMUTATION:
         return Fraction(0)
-    _require_dp_size(n, family, "the first-step-West probability")
+    _require_within(n, family, CHAIN_BUDGET.dp_size, "the first-step-West probability")
     # the one West step out of state 0 reaches state 1 with weight 1
     return Fraction(_suffix_weight(family, n - 1, 1), _forward_value(family, n + 1, n))

@@ -18,8 +18,10 @@ Only those are kept, and nothing is written until the last item has been
 rendered, so a budget or domain error leaves stdout and ``--out`` empty.
 Each record's text is filled straight into one template: a tableau's from
 the listing's family, its path and its quoted row texts, a trajectory's
-from its steps and its ``u`` values.  The text of a bit row comes from a
-small cache keyed by the row, since a listing repeats few distinct rows.
+from its steps and its ``u`` values.  The family text and the row
+renderer (bit rows or point rows) are picked once per listing.  The text
+of a bit row comes from a small cache keyed by the row, since a listing
+repeats few distinct rows.
 
 Each command handler imports the engines it runs when it is called, so a
 process loads only what its subcommand needs: parsing, ``--help`` and the
@@ -92,24 +94,38 @@ def _bit_row_text(row: tuple[int, ...]) -> str:
     return '"' + bytes(row).translate(_BIT_DIGITS).decode() + '"'
 
 
-def _tableau_text(family: str, t: Tableau) -> str:
+def _bit_rows(t: Tableau) -> Iterator[str]:
+    """The JSON texts of a 0/1 tableau's rows."""
+    return map(_bit_row_text, t.rows)
+
+
+def _point_rows(t: Tableau) -> Iterator[str]:
+    """The JSON texts of a pointed tableau's rows."""
+    return map(encode_basestring_ascii, t.row_strings())
+
+
+def _tableau_text(family: str, row_texts: Callable[[Tableau], Iterator[str]], t: Tableau) -> str:
     """``to_record(t)`` as it reads in a list payload, filled into one template;
-    ``family`` is ``t.family.value``, the same for every record of a listing.
+    ``family`` is ``t.family.value`` and ``row_texts`` renders the rows of
+    that family's tableaux, both the same for every record of a listing.
 
     The family and path go between quotes unescaped: a family value and
     an S/W word hold no character that JSON escapes.  An f-string sizes
     its result exactly; ``%`` formatting may leave each kept text in a
     larger memory block than it needs.
     """
-    if t.family.pointed:
-        rows = list(map(encode_basestring_ascii, t.row_strings()))
-    else:
-        rows = list(map(_bit_row_text, t.rows))
+    rows = list(row_texts(t))
     rows_text = "[\n        " + ",\n        ".join(rows) + "\n      ]" if rows else "[]"
     return (
         f'{{\n      "schema": "tableau/v1",\n      "family": "{family}",'
         f'\n      "path": "{t.path.steps}",\n      "rows": {rows_text}\n    }}'
     )
+
+
+def _tableau_renderer(family: Family) -> Callable[[Tableau], str]:
+    """:func:`_tableau_text` for the records of one listing of ``family``,
+    with its family text and row renderer read once."""
+    return partial(_tableau_text, family.value, _point_rows if family.pointed else _bit_rows)
 
 
 def _trajectory_text(tr: Trajectory) -> str:
@@ -220,7 +236,7 @@ def _emit_list(
 def _emit_tableaux(args: argparse.Namespace, tableaux: Iterable[Tableau], **extra: object) -> int:
     """Emit a ``tableau-list/v1`` payload; ``extra`` keys go between ``n`` and ``count``."""
     return _emit_list(
-        args, "tableau-list/v1", "tableaux", tableaux, partial(_tableau_text, args.family.value),
+        args, "tableau-list/v1", "tableaux", tableaux, _tableau_renderer(args.family),
         lambda t: (t.path.steps, "|".join(t.row_strings())), ("index", "path", "rows"), **extra,
     )
 
@@ -322,7 +338,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         _emit(_json_text(to_record(image_of(_read_record(args.infile)))), args.out)
         return 0
     # roundtrip
-    if args.family is not Family.TYPE_B and args.family is not Family.SYMMETRIC:
+    if args.family.bit_family is not Family.TYPE_B:  # the fold pairs symmetric with type-B
         raise CornersError("roundtrip sweeps run on type-b or symmetric families")
     from .enumerator import enumerate_tableaux
 

@@ -38,7 +38,8 @@ closed-form counts and by growing the extension tree
 (``method="extension"``).
 
 Each tableau is built by its family's class in ``tableaux._CLASS_OF``,
-and whether a family is pointed is read from ``Family.pointed``.  The
+and whether a family is pointed is read from ``Family.pointed``, both
+once per enumeration, when ``_builder`` picks the family's builder.  The
 tableaux built here skip the constructor's structure check
 (``_trusted``), since their construction guarantees it: a walked filling
 has one row per row of the shape, each of its key's length and made of
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -235,18 +236,24 @@ def _shapes(n: int, family: Family) -> Iterator[BorderPath]:
     return enumerate_shapes(n + 1 if family.pointed else n, family)
 
 
-def _tableau(family: Family, path: BorderPath, fill: Bits) -> Tableau:
-    """The tableau of a walked filling, built without the constructor's
-    checks, which the walk makes true (see the module docstring)."""
-    cls = _CLASS_OF[family]
+def _builder(family: Family) -> Callable[[BorderPath, Bits], Tableau]:
+    """The function that builds ``family``'s tableau of a walked filling on
+    its path, without the constructor's checks, which the walk makes true
+    (see the module docstring)."""
+    trusted = _CLASS_OF[family]._trusted
     if not family.pointed:
-        return cls._trusted(path, fill)
-    points = {
-        (r, c) for r, row in enumerate(fill, start=1) for c, cell in enumerate(row, start=1) if cell
-    }
-    if family is Family.SYMMETRIC:
-        points.update([(c, r) for r, c in points])
-    return cls._trusted(path, frozenset(points))
+        return trusted
+    mirrored = family is Family.SYMMETRIC
+
+    def build(path: BorderPath, fill: Bits) -> Tableau:
+        points = {
+            (r, c) for r, row in enumerate(fill, start=1) for c, cell in enumerate(row, start=1) if cell
+        }
+        if mirrored:
+            points.update([(c, r) for r, c in points])
+        return trusted(path, frozenset(points))
+
+    return build
 
 
 def _require_size(n: int, family: Family) -> None:
@@ -266,9 +273,9 @@ def enumerate_tableaux(n: int, family: Family) -> Iterator[Tableau]:
     size ``2m + 1``.
     """
     _require_size(n, family)
+    build = _builder(family)
     for path in _shapes(n, family):
-        for fill in _fillings(*_shape_rows(family, path)):
-            yield _tableau(family, path, fill)
+        yield from map(build, repeat(path), _fillings(*_shape_rows(family, path)))
 
 
 def extend_permutation(t: PermutationTableau) -> tuple[PermutationTableau, ...]:

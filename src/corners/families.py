@@ -1,5 +1,6 @@
-"""Tableau family identifiers and which of them are pointed, enumeration
-budgets and the verify suite names."""
+"""Tableau family identifiers, which of them are pointed and the 0/1
+family each is paired with, enumeration budgets and the verify suite
+names."""
 
 from __future__ import annotations
 
@@ -31,7 +32,14 @@ class Family(str, enum.Enum):
     def pointed(self) -> bool:
         """True when a tableau of this family is a set of points on its
         shape (tree-like, symmetric), False for a 0/1 filling."""
-        return self in _POINTED
+        return self in _BIT_FAMILY_OF
+
+    @property
+    def bit_family(self) -> "Family":
+        """The 0/1 family paired with this one, whose growth chain carries
+        its corner laws: itself for a 0/1 family, permutation for
+        tree-like and type-B for symmetric."""
+        return _BIT_FAMILY_OF.get(self, self)
 
     @classmethod
     def parse(cls, text: str) -> "Family":
@@ -42,7 +50,10 @@ class Family(str, enum.Enum):
             raise ValueError(f"unknown family {_excerpt(text)}; expected one of: {names}") from None
 
 
-_POINTED = frozenset({Family.TREE_LIKE, Family.SYMMETRIC})
+# each pointed family and its 0/1 family: dropping the last West step of a
+# tree-like shape gives a permutation shape, and a symmetric tableau folds
+# to a type-B one
+_BIT_FAMILY_OF = {Family.TREE_LIKE: Family.PERMUTATION, Family.SYMMETRIC: Family.TYPE_B}
 
 
 # Largest size accepted by the exhaustive enumerators, per family.  The caps
@@ -63,12 +74,16 @@ class ChainBudget(NamedTuple):
 
     ``dp_size`` bounds ``n`` of the DP corner law (the symmetric index for
     that family), ``sample_size`` the size of sampled trajectories and
-    tableaux, and ``sample_count`` the number of samples in one run.
+    tableaux, ``sample_count`` the number of samples in one run,
+    ``formula_size`` ``n`` of the closed-form corner law and
+    ``u_law_size`` ``n`` of the law of the unrestricted-row count.
     """
 
     dp_size: int
     sample_size: int
     sample_count: int
+    formula_size: int
+    u_law_size: int
 
 
 # Set from runs on a 2-CPU host with Python 3.11: the DP law at n = 4000
@@ -79,7 +94,15 @@ class ChainBudget(NamedTuple):
 # keeps one step table for every size, so `sample_size` also bounds its
 # positions.  The memory is per process: a report that splits its draws
 # with a forked child grows a table in each, so up to about twice that.
-CHAIN_BUDGET = ChainBudget(dp_size=4000, sample_size=300, sample_count=100_000)
+# The closed-form corner law is one fraction per position: `formula corners
+# --family symmetric --n 20000` takes 0.17-0.21 s at 36 MB max RSS (0.33 s
+# and 68 MB at n = 50 000), about what the DP law costs at its cap.  The law
+# of U builds the forward rows, and its time grows about as n**4: 0.05 s at
+# n = 100, 0.20 s at 150 and 0.65-0.70 s at 200 on either chain (19-29 s for
+# type-B at 400).
+CHAIN_BUDGET = ChainBudget(
+    dp_size=4000, sample_size=300, sample_count=100_000, formula_size=20_000, u_law_size=200
+)
 
 # The `verify` suites in run order.  `verification.SUITES` maps each name to
 # its function; the names live here so the CLI parser can offer them as

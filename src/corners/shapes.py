@@ -29,10 +29,11 @@ A *corner* sits at position ``k`` whenever step ``k`` is South and step
 edge is step ``k``.
 
 A path is immutable, so what it derives is cached on the path object
-itself: row lengths, column heights, self-conjugacy, the corner cells,
-and the two paths of the symmetric/type-B fold (``folded_half`` and
-``unfolded``).  Tableaux built on one path object share all of it, and
-the cache lives exactly as long as the path does.
+itself: row and column counts, row lengths, column heights,
+self-conjugacy, the corner cells, and the two paths of the
+symmetric/type-B fold (``folded_half`` and ``unfolded``).  Tableaux
+built on one path object share all of it, and the cache lives exactly
+as long as the path does.
 
 Paths and tableaux are checked immutable values on the small base
 ``_Frozen``, not dataclasses: importing ``dataclasses`` loads
@@ -78,12 +79,9 @@ class _Frozen:
     field tuple, so that only instances of one class compare equal and
     the hash is ``hash(field tuple)``.  Assignment and deletion raise
     ``AttributeError``; ``repr`` reads ``Class(field=value, ...)``.
-
-    ``_trusted`` builds an instance without ``__init__``'s checks.  Only
-    code whose construction already guarantees the structure those checks
-    test may call it: the enumerator (fillings walked over the shape's own
-    row lengths, and one extension step of a built tableau) and the fold
-    (rows cut to the shifted row lengths).
+    A subclass may store its fields straight into ``__dict__`` to build
+    an instance without ``__init__``'s checks, as the tableaux'
+    ``_trusted`` does.
     """
 
     _fields: tuple[str, ...] = ()
@@ -91,14 +89,6 @@ class _Frozen:
     # the object's own setter, past the refusing ``__setattr__``; for
     # ``__init__`` only
     _set_field = object.__setattr__
-
-    @classmethod
-    def _trusted(cls, *values: object):
-        """The instance whose fields, in ``_fields`` order, are ``values``,
-        with none of ``__init__``'s checks."""
-        self = object.__new__(cls)
-        self.__dict__.update(zip(cls._fields, values))
-        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -179,11 +169,11 @@ class BorderPath(_Frozen):
         """
         return tuple(range(1, self.column_count + 1)) + self.row_lengths
 
-    @property
+    @cached_property
     def row_count(self) -> int:
         return self.steps.count(SOUTH)
 
-    @property
+    @cached_property
     def column_count(self) -> int:
         return self.steps.count(WEST)
 

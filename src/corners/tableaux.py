@@ -29,8 +29,8 @@ only structure (the filling must cover the shape with ``int`` bits 0 and
 lengths the path caches; family rules are checked by :func:`validate` so
 that fillings that break them can still be represented.  The public
 constructors, ``from_strings`` and :func:`from_record` always check.
-The private ``_trusted`` of the ``_Frozen`` base skips the check; only
-the enumerator and the fold call it, where their construction
+The private ``_trusted`` of their base ``_Filling`` skips the check;
+only the enumerator and the fold call it, where their construction
 guarantees the structure (see their modules).
 
 A tableau is an immutable value on the ``shapes`` base ``_Frozen``: its
@@ -42,13 +42,21 @@ are ``NamedTuple`` records.
 
 Each per-tableau pass is one linear sweep: a row check tests the whole
 filling at once and words an error row by row only when that test fails;
-:func:`validate` reads a 0/1 filling once row-major and a point set once
-in sorted order; :func:`markers` finds every distinguished cell, and the
-unrestricted rows, in one scan.
+:func:`validate` reads a 0/1 filling once row-major, one column mask per
+row, and a point set once in sorted order; :func:`markers` finds every
+distinguished cell, and the unrestricted rows, in one scan.  What
+belongs to the shape is read from the path, which caches it: the row and
+column counts and the row lengths.  The column heights are read only to
+word a column without a 1, and the rows and columns are scanned for an
+empty one only when fewer of them hold a point than the path has.  The
+row of a mask and the mask of a row come from two small caches
+(``_cells``, ``_mask``), since the tableaux within the enumeration
+budgets repeat few distinct rows.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, NamedTuple, Union
 
@@ -82,10 +90,19 @@ EMPTY_CHAR = "."
 Bits = tuple[tuple[int, ...], ...]
 
 
+# These two caches each hold every row of up to 8 cells (511 rows), the
+# longest rows within the enumeration budgets.
+@lru_cache(maxsize=512)
 def _cells(bits: int, length: int) -> tuple[int, ...]:
     """The row of ``length`` cells whose mask is ``bits``: bit ``c - 1`` is
     column ``c``."""
     return tuple(bits >> c & 1 for c in range(length))
+
+
+@lru_cache(maxsize=512)
+def _mask(row: tuple[int, ...]) -> int:
+    """The mask of a 0/1 row, the inverse of :func:`_cells`."""
+    return sum(bit << c for c, bit in enumerate(row))
 
 
 _BITS = frozenset((0, 1))
@@ -122,7 +139,29 @@ def _check_rows(
             raise ShapeFillingMismatchError(f"{what}: row {r} holds a {kind}")
 
 
-class _BitTableau(_Frozen):
+class _Filling(_Frozen):
+    """A filling on a border path: the fields ``path`` and one more, the
+    filling.
+
+    ``_trusted`` builds a tableau without ``__init__``'s checks.  Only code
+    whose construction already guarantees the structure those checks test
+    may call it: the enumerator (fillings walked over the shape's own row
+    lengths, and one extension step of a built tableau) and the fold (rows
+    cut to the shifted row lengths).
+    """
+
+    @classmethod
+    def _trusted(cls, path: BorderPath, filling: object):
+        """The tableau of ``filling`` on ``path``, with none of ``__init__``'s
+        checks; the two fields go straight into the instance's ``__dict__``."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["path"] = path
+        fields[cls._fields[1]] = filling
+        return self
+
+
+class _BitTableau(_Filling):
     """A 0/1 filling, one bit per cell of the diagram whose rows
     ``row_lengths`` gives."""
 
@@ -188,7 +227,7 @@ class TypeBTableau(_BitTableau):
         return self.path.shifted_row_lengths
 
 
-class TreeLikeTableau(_Frozen):
+class TreeLikeTableau(_Filling):
     """A Ferrers diagram with a set of pointed cells."""
 
     _fields = ("path", "points")
@@ -202,12 +241,13 @@ class TreeLikeTableau(_Frozen):
         points = frozenset(points)
         self._set_field("points", points)
         lengths = path.row_lengths
+        height = len(lengths)
         stray = []
         for point in points:
             if not (type(point) is tuple and len(point) == 2 and type(point[0]) is type(point[1]) is int):
                 raise ShapeFillingMismatchError(f"point {point!r} is not a pair of ints")
             r, c = point
-            if not (0 < r <= len(lengths) and 0 < c <= lengths[r - 1]):
+            if not (0 < r <= height and 0 < c <= lengths[r - 1]):
                 stray.append(point)
         if stray:
             raise ShapeFillingMismatchError(
@@ -249,8 +289,7 @@ class SymmetricTreeLikeTableau(TreeLikeTableau):
         super().__init__(path, points)
         if not self.path.is_self_conjugate:
             raise NotSymmetricError(f"shape {_excerpt(self.path.steps)} is not self-conjugate")
-        mirrored = frozenset((c, r) for r, c in self.points)
-        if mirrored != self.points:
+        if {(c, r) for r, c in self.points} != self.points:
             raise NotSymmetricError("point set is not invariant under transposition")
 
 
@@ -313,31 +352,33 @@ def _validate_bit_tableau(
     diagonal_limit: int,
 ) -> list[RuleViolation]:
     """Shared rule checks for permutation and type-B fillings, in one
-    row-major sweep.
+    row-major sweep over the rows' masks.
 
     ``diagonal_limit`` is the number of staircase rows (0 for permutation);
     row ``i <= diagonal_limit`` has its diagonal cell at ``(i, i)``.
     Column violations come first, then each row's blocked 0s and its
-    diagonal 0, top to bottom.
+    diagonal 0, top to bottom.  Column heights are counted only for a
+    column without a 1.
     """
-    heights = [0] * (column_count + 1)
-    one_above = [False] * (column_count + 1)
+    above = 0  # the columns holding a 1 in the rows read so far
     row_violations: list[RuleViolation] = []
     for r, row in enumerate(rows, start=1):
-        one_left = False
-        for c, bit in enumerate(row, start=1):
-            heights[c] += 1
-            if bit:
-                one_left = one_above[c] = True
-            elif one_left and one_above[c]:
-                row_violations.append(
-                    RuleViolation(
-                        "restricted-zero-blocked",
-                        (r, c),
-                        f"0 at {(r, c)} has a 1 above and a 1 to the left",
+        bits = _mask(row)
+        if not bits:
+            continue  # a row of 0s breaks no row rule
+        # the 0s under a 1 and right of the row's first 1
+        blocked = above & ~bits & -((bits & -bits) << 1) & ((1 << len(row)) - 1)
+        if blocked:
+            for c in range(1, blocked.bit_length() + 1):
+                if blocked >> (c - 1) & 1:
+                    row_violations.append(
+                        RuleViolation(
+                            "restricted-zero-blocked",
+                            (r, c),
+                            f"0 at {(r, c)} has a 1 above and a 1 to the left",
+                        )
                     )
-                )
-        if r <= diagonal_limit and row and row[r - 1] == 0 and one_left:
+        if r <= diagonal_limit and row[r - 1] == 0:
             row_violations.append(
                 RuleViolation(
                     "diagonal-zero-row",
@@ -345,18 +386,23 @@ def _validate_bit_tableau(
                     f"diagonal 0 at {(r, r)} but row {r} is not all 0",
                 )
             )
+        above |= bits
     violations: list[RuleViolation] = []
-    for c in range(1, column_count + 1):
-        if heights[c] == 0:
-            violations.append(
-                RuleViolation(
-                    "column-needs-one", None, f"column {c} has no cells, so no 1"
+    if above != (1 << column_count) - 1:
+        for c in range(1, column_count + 1):
+            if above >> (c - 1) & 1:
+                continue
+            height = sum(len(row) >= c for row in rows)
+            if height == 0:
+                violations.append(
+                    RuleViolation(
+                        "column-needs-one", None, f"column {c} has no cells, so no 1"
+                    )
                 )
-            )
-        elif not one_above[c]:
-            violations.append(
-                RuleViolation("column-needs-one", (heights[c], c), f"column {c} has no 1")
-            )
+            else:
+                violations.append(
+                    RuleViolation("column-needs-one", (height, c), f"column {c} has no 1")
+                )
     return violations + row_violations
 
 
@@ -365,17 +411,18 @@ def _validate_tree_like(t: TreeLikeTableau) -> list[RuleViolation]:
 
     A point's column is empty above it unless an earlier point filled that
     column, and its row is empty to its left unless the previous point
-    lies in the same row.
+    lies in the same row.  Every point lies in the shape, so the rows (or
+    columns) are scanned for an empty one only when fewer of them hold a
+    point than the path has.
     """
     violations: list[RuleViolation] = []
-    lengths = t.path.row_lengths
-    heights = t.path.column_heights
-    if not lengths or lengths[-1] == 0 or not heights or heights[-1] == 0:
+    path = t.path
+    if not path.is_tree_like_shape():
         violations.append(
             RuleViolation(
                 "shape-not-tree-like",
                 None,
-                f"shape {_excerpt(t.path.steps)} has an empty row or column",
+                f"shape {_excerpt(path.steps)} has an empty row or column",
             )
         )
     if (1, 1) not in t.points:
@@ -399,12 +446,16 @@ def _validate_tree_like(t: TreeLikeTableau) -> list[RuleViolation]:
         filled_rows.add(r)
         filled_columns.add(c)
         previous_row = r
-    for r in range(1, len(lengths) + 1):
-        if lengths[r - 1] > 0 and r not in filled_rows:
-            violations.append(RuleViolation("row-without-point", None, f"row {r} empty"))
-    for c in range(1, len(heights) + 1):
-        if heights[c - 1] > 0 and c not in filled_columns:
-            violations.append(RuleViolation("column-without-point", None, f"column {c} empty"))
+    if len(filled_rows) < path.row_count:
+        lengths = path.row_lengths
+        for r in range(1, len(lengths) + 1):
+            if lengths[r - 1] > 0 and r not in filled_rows:
+                violations.append(RuleViolation("row-without-point", None, f"row {r} empty"))
+    if len(filled_columns) < path.column_count:
+        heights = path.column_heights
+        for c in range(1, len(heights) + 1):
+            if heights[c - 1] > 0 and c not in filled_columns:
+                violations.append(RuleViolation("column-without-point", None, f"column {c} empty"))
     return violations + misdirected
 
 
@@ -427,21 +478,22 @@ def markers(t: PermutationTableau | TypeBTableau) -> MarkerMap:
     of a 0/1 tableau, in one row-major scan."""
     diagonal_limit = t.path.column_count if isinstance(t, TypeBTableau) else 0
     topmost: dict[int, Cell] = {}
-    restricted: set[Cell] = set()
+    restricted: list[Cell] = []
     rightmost: list[Cell] = []
-    diagonal_zeros: set[Cell] = set()
+    diagonal_zeros: list[Cell] = []
     unrestricted: list[int] = []
     for r, row in enumerate(t.rows, start=1):
         last_restricted = None
         for c, bit in enumerate(row, start=1):
             if bit:
-                topmost.setdefault(c, (r, c))
+                if c not in topmost:
+                    topmost[c] = (r, c)
             elif c in topmost:  # a 1 in an earlier row, as the scan is row-major
                 last_restricted = (r, c)
-                restricted.add(last_restricted)
+                restricted.append(last_restricted)
         diagonal_zero = r <= diagonal_limit and len(row) >= r and not row[r - 1]
         if diagonal_zero:
-            diagonal_zeros.add((r, r))
+            diagonal_zeros.append((r, r))
         if last_restricted is not None:
             rightmost.append(last_restricted)
         elif not diagonal_zero:

@@ -168,6 +168,29 @@ def test_chain_tables_stop_at_the_dp_budget(name):
         read(cap + 1)
 
 
+def _rising_factorial_law(n):
+    """The law of U at size ``n`` on either chain: the coefficients of
+    ``x (x + 1) ... (x + n - 1)`` over ``n!``, built factor by factor."""
+    coefficients = [1]
+    for i in range(n):
+        coefficients = [i * a + b for a, b in zip(coefficients + [0], [0] + coefficients)]
+    return {u: Fraction(c, factorial(n)) for u, c in enumerate(coefficients) if c}
+
+
+@pytest.mark.parametrize("family", CHAIN)
+def test_u_law_stops_at_its_budget(family):
+    cap = CHAIN_BUDGET.u_law_size
+    for read in (lambda n: u_distribution(n, family), lambda n: u_pgf(n, family, 2)):
+        with pytest.raises(BudgetExceededError, match=f"at n={cap + 1} exceeds the budget of {cap}"):
+            read(cap + 1)
+
+
+def test_u_law_at_its_budget_is_the_rising_factorial_law():
+    cap = CHAIN_BUDGET.u_law_size
+    assert _rising_factorial_law(6) == _u_law(6, Family.PERMUTATION)
+    assert u_distribution(cap, Family.TYPE_B) == _rising_factorial_law(cap)
+
+
 @pytest.mark.parametrize("family", CHAIN)
 @pytest.mark.parametrize("n", range(1, 7))
 def test_u_distribution_matches_enumeration(family, n):

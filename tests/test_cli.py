@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from corners import bijections, verification
 from corners.chain import total_corners
-from corners.cli import _bit_row_text, _tableau_text, _trajectory_text, run_command
+from corners.cli import _bit_row_text, _tableau_renderer, _trajectory_text, run_command
 from corners.enumerator import enumerate_tableaux
 from corners.errors import _excerpt
 from corners.families import BRUTE_FORCE_BUDGET, CHAIN_BUDGET, SUITE_NAMES, Family
@@ -497,7 +497,7 @@ def _nested_text(record):
 
 
 def _assert_tableau_text(t):
-    assert _tableau_text(t.family.value, t) == _nested_text(to_record(t))
+    assert _tableau_renderer(t.family)(t) == _nested_text(to_record(t))
 
 
 @pytest.mark.parametrize(
@@ -769,13 +769,17 @@ def test_large_dp_laws_are_pinned(capsys, argv):
 _DP_CAP = CHAIN_BUDGET.dp_size
 _SIZE_CAP = CHAIN_BUDGET.sample_size
 _COUNT_CAP = CHAIN_BUDGET.sample_count
+_FORMULA_CAP = CHAIN_BUDGET.formula_size
 
 # argv at a chain budget (accepted) and one past it (exit 2, empty stdout)
 CHAIN_BUDGET_RUNS = [
     (f"formula corners --method dp --family permutation --n {_DP_CAP}", 0),
     (f"formula corners --method dp --family permutation --n {_DP_CAP + 1}", 2),
     (f"formula corners --method dp --family symmetric --n {_DP_CAP + 1}", 2),
-    (f"formula corners --family symmetric --n {_DP_CAP + 1}", 0),  # closed forms have no cap
+    (f"formula corners --family symmetric --n {_DP_CAP + 1}", 0),  # closed forms have their own cap
+    (f"formula corners --family symmetric --n {_FORMULA_CAP}", 0),
+    (f"formula corners --family symmetric --n {_FORMULA_CAP + 1}", 2),
+    (f"formula corners --family permutation --n {_FORMULA_CAP + 1}", 2),
     (f"formula total --family type-b --n {_DP_CAP}", 0),
     (f"formula total --family type-b --n {_DP_CAP + 1}", 2),
     (f"bijection decompose --size {_DP_CAP + 1}", 2),

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import assert_rebuilds, cached_census, cached_tableaux
 from corners.chain import _closed_form_count, corner_distribution, total_corners, u_distribution
 from corners.enumerator import (
+    _builder,
     _extension_levels,
     _fillings,
     _rows,
     _shape_rows,
     _shapes,
-    _tableau,
     census,
     enumerate_shapes,
     enumerate_tableaux,
@@ -129,10 +129,11 @@ def test_symmetric_walk_yields_canonical_order_unsorted():
     # a symmetric row is walked from its diagonal cell rightwards and each
     # cell left of the diagonal mirrors a cell of an earlier row, so the
     # depth-first walk alone puts each shape's tableaux in canonical order
+    build = _builder(Family.SYMMETRIC)
     for size in range(1, 12, 2):
         for path in enumerate_shapes(size + 1, Family.SYMMETRIC):
             fills = _fillings(*_shape_rows(Family.SYMMETRIC, path))
-            keys = [canonical_key(_tableau(Family.SYMMETRIC, path, fill)) for fill in fills]
+            keys = [canonical_key(build(path, fill)) for fill in fills]
             assert keys, (size, path.steps)
             assert all(a < b for a, b in zip(keys, keys[1:])), (size, path.steps)
 

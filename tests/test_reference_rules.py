@@ -279,6 +279,30 @@ def test_sweeps_catch_every_rule():
     }
 
 
+def test_sweeps_reach_each_branch_of_the_count_checks():
+    # the 0/1 check counts a column's height only when the column has no 1,
+    # and the tree-like check scans for an empty row or column only when
+    # fewer rows or columns hold a point than the path has; the sweeps
+    # above must meet a column with no cells and one with no 1, an empty
+    # row and an empty column, and a scan that finds nothing (a zero-length
+    # row or column, every other one holding a point)
+    no_cells = set()
+    point_rules = set()
+    quiet_scan = False
+    for h in range(1, 5):
+        for path in all_paths(h):
+            for t in bit_fillings(PermutationTableau, path):
+                no_cells.update(v.cell is None for v in validate(t).violations if v.rule == "column-needs-one")
+            for points in subsets(shape_cells(path)):
+                rules = {v.rule for v in validate(TreeLikeTableau(path, frozenset(points))).violations}
+                point_rules |= rules
+                empty = rules & {"row-without-point", "column-without-point"}
+                quiet_scan |= not path.is_tree_like_shape() and not empty
+    assert no_cells == {True, False}
+    assert {"row-without-point", "column-without-point"} <= point_rules
+    assert quiet_scan
+
+
 @pytest.mark.parametrize("size", range(3, 12, 2))
 def test_fold_matches_the_cell_by_cell_sweep(size):
     for t in cached_tableaux(size, Family.SYMMETRIC):

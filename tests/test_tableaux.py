@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from conftest import cached_tableaux
 from corners.errors import InvalidTableauError, ShapeFillingMismatchError
-from corners.families import Family
+from corners.families import BRUTE_FORCE_BUDGET, Family
 from corners.shapes import BorderPath
 from corners.tableaux import (
     PermutationTableau,
@@ -13,6 +13,8 @@ from corners.tableaux import (
     TreeLikeTableau,
     TypeBTableau,
     _CLASS_OF,
+    _cells,
+    _mask,
     canonical_key,
     corner_stats,
     from_record,
@@ -256,3 +258,22 @@ def test_each_family_has_one_class_and_one_pointed_flag():
         cls = _CLASS_OF[family]
         assert cls.family is family
         assert family.pointed is issubclass(cls, TreeLikeTableau)
+
+
+def test_each_pointed_family_pairs_with_one_bit_family():
+    assert {f: f.bit_family for f in Family if f.pointed} == {
+        Family.TREE_LIKE: Family.PERMUTATION,
+        Family.SYMMETRIC: Family.TYPE_B,
+    }
+    for family in Family:
+        assert not family.bit_family.pointed
+        assert family.pointed or family.bit_family is family
+
+
+def test_row_caches_are_bounded_and_hold_every_row_within_the_budgets():
+    # the longest rows within the budgets are those of tree-like tableaux,
+    # one cell per size unit
+    longest = BRUTE_FORCE_BUDGET[Family.TREE_LIKE]
+    assert max(BRUTE_FORCE_BUDGET[Family.PERMUTATION] - 1, BRUTE_FORCE_BUDGET[Family.TYPE_B]) <= longest
+    for cache in (_cells, _mask):
+        assert cache.cache_info().maxsize == 512 >= sum(2**length for length in range(longest + 1))
