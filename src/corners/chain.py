@@ -27,14 +27,13 @@ the closed form; the sampler's step-table rows read the same triples.
 Completion weights use the closed form ``d**m m! (m + 1)**u`` and the
 closed-form counts ``d**n n!``, each with ``d`` read from :func:`_doubling`.
 
-Tree-like and symmetric values ride on these two chains: dropping the
-final West step of a tree-like shape is a corner-faithful bijection onto
-permutation shapes, and the symmetric border path of size ``2n + 1``
-decomposes as ``S + mirror(q) + q + W`` where ``q`` is the type-B path.
+Tree-like and symmetric values ride on these two chains: each of their
+corner positions reads one chain event, by the map of
+:func:`_chain_positions`.
 
-The closed forms live here too (counts, corner laws and totals, corner
-position ranges), as does the split of the symmetric corner total along
-the fold (:func:`symmetric_corner_decomposition`);
+The closed forms live here too (counts, corner laws and totals), as does
+the split of the symmetric corner total along the fold
+(:func:`symmetric_corner_decomposition`);
 :mod:`corners.verification` checks them by enumeration.
 
 All arithmetic is exact: integers are unbounded and probabilities are
@@ -43,6 +42,7 @@ All arithmetic is exact: integers are unbounded and probabilities are
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import comb, factorial, perm
 from typing import Callable, NamedTuple, Union
@@ -73,6 +73,7 @@ __all__ = [
     "CornerDecomposition",
     "symmetric_corner_decomposition",
 ]
+
 
 def _require_chain(family: Family, n: int) -> None:
     """Refuse an off-chain (pointed) family, then a size below 1."""
@@ -139,45 +140,46 @@ def _forward_value(family: Family, s: int, k: int) -> int:
     return _doubling(family) ** k * perm(s - 1, k) if k else 1
 
 
+def _chain_positions(n: int, family: Family) -> tuple[range, ...]:
+    """The chain event that each corner position of ``family`` at ``n``
+    reads (symmetric: at index ``n``): corner position ``k`` reads entry
+    ``k - 1`` of these ranges laid end to end.
+
+    Entries ``1..n-1`` are positions of the chain of ``family.bit_family``
+    at size ``n``, 0 is its last-step-South event and -1 its
+    first-step-West event.  The 0/1 families read the chain itself.
+    Dropping the final West step of a tree-like shape is a
+    corner-faithful bijection onto permutation shapes, and that step makes
+    a corner at ``k = n`` exactly when the permutation path ends South.
+    The symmetric border path of size ``2n + 1`` is ``S + mirror(q) + q +
+    W`` for its type-B path ``q``: its corners at ``1`` and ``2n + 1`` fire
+    when ``q`` ends South, at ``n + 1`` when ``q`` starts West, and the two
+    halves between mirror the corners of ``q``.
+    """
+    chain, south = range(1, n), range(0, 1)
+    if not family.pointed:
+        return (chain,)
+    if family is Family.TREE_LIKE:
+        return (chain, south)
+    return (south, chain[::-1], range(-1, 0), chain, south)
+
+
 def _corner_position_range(n: int, family: Family) -> range:
-    """Positions ``k`` where steps ``k`` and ``k + 1`` can form a corner.
-
-    The border path has ``n`` steps in the 0/1 families, ``n + 1`` for a
-    tree-like tableau of size ``n`` and ``2n + 2`` at symmetric index ``n``.
-    """
-    if not family.pointed:
-        return range(1, n)
-    if family is Family.TREE_LIKE:
-        return range(1, n + 1)
-    return range(1, 2 * n + 2)
+    """The corner positions ``1..L`` of ``family`` at ``n``, one per entry of
+    :func:`_chain_positions`."""
+    return range(1, 1 + sum(map(len, _chain_positions(n, family))))
 
 
-def _require_position(n: int, k: int, family: Family, error: type[CornersError]) -> None:
-    positions = _corner_position_range(n, family)
-    if k not in positions:
-        raise error(
-            f"corner position {k} outside {positions.start}..{positions.stop - 1} "
-            f"for {family.value} at n={n}"
-        )
-
-
-def _chain_position(n: int, k: int, family: Family) -> int:
-    """The position of the chain at size ``n`` that corner position ``k``
-    of ``family`` reads (symmetric: at index ``n``).
-
-    Chain positions run over ``1..n-1``; 0 stands for the chain's
-    last-step-South event and -1 for its first-step-West event.
-    """
-    if not family.pointed:
-        return k
-    if family is Family.TREE_LIKE:
-        return k if k <= n - 1 else 0
-    # symmetric: index n, path length 2n + 2
-    if k == 1 or k == 2 * n + 1:
-        return 0
-    if k == n + 1:
-        return -1
-    return n + 1 - k if k <= n else k - n - 1
+def _chain_position(n: int, k: int, family: Family, error: type[CornersError]) -> int:
+    """The entry of :func:`_chain_positions` that corner position ``k``
+    reads; ``error`` if there is none."""
+    last = 0  # the corner positions before ``part``
+    for part in _chain_positions(n, family):
+        size = abs(part.stop - part.start)  # every step is 1 or -1; len() stops at sys.maxsize
+        if k - 1 - last in range(size):
+            return part[k - 1 - last]
+        last += size
+    raise error(f"corner position {k} outside 1..{last} for {family.value} at n={n}")
 
 
 def _lay_out(
@@ -186,24 +188,21 @@ def _lay_out(
     chain_law: list[Fraction],
     per_position: Callable[[int, int, Family], Fraction],
 ) -> dict[int, Fraction]:
-    """``family``'s corner law at ``n``, keyed by ascending position.
+    """``family``'s corner law at ``n``, keyed by ascending position: the
+    entries of :func:`_chain_positions` read off ``chain_law``, the chain's
+    values at positions ``1..n-1``.
 
-    The values are laid out in slices, in the order of
-    :func:`_chain_position`: the 0/1 families read the chain law itself,
-    tree-like adds its last-step-South value at ``k = n``, and symmetric
-    reads ``south, *reversed(chain_law), west, *chain_law, south``.  The
-    boundary events have expressions of their own, which the per-position
-    function holds, so they are read through ``per_position(n, k, family)``
-    (``k = 1`` for South, ``n + 1`` for West).
+    The boundary events have expressions of their own, which the
+    per-position function holds, so each is read through
+    ``per_position(n, k, family)`` at the first ``k`` that maps to it.
     """
-    if not family.pointed:
-        values = chain_law
-    elif family is Family.TREE_LIKE:
-        values = [*chain_law, per_position(n, n, family)]
-    else:
-        south, west = per_position(n, 1, family), per_position(n, n + 1, family)
-        values = [south, *reversed(chain_law), west, *chain_law, south]
-    return dict(zip(_corner_position_range(n, family), values))
+    table = [None, *chain_law, None]  # [0]: last step South, [-1]: first step West
+    law = {}
+    for k, pos in enumerate(itertools.chain.from_iterable(_chain_positions(n, family)), 1):
+        if table[pos] is None:
+            table[pos] = per_position(n, k, family)
+        law[k] = table[pos]
+    return law
 
 
 def count_tableaux(n: int, family: Family) -> int:
@@ -232,13 +231,10 @@ def _fold_boundary_terms(n: int) -> tuple[int, int]:
 
 
 class CornerDecomposition(NamedTuple):
-    """Corner total of symmetric tableaux split along the fold.
-
-    Corners of the symmetric border path at positions ``2..n`` and
-    ``n+2..2n`` come in mirror pairs from type-B corners (``twice_type_b``),
-    positions ``1`` and ``2n+1`` fire when the type-B path ends South
-    (``south_term``), and position ``n+1`` when it starts West
-    (``west_term``).
+    """Corner total of symmetric tableaux split along the fold, by the
+    events that :func:`_chain_positions` maps the symmetric positions to:
+    the mirror pairs of type-B corners (``twice_type_b``), the type-B path
+    ending South (``south_term``) and starting West (``west_term``).
     """
 
     index: int
@@ -350,17 +346,14 @@ def _dp_chain_law(n: int, chain: Family) -> list[Fraction]:
 
 def corner_event_probability_dp(n: int, k: int, family: Family) -> Fraction:
     """Exact probability that border steps ``k`` and ``k + 1`` form a
-    corner, computed from the chain weights.
-
-    For the symmetric family ``n`` is the index (size ``2n + 1``) and
-    ``k`` runs over ``1..2n+1``; for tree-like tableaux of size ``n``
-    over ``1..n``; for the 0/1 families over ``1..n-1``.
+    corner, computed from the chain weights at the chain event that ``k``
+    reads (:func:`_chain_positions`; symmetric: ``n`` is the index).
     """
     if n < 1:
         raise DomainError(f"size must be at least 1, got {_excerpt(n)}")
-    _require_position(n, k, family, IndexOutOfRangeError)
+    pos = _chain_position(n, k, family, IndexOutOfRangeError)
     _require_within(n, family, CHAIN_BUDGET.dp_size, "the DP corner probability")
-    chain, pos = family.bit_family, _chain_position(n, k, family)
+    chain = family.bit_family
     if pos == 0:
         return last_step_south_probability(n, chain)
     if pos == -1:
@@ -371,7 +364,7 @@ def corner_event_probability_dp(n: int, k: int, family: Family) -> Fraction:
 
 def _closed_form_corner(n: int, pos: int, d: int) -> Fraction:
     """The closed-form probability at chain position ``pos`` (0 and -1 as
-    in :func:`_chain_position`) at size ``n >= 2`` of the chain with
+    in :func:`_chain_positions`) at size ``n >= 2`` of the chain with
     doubling ``d`` (:func:`_doubling`).
 
     With ``m = n - pos`` this is ``(m + 1)/(d n) - m**2/(d**2 n (n - 1))``,
@@ -390,16 +383,14 @@ def corner_event_probability_formula(n: int, k: int, family: Family) -> Fraction
     """The closed-form corner probability; defined for ``n >= 2`` only
     (the printed expressions leave their ranges below that).
 
-    Permutation: ``(n-k+1)/n - (n-k)**2/(n(n-1))``; tree-like the same,
-    and ``1/n`` at ``k = n``.  Type B: ``(n-k+1)/(2n) -
-    (n-k)**2/(4n(n-1))``.  Symmetric at index ``n``: ``1/(2n)`` at ``k = 1``
-    and ``2n + 1``, ``1/2`` at ``k = n + 1``, and the type-B value at
-    ``n + 1 - k`` and ``k - n - 1`` on the two halves.
+    Permutation: ``(n-k+1)/n - (n-k)**2/(n(n-1))``; type B:
+    ``(n-k+1)/(2n) - (n-k)**2/(4n(n-1))``; the boundary events as in
+    :func:`_closed_form_corner`.  Tree-like and symmetric positions read
+    these by :func:`_chain_positions` (symmetric: ``n`` is the index).
     """
     if n < 2:
         raise DomainError(f"closed forms need n >= 2, got {_excerpt(n)}")
-    _require_position(n, k, family, DomainError)
-    return _closed_form_corner(n, _chain_position(n, k, family), _doubling(family))
+    return _closed_form_corner(n, _chain_position(n, k, family, DomainError), _doubling(family))
 
 
 def _require_within(n: int, family: Family, cap: int, what: str) -> None:
@@ -415,12 +406,11 @@ def corner_distribution(n: int, family: Family, *, method: str = "dp") -> dict[i
     Both methods compute the chain law at positions ``1..n-1`` once:
     ``method="dp"`` in one pass along two diagonals (:func:`_dp_chain_law`),
     ``"formula"`` as one fraction per position from the closed form.
-    Tree-like and symmetric laws lay it out in slices, in the order of
-    the positions :func:`_chain_position` maps them to, so the two halves
-    of the symmetric law share one chain law; their boundary positions are read
-    through :func:`corner_event_probability_dp`, resp.
-    :func:`corner_event_probability_formula` (see :func:`_lay_out`).
-    Each value equals that function at its position.  ``n`` is capped at
+    :func:`_lay_out` reads it by the map of :func:`_chain_positions`, so
+    the two halves of the symmetric law share one chain law, and reads
+    each boundary event through :func:`corner_event_probability_dp`,
+    resp. :func:`corner_event_probability_formula`.  Each value equals
+    that function at its position.  ``n`` is capped at
     ``CHAIN_BUDGET.dp_size``, resp. ``CHAIN_BUDGET.formula_size``.
     """
     if method not in ("dp", "formula"):

@@ -1,5 +1,7 @@
 """Weighted growth chain: counts, corner DP, closed forms, pgf."""
 
+import itertools
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -25,6 +27,7 @@ from corners.chain import (
 )
 from corners.errors import BudgetExceededError, DomainError, IndexOutOfRangeError
 from corners.families import CHAIN_BUDGET, Family
+from corners.shapes import WEST, BorderPath, all_paths
 from corners.tableaux import corner_stats, markers
 from corners.verification import pushforward_check
 
@@ -301,6 +304,132 @@ def test_corner_index_bounds(family):
         corner_event_probability_dp(n, ks[-1] + 1, family)
     with pytest.raises(DomainError):
         corner_event_probability_formula(1, 1, family)
+
+
+def _event_holds(path, pos):
+    """Whether chain event ``pos`` of :func:`chain._chain_positions` holds on
+    the 0/1 path ``path``: a corner at ``pos >= 1``, the last step South at
+    0, the first step West at -1."""
+    if pos == 0:
+        return path.last_step_south
+    if pos == -1:
+        return path.first_step_west
+    return pos in path.corner_positions()
+
+
+# each family with its 0/1 paths of 1..`steps` steps and the map from such
+# a path to the family's border path
+_SHAPE_MAPS = {
+    Family.PERMUTATION: (12, BorderPath.is_permutation_shape, lambda p: p),
+    Family.TREE_LIKE: (12, BorderPath.is_permutation_shape, lambda p: BorderPath(p.steps + WEST)),
+    Family.TYPE_B: (9, lambda q: True, lambda q: q),
+    Family.SYMMETRIC: (9, lambda q: True, lambda q: q.unfolded),
+}
+
+
+@pytest.mark.parametrize("family", ALL)
+def test_the_corner_position_map_matches_the_shape_maps(family):
+    # no chain values and no census, so this reaches past BRUTE_FORCE_BUDGET
+    # (tree-like size 12, symmetric size 19)
+    steps, is_bit_path, to_border_path = _SHAPE_MAPS[family]
+    for n in range(1, steps + 1):
+        entries = list(itertools.chain.from_iterable(chain._chain_positions(n, family)))
+        for path in filter(is_bit_path, all_paths(n)):
+            border = to_border_path(path)
+            assert len(entries) == len(border) - 1, (family, path)
+            expected = tuple(k for k, pos in enumerate(entries, 1) if _event_holds(path, pos))
+            assert border.corner_positions() == expected, (family, path)
+
+
+_HUGE = 10**6
+
+
+def _permutation_corner(n, k):
+    return Fraction(n - k + 1, n) - Fraction((n - k) ** 2, n * (n - 1))
+
+
+def _type_b_corner(n, k):
+    return Fraction(n - k + 1, 2 * n) - Fraction((n - k) ** 2, 4 * n * (n - 1))
+
+
+# (k, closed form) at the first, an interior and the last corner position
+# of each family at size (symmetric: index) _HUGE; the last is L in 1..L
+_HUGE_POSITIONS = {
+    Family.PERMUTATION: [(1, _permutation_corner(_HUGE, 1)),
+                         (_HUGE // 2, _permutation_corner(_HUGE, _HUGE // 2)),
+                         (_HUGE - 1, _permutation_corner(_HUGE, _HUGE - 1))],
+    Family.TREE_LIKE: [(1, _permutation_corner(_HUGE, 1)),
+                       (_HUGE // 2, _permutation_corner(_HUGE, _HUGE // 2)),
+                       (_HUGE, Fraction(1, _HUGE))],
+    Family.TYPE_B: [(1, _type_b_corner(_HUGE, 1)),
+                    (_HUGE // 2, _type_b_corner(_HUGE, _HUGE // 2)),
+                    (_HUGE - 1, _type_b_corner(_HUGE, _HUGE - 1))],
+    # the mirrored half: position k reads type-B position n + 1 - k
+    Family.SYMMETRIC: [(1, Fraction(1, 2 * _HUGE)),
+                       (_HUGE // 2, _type_b_corner(_HUGE, _HUGE + 1 - _HUGE // 2)),
+                       (2 * _HUGE + 1, Fraction(1, 2 * _HUGE))],
+}
+
+
+def test_per_position_reads_do_not_grow_with_n():
+    # a map that lists its positions would hold millions of entries here
+    reads = [(k, family, value) for family in ALL for k, value in _HUGE_POSITIONS[family]]
+    tracemalloc.start()
+    try:
+        got = [corner_event_probability_formula(_HUGE, k, family) for k, family, _ in reads]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [value for _, _, value in reads]
+    assert peak < 64 * 1024, peak
+
+
+@pytest.mark.parametrize("family", ALL)
+def test_per_position_reads_check_the_position_first_at_huge_n(family):
+    last = _HUGE_POSITIONS[family][-1][0]
+    for k, _ in _HUGE_POSITIONS[family]:
+        with pytest.raises(BudgetExceededError):
+            corner_event_probability_dp(_HUGE, k, family)
+    for k in (0, last + 1):
+        message = f"corner position {k} outside 1..{last} for {family.value} at n={_HUGE}"
+        with pytest.raises(IndexOutOfRangeError) as excinfo:
+            corner_event_probability_dp(_HUGE, k, family)
+        assert str(excinfo.value) == message
+        with pytest.raises(DomainError) as excinfo:
+            corner_event_probability_formula(_HUGE, k, family)
+        assert type(excinfo.value) is DomainError and str(excinfo.value) == message
+
+
+def test_per_position_reads_past_the_largest_range_length():
+    # len() of a range stops at sys.maxsize; the lookup must not call it
+    n = 10**19
+    assert corner_event_probability_formula(n, 2 * n + 1, Family.SYMMETRIC) == Fraction(1, 2 * n)
+    assert corner_event_probability_formula(n, n + 1, Family.SYMMETRIC) == Fraction(1, 2)
+    with pytest.raises(DomainError, match=f"outside 1..{2 * n + 1} for symmetric at n={n}$"):
+        corner_event_probability_formula(n, 2 * n + 2, Family.SYMMETRIC)
+
+
+@pytest.mark.parametrize("family, boundary_positions", [
+    (Family.PERMUTATION, lambda n: []),
+    (Family.TYPE_B, lambda n: []),
+    (Family.TREE_LIKE, lambda n: [n]),
+    (Family.SYMMETRIC, lambda n: [1, n + 1]),
+])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_the_dp_law_reads_its_boundary_events_through_the_per_position_function(
+    monkeypatch, family, boundary_positions, n
+):
+    # perfbench's chain.dp_* metrics time these calls, wrapped in the module
+    calls = []
+    read = chain.corner_event_probability_dp
+
+    def recording(*args):
+        calls.append(args)
+        return read(*args)
+
+    monkeypatch.setattr(chain, "corner_event_probability_dp", recording)
+    corner_distribution(n, family, method="dp")
+    assert calls == [(n, k, family) for k in boundary_positions(n)]
 
 
 @pytest.mark.parametrize(
