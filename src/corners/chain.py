@@ -172,11 +172,13 @@ def _corner_position_range(n: int, family: Family) -> range:
 
 def _chain_position(n: int, k: int, family: Family, error: type[CornersError]) -> int:
     """The entry of :func:`_chain_positions` that corner position ``k``
-    reads; ``error`` if there is none."""
+    reads; ``error`` if there is none.  A ``k`` that is not an ``int`` is
+    refused before any range test, which would compare it with every
+    position in turn."""
     last = 0  # the corner positions before ``part``
     for part in _chain_positions(n, family):
         size = abs(part.stop - part.start)  # every step is 1 or -1; len() stops at sys.maxsize
-        if k - 1 - last in range(size):
+        if isinstance(k, int) and k - 1 - last in range(size):
             return part[k - 1 - last]
         last += size
     raise error(f"corner position {k} outside 1..{last} for {family.value} at n={n}")

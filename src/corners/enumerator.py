@@ -3,9 +3,11 @@
 Enumeration is exact and deterministic: shapes come out in lexicographic
 border-path order (``S`` before ``W``) and the tableaux of one shape are
 ordered by their filling read as a binary word (row-major, points count
-as 1).  All enumerators are budgeted; sizes past the budget raise
-:class:`~corners.errors.BudgetExceededError` since counting large sizes
-is the chain module's job.
+as 1).  Shapes are generated, not filtered out of every border path:
+only the admissible words are built, in order (see
+:func:`enumerate_shapes`).  All enumerators are budgeted; sizes past the
+budget raise :class:`~corners.errors.BudgetExceededError` since counting
+large sizes is the chain module's job.
 
 The permutation family additionally supports the local extension step
 that underlies the weighted chain: a tableau of size ``n - 1`` with ``u``
@@ -19,18 +21,22 @@ rows for the permutation and type-B families, point rows for the pointed
 ones, where a symmetric row is its upper part, from the diagonal cell
 rightwards.  A filling is a choice of legal rows, top to bottom, that
 covers every column it must.  Enumeration walks a shape's top rows
-depth first and takes its last two rows from suffix lists, one per set
-of columns the top rows cover, kept for that shape only; it builds each
-filling once, as its top rows followed by a suffix, and then its
-tableau.  Each row's legal rows are computed once per process and
-sorted by their cells, so the walk yields the fillings of a shape in
-canonical order and no filling is collected per shape.  That holds for
-symmetric tableaux too: each cell left of the diagonal mirrors a cell
-of an earlier upper row, so the row-major word is decided upper row by
-upper row.
+depth first, on an explicit stack rather than nested generators, and
+takes its last two rows from suffix lists, one per set of columns the
+top rows cover, kept for that shape only; it builds each filling once,
+as its top rows followed by a suffix, and then its tableau.  Each row's
+legal rows are computed once per process and sorted by their cells, so
+the walk yields the fillings of a shape in canonical order and no
+filling is collected per shape.  That holds for symmetric tableaux too:
+each cell left of the diagonal mirrors a cell of an earlier upper row,
+so the row-major word is decided upper row by upper row.
 The census of a 0/1 family walks them breadth first, merging fillings
 that cover the same columns with the same number of unrestricted rows,
 and builds nothing; the census of a pointed family builds its tableaux.
+A census that builds 0/1 tableaux (``"brute"``, ``"extension"``) and the
+extension step read a tableau's unrestricted rows through
+``tableaux._unrestricted_rows``, one column mask per row, not through
+the full :func:`~corners.tableaux.markers` record.
 Building every tableau (``method="brute"``) reads the same legal rows,
 so it checks the census statistic rather than the rules.  The rules are
 checked independently by :func:`~corners.tableaux.validate`, by the
@@ -52,14 +58,14 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import groupby, repeat
+from itertools import groupby, product, repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import BudgetExceededError, DomainError, _excerpt
 from .families import BRUTE_FORCE_BUDGET, Family
-from .shapes import SOUTH, WEST, BorderPath, all_paths
-from .tableaux import _CLASS_OF, Bits, PermutationTableau, Tableau, _cells, corner_stats, markers
+from .shapes import _FLIP, SOUTH, WEST, BorderPath, all_paths
+from .tableaux import _CLASS_OF, Bits, PermutationTableau, Tableau, _cells, _unrestricted_rows, corner_stats
 
 __all__ = [
     "enumerate_shapes",
@@ -77,16 +83,31 @@ def enumerate_shapes(half_perimeter: int, family: Family) -> Iterator[BorderPath
     Permutation shapes need every column non-empty (first step South),
     tree-like shapes need every row and column non-empty (first step
     South, last step West), type-B shapes are unrestricted, and symmetric
-    shapes are self-conjugate tree-like shapes.
+    shapes are self-conjugate tree-like shapes.  Only admissible words are
+    built: ``S…`` for permutation, ``S…W`` for tree-like, and for
+    symmetric ``S + w + conj(w) + W``, whose first half ``S + w`` decides
+    both the path and its order, so the words ``w`` are taken in order.
     """
-    for path in all_paths(half_perimeter):
-        if family is Family.PERMUTATION and not path.is_permutation_shape():
-            continue
-        if family.pointed and not path.is_tree_like_shape():
-            continue
-        if family is Family.SYMMETRIC and not path.is_self_conjugate:
-            continue
-        yield path
+    if family is Family.TYPE_B or half_perimeter < 1:
+        yield from all_paths(half_perimeter)  # refuses a half-perimeter below 1
+        return
+    if family is Family.PERMUTATION:
+        words = (SOUTH + w for w in _words(half_perimeter - 1))
+    elif family is Family.TREE_LIKE:
+        words = (SOUTH + w + WEST for w in _words(half_perimeter - 2))
+    elif half_perimeter % 2 == 0:
+        words = (SOUTH + w + w[::-1].translate(_FLIP) + WEST for w in _words(half_perimeter // 2 - 1))
+    else:
+        return  # a self-conjugate path has even length
+    for steps in words:
+        yield BorderPath(steps)
+
+
+def _words(length: int) -> Iterator[str]:
+    """Every S/W word of ``length`` steps (none below 0), lexicographic."""
+    if length < 0:
+        return iter(())
+    return map("".join, product((SOUTH, WEST), repeat=length))
 
 
 # one legal row: its cells (1 for a 1 or a point) and the columns it covers
@@ -183,34 +204,45 @@ def _fillings(rule: _Rule, keys: list[tuple], need: int) -> Iterator[Bits]:
     """Every filling of one shape; with rows sorted by their cells, in the
     order of the filling read row by row.
 
-    The top rows are walked depth first.  The last two rows come from
-    suffix lists, one per set of columns the top rows cover, each built
-    once for this shape and listed in the same order; each filling is
-    built once, as its top rows followed by one suffix.
+    The top rows are walked depth first on an explicit stack of
+    ``(prefix, covered columns)``, each node's children pushed in reverse
+    so that they pop in order; the last top row is read in a plain loop.
+    The last two rows come from suffix lists, one per set of columns the
+    top rows cover, each built once for this shape and listed in the same
+    order; each filling is built once, as its top rows followed by one
+    suffix.
     """
     split = max(len(keys) - 2, 0)
     suffixes: dict[int, list[Bits]] = {}
 
-    def tops(r: int, above: int, prefix: Bits) -> Iterator[tuple[Bits, int]]:
-        if r == split:
-            yield prefix, above
-            return
-        for cells, cover, *_ in _rows(rule, keys[r], above):
-            yield from tops(r + 1, above | cover, (*prefix, cells))
-
-    for prefix, above in tops(0, 0, ()):
-        ends = suffixes.get(above)
-        if ends is None:
+    def ends(above: int) -> list[Bits]:
+        """The suffixes below top rows that cover ``above``, built once."""
+        found = suffixes.get(above)
+        if found is None:
             level: list[tuple[Bits, int]] = [((), above)]
             for key in keys[split:]:
                 level = [
-                    ((*end, cells), covered | cover)
+                    ((*end, row[0]), covered | row[1])
                     for end, covered in level
-                    for cells, cover, *_ in _rows(rule, key, covered)
+                    for row in _rows(rule, key, covered)
                 ]
-            ends = suffixes[above] = [end for end, covered in level if covered & need == need]
-        for end in ends:
-            yield prefix + end
+            found = suffixes[above] = [end for end, covered in level if covered & need == need]
+        return found
+
+    if split == 0:
+        yield from ends(0)
+        return
+    last = split - 1
+    stack: list[tuple[Bits, int]] = [((), 0)]
+    while stack:
+        prefix, above = stack.pop()
+        r = len(prefix)
+        if r < last:
+            stack += [((*prefix, row[0]), above | row[1]) for row in reversed(_rows(rule, keys[r], above))]
+            continue
+        for row in _rows(rule, keys[last], above):
+            top, covered = (*prefix, row[0]), above | row[1]
+            yield from map(top.__add__, ends(covered))
 
 
 def _tally(rule: _Rule, keys: list[tuple], need: int) -> Counter[int]:
@@ -288,16 +320,17 @@ def extend_permutation(t: PermutationTableau) -> tuple[PermutationTableau, ...]:
     ascending order of the subset bitmask (bit ``i`` is the i-th
     unrestricted row from the top).
     """
-    south = PermutationTableau._trusted(BorderPath(t.path.steps + SOUTH), t.rows + ((),))
-    out = [south]
-    unrest = markers(t).unrestricted_rows
-    west_path = BorderPath(t.path.steps + WEST)
-    for mask in range(1, 1 << len(unrest)):
-        chosen = {unrest[i] for i in range(len(unrest)) if mask >> i & 1}
-        rows = tuple(
-            (1 if r in chosen else 0,) + row for r, row in enumerate(t.rows, start=1)
-        )
-        out.append(PermutationTableau._trusted(west_path, rows))
+    trusted = PermutationTableau._trusted
+    steps, rows = t.path.steps, t.rows
+    out = [trusted(BorderPath(steps + SOUTH), rows + ((),))]
+    west_path = BorderPath(steps + WEST)
+    # fills[mask]: a 0 heads every row but the chosen ones; each unrestricted
+    # row doubles the list, so the masks stay in ascending order
+    fills = [tuple([(0,) + row for row in rows])]
+    for r in _unrestricted_rows(t):
+        one = (1,) + rows[r - 1]
+        fills += [fill[: r - 1] + (one,) + fill[r:] for fill in fills]
+    out += [trusted(west_path, fill) for fill in fills[1:]]
     return tuple(out)
 
 
@@ -395,7 +428,7 @@ def _tableau_tallies(
     pointed = family.pointed
     for path, group in groupby(tableaux, key=attrgetter("path")):
         yield path, Counter(
-            corner_stats(t).occupied_corner_count if pointed else len(markers(t).unrestricted_rows)
+            corner_stats(t).occupied_corner_count if pointed else len(_unrestricted_rows(t))
             for t in group
         )
 

@@ -44,12 +44,20 @@ Each per-tableau pass is one linear sweep: a row check tests the whole
 filling at once and words an error row by row only when that test fails;
 :func:`validate` reads a 0/1 filling once row-major, one column mask per
 row, and a point set once in sorted order; :func:`markers` finds every
-distinguished cell, and the unrestricted rows, in one scan.  What
-belongs to the shape is read from the path, which caches it: the row and
-column counts and the row lengths.  The column heights are read only to
-word a column without a 1, and the rows and columns are scanned for an
-empty one only when fewer of them hold a point than the path has.  The
-row of a mask and the mask of a row come from two small caches
+distinguished cell, and the unrestricted rows, in one scan.  The
+unrestricted rows have two readers: :func:`markers` for the record that
+names every cell, and the private ``_unrestricted_rows`` for the census
+sweeps and the extension step, which need only the rows.  It reads one
+column mask per row (a row counts unless ``above & ~bits`` meets it or
+its diagonal cell is 0) and builds no cell set.  ``markers`` keeps its
+cell-by-cell scan, since the unfold reads the cells themselves, and a
+mask version of the whole record measured slower.
+
+What belongs to the shape is read from the path, which caches it: the
+row and column counts and the row lengths.  The column heights are read
+only to word a column without a 1, and the rows and columns are scanned
+for an empty one only when fewer of them hold a point than the path
+has.  The row of a mask and the mask of a row come from two small caches
 (``_cells``, ``_mask``), since the tableaux within the enumeration
 budgets repeat few distinct rows.
 """
@@ -505,6 +513,20 @@ def markers(t: PermutationTableau | TypeBTableau) -> MarkerMap:
         diagonal_zeros=frozenset(diagonal_zeros),
         unrestricted_rows=tuple(unrestricted),
     )
+
+
+def _unrestricted_rows(t: PermutationTableau | TypeBTableau) -> tuple[int, ...]:
+    """``markers(t).unrestricted_rows``, from one column mask per row: a
+    row is unrestricted unless it holds a 0 under a 1 or a diagonal 0."""
+    diagonal_limit = t.path.column_count if isinstance(t, TypeBTableau) else 0
+    above = 0  # the columns holding a 1 in the rows read so far
+    unrestricted = []
+    for r, row in enumerate(t.rows, start=1):
+        bits = _mask(row)
+        if not (above & ~bits & ((1 << len(row)) - 1) or r <= diagonal_limit and not bits >> (r - 1) & 1):
+            unrestricted.append(r)
+        above |= bits
+    return tuple(unrestricted)
 
 
 def corner_stats(t: Tableau) -> CornerStats:

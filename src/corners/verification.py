@@ -53,7 +53,7 @@ from .chain import (
 from .enumerator import Census, census, enumerate_tableaux, extend_permutation, parent_permutation
 from .errors import DomainError, _excerpt
 from .families import SUITE_NAMES, Family
-from .tableaux import PermutationTableau, canonical_key, corner_stats, markers
+from .tableaux import PermutationTableau, _unrestricted_rows, canonical_key, corner_stats
 
 __all__ = [
     "pushforward_check",
@@ -236,7 +236,7 @@ def suite_extension(max_size: int) -> list[VerificationRow]:
     push-forward rows, from one pass over the permutation levels."""
     statistics: list[tuple[str, Callable]] = [
         ("one", lambda t: 1),
-        ("two-power-u", lambda t: 1 << len(markers(t).unrestricted_rows)),
+        ("two-power-u", lambda t: 1 << len(_unrestricted_rows(t))),
         ("corner-count", lambda t: corner_stats(t).corner_count),
     ]
     extension: list[VerificationRow] = []
@@ -248,9 +248,9 @@ def suite_extension(max_size: int) -> list[VerificationRow]:
         multiplicity_ok = transition_ok = True
         for t in lower:
             images = extend_permutation(t)
-            u = len(markers(t).unrestricted_rows)
+            u = len(_unrestricted_rows(t))
             multiplicity_ok &= len(images) == 1 << u and all(parent_permutation(c) == t for c in images)
-            seen = Counter((c.path.steps[-1], len(markers(c).unrestricted_rows)) for c in images)
+            seen = Counter((c.path.steps[-1], len(_unrestricted_rows(c))) for c in images)
             transition_ok &= seen == {(s, v): w for s, v, w in _transitions(Family.PERMUTATION, u)}
             children += images
         # only images that are tableaux of the level count as distinct
@@ -337,12 +337,13 @@ def suite_bijections(max_size: int) -> list[VerificationRow]:
 
 def _pushforward_sides(n: int, statistic: Callable, parents: Iterable, lower: Iterable) -> tuple[Fraction, Fraction]:
     """Both sides of ``E_n[X(parent)] = (1/n) E_{n-1}[2**U X]``, exactly, from
-    the parents of the size-``n`` tableaux and the size ``n - 1`` tableaux."""
-    left = sum(Fraction(statistic(p)) for p in parents) / factorial(n)
-    right = sum(
-        Fraction(statistic(s)) * (1 << len(markers(s).unrestricted_rows)) for s in lower
-    ) / (n * factorial(n - 1))
-    return left, right
+    the parents of the size-``n`` tableaux and the size ``n - 1`` tableaux.
+
+    Each side is summed as the statistic's own values (integers stay
+    integers) and becomes one ``Fraction`` at the end."""
+    left = sum(map(statistic, parents))
+    right = sum(statistic(s) * (1 << len(_unrestricted_rows(s))) for s in lower)
+    return Fraction(left, factorial(n)), Fraction(right, n * factorial(n - 1))
 
 
 def pushforward_check(

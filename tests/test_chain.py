@@ -29,6 +29,7 @@ from corners.errors import BudgetExceededError, DomainError, IndexOutOfRangeErro
 from corners.families import CHAIN_BUDGET, Family
 from corners.shapes import WEST, BorderPath, all_paths
 from corners.tableaux import corner_stats, markers
+from corners.enumerator import enumerate_tableaux, parent_permutation
 from corners.verification import pushforward_check
 
 CHAIN = (Family.PERMUTATION, Family.TYPE_B)
@@ -409,6 +410,42 @@ def test_per_position_reads_past_the_largest_range_length():
         corner_event_probability_formula(n, 2 * n + 2, Family.SYMMETRIC)
 
 
+class _CountingFloat(float):
+    """A float that counts the comparisons a range test would make."""
+
+    eq_calls = 0
+
+    def __eq__(self, other):
+        type(self).eq_calls += 1
+        return float.__eq__(self, other)
+
+    __hash__ = float.__hash__
+
+
+@pytest.mark.parametrize("family", ALL)
+def test_a_non_int_position_is_refused_before_any_range_test(family):
+    # ``in range(...)`` compares a non-int with every position in turn
+    _CountingFloat.eq_calls = 0
+    last = _HUGE_POSITIONS[family][-1][0]
+    for k in (_CountingFloat(1.5), _CountingFloat(2.0), 2.0, Fraction(2)):
+        message = f"corner position {k} outside 1..{last} for {family.value} at n={_HUGE}"
+        with pytest.raises(IndexOutOfRangeError) as excinfo:
+            corner_event_probability_dp(_HUGE, k, family)
+        assert str(excinfo.value) == message
+        with pytest.raises(DomainError) as excinfo:
+            corner_event_probability_formula(_HUGE, k, family)
+        assert type(excinfo.value) is DomainError and str(excinfo.value) == message
+    assert _CountingFloat.eq_calls == 0
+
+
+def test_a_non_int_position_is_refused_at_once_at_any_n():
+    # a scan of 2 * 10**18 + 1 positions would run for hours
+    n = 10**18
+    with pytest.raises(DomainError) as excinfo:
+        corner_event_probability_formula(n, 1.5, Family.SYMMETRIC)
+    assert str(excinfo.value) == f"corner position 1.5 outside 1..{2 * n + 1} for symmetric at n={n}"
+
+
 @pytest.mark.parametrize("family, boundary_positions", [
     (Family.PERMUTATION, lambda n: []),
     (Family.TYPE_B, lambda n: []),
@@ -472,6 +509,26 @@ def test_pushforward_identity(n):
         left, right = pushforward_check(n, stat)
         assert type(left) is type(right) is Fraction
         assert left == right, (n, left, right)
+
+
+def _pushforward_reference(n, statistic):
+    """Both sides of the push-forward identity, one ``Fraction`` per term."""
+    parents = [parent_permutation(t) for t in enumerate_tableaux(n, Family.PERMUTATION)]
+    lower = enumerate_tableaux(n - 1, Family.PERMUTATION)
+    left = sum(Fraction(statistic(p)) for p in parents) / factorial(n)
+    right = sum(Fraction(statistic(s)) * (1 << len(markers(s).unrestricted_rows)) for s in lower)
+    return left, right / (n * factorial(n - 1))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_pushforward_sides_equal_the_per_term_fraction_sums(n):
+    for stat in (
+        lambda t: corner_stats(t).corner_count,
+        lambda t: Fraction(t.path.row_count, t.path.column_count + 1),
+    ):
+        left, right = pushforward_check(n, stat)
+        assert (left, right) == _pushforward_reference(n, stat)
+        assert type(left) is type(right) is Fraction and left == right
 
 
 def test_pushforward_guards():

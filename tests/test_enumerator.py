@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_rebuilds, cached_census, cached_tableaux
+from corners import enumerator, tableaux, verification
 from corners.chain import _closed_form_count, corner_distribution, total_corners, u_distribution
 from corners.enumerator import (
     _builder,
@@ -21,9 +22,9 @@ from corners.enumerator import (
     extend_permutation,
     parent_permutation,
 )
-from corners.errors import BudgetExceededError, DomainError, ShapeFillingMismatchError
+from corners.errors import BudgetExceededError, DomainError, EmptyPathError, ShapeFillingMismatchError
 from corners.families import BRUTE_FORCE_BUDGET, Family
-from corners.shapes import all_paths
+from corners.shapes import BorderPath, all_paths
 from corners.tableaux import PermutationTableau, canonical_key, markers, validate
 from corners.verification import _CENSUS_CAP
 
@@ -56,6 +57,33 @@ def test_enumerate_shapes_filters_admissible_paths():
     assert [p.steps for p in enumerate_shapes(3, Family.TREE_LIKE)] == ["SSW", "SWW"]
     assert len(list(enumerate_shapes(2, Family.TYPE_B))) == 4
     assert [p.steps for p in enumerate_shapes(4, Family.SYMMETRIC)] == ["SSWW", "SWSW"]
+
+
+def _filtered_shapes(h, family):
+    """The admissible paths as a filter over all ``2**h`` paths."""
+    for path in all_paths(h):
+        if family is Family.PERMUTATION and not path.is_permutation_shape():
+            continue
+        if family.pointed and not path.is_tree_like_shape():
+            continue
+        if family is Family.SYMMETRIC and not path.is_self_conjugate:
+            continue
+        yield path
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_generated_shapes_equal_the_filter_over_every_path(family):
+    for h in range(1, 15):
+        assert list(enumerate_shapes(h, family)) == list(_filtered_shapes(h, family)), h
+    with pytest.raises(EmptyPathError):
+        list(enumerate_shapes(0, family))
+
+
+def test_symmetric_shapes_come_from_their_halves():
+    # the filter would build 2**26 paths to keep these
+    steps = [p.steps for p in enumerate_shapes(26, Family.SYMMETRIC)]
+    assert len(steps) == 4096 and steps == sorted(steps)
+    assert all(BorderPath(s).is_self_conjugate and BorderPath(s).is_tree_like_shape() for s in steps)
 
 
 def test_every_enumerated_tableau_validates():
@@ -275,6 +303,37 @@ def test_extension_images_partition_next_size():
                 count += 1
         assert count == factorial(n)
         assert len(seen) == factorial(n)
+
+
+def _masked_extensions(t):
+    """The extension step as a loop over subset masks, each child's rows
+    built afresh."""
+    unrest = markers(t).unrestricted_rows
+    out = [PermutationTableau(BorderPath(t.path.steps + "S"), t.rows + ((),))]
+    for mask in range(1, 1 << len(unrest)):
+        chosen = {unrest[i] for i in range(len(unrest)) if mask >> i & 1}
+        rows = tuple((int(r in chosen),) + row for r, row in enumerate(t.rows, start=1))
+        out.append(PermutationTableau(BorderPath(t.path.steps + "W"), rows))
+    return tuple(out)
+
+
+def test_extensions_come_in_ascending_subset_mask_order():
+    for n in range(1, 7):
+        for t in cached_tableaux(n, Family.PERMUTATION):
+            assert extend_permutation(t) == _masked_extensions(t), t
+
+
+def test_census_sweeps_and_the_extension_suite_build_no_marker_map(monkeypatch):
+    # they read the unrestricted rows from masks, never the full marker record
+    def refuse(t):
+        raise AssertionError("markers() called")
+
+    for module in (enumerator, verification):
+        monkeypatch.setattr(module, "markers", refuse, raising=False)
+    monkeypatch.setattr(tableaux, "markers", refuse)
+    for method in ("brute", "extension"):
+        assert census(7, Family.PERMUTATION, method=method) == cached_census(7, Family.PERMUTATION)
+    assert all(row.ok for row in verification.suite_extension(6))
 
 
 def test_parent_of_size_one_is_undefined():

@@ -25,6 +25,7 @@ from corners.tableaux import (
     SymmetricTreeLikeTableau,
     TreeLikeTableau,
     TypeBTableau,
+    _unrestricted_rows,
     markers,
     validate,
 )
@@ -226,7 +227,7 @@ def assert_bit_tableau_matches(t):
     assert validate(t).violations == ref_validate(t)
     m = markers(t)
     assert (m.topmost_ones, m.restricted_zeros, m.rightmost_restricted_zeros, m.diagonal_zeros) == ref_markers(t)
-    assert m.unrestricted_rows == ref_unrestricted_rows(t)
+    assert _unrestricted_rows(t) == ref_unrestricted_rows(t) == m.unrestricted_rows
 
 
 @pytest.mark.parametrize("h", range(1, 7))
